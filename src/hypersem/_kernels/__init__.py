@@ -1,38 +1,13 @@
-"""Kernel backend selection.
+"""Bitset kernels.
 
-The compiled extension is used when it was built; otherwise the pure
-Python implementations take over.  Set ``HYPERSEM_PURE=1`` to force the
-pure backend (the benchmark and the parity tests import both modules
-directly regardless of the selection).
+The modules call every kernel through this package, so each call here is
+one layer boundary; the kernels in ``pure`` call each other directly.
 """
 
-import os
-
-from . import pure as _pure_mod
-
-_impl = _pure_mod
-BACKEND = "pure"
-
-if os.environ.get("HYPERSEM_PURE") != "1":
-    try:
-        from . import _native as _native_mod
-
-        _impl = _native_mod
-        BACKEND = "native"
-    except ImportError:
-        pass
-
-popcount = _impl.popcount
-dirimg_rows = _impl.dirimg_rows
-compose_rows = _impl.compose_rows
-converse_rows = _impl.converse_rows
-maximal_sets = _impl.maximal_sets
-expand_downset = _impl.expand_downset
-union_product = _impl.union_product
-is_downclosed = _impl.is_downclosed
-psc_scan_table = _impl.psc_scan_table
+from .pure import (compose_rows, converse_rows, dirimg_rows, expand_downset,
+                   is_downclosed, maximal_sets, psc_scan_table)
 
 
 def backend():
-    """Name of the active kernel backend: 'native' or 'pure'."""
-    return BACKEND
+    """Name of the kernel implementation; always 'pure'."""
+    return "pure"

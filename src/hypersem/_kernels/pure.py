@@ -1,13 +1,7 @@
 """Pure-Python bitset kernels.
 
 Masks are plain ints (states fit in one machine word, space cap 64).
-``_native`` mirrors every signature here; both backends must produce
-identical results, including witness scan order.
 """
-
-
-def popcount(x):
-    return x.bit_count()
 
 
 def dirimg_rows(rows, p):
@@ -66,12 +60,6 @@ def expand_downset(antichain, cap):
             if sub == 0:
                 break
             sub = (sub - 1) & m
-    return sorted(out)
-
-
-def union_product(a, b):
-    """Sorted deduplicated { x | y : x in a, y in b }."""
-    out = {x | y for x in a for y in b}
     return sorted(out)
 
 

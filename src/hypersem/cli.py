@@ -7,7 +7,6 @@ differential failures, 2 for usage and parse errors.
 import argparse
 import sys
 
-from . import _kernels
 from .errors import WorkbenchError
 from .family import FamilySet
 from .harness import (GenConfig, diff_prop1, diff_thm1, enumerate_downsets,
@@ -223,8 +222,6 @@ def build_parser():
         prog="hypersem",
         description="finite-state workbench for relational, transformer and "
                     "hyper-level program semantics")
-    ap.add_argument("--backend", action="store_true",
-                    help="print the kernel backend and exit")
     sub = ap.add_subparsers(dest="cmd")
 
     p = sub.add_parser("parse", help="parse a program and print its AST")
@@ -289,9 +286,6 @@ _HANDLERS = {
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.backend:
-        print(_kernels.backend())
-        return 0
     if args.cmd is None:
         ap.print_usage(sys.stderr)
         return 2
@@ -299,6 +293,10 @@ def main(argv=None):
         return _HANDLERS[args.cmd](args)
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: program nested too deeply (recursion limit reached)",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

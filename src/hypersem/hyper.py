@@ -22,9 +22,11 @@ worklist.
 Down-sets are the fast path throughout: when every value in sight is
 subset closed, all products and unions happen on maximal antichains.
 Evaluation falls back to explicit (capped) expansion when a non-PSC atom
-breaks closure.  Maximal-member shortcuts are sound for the paper and
-naive variants because every construct is monotone in the query; the
-otimes variant enumerates all members.
+breaks closure; an atom's direct image has the subset-image property
+(PSC) exactly when its relation is a partial function.  Maximal-member
+shortcuts are sound for the paper and naive variants because every
+construct is monotone in the query; the otimes variant enumerates all
+members.
 """
 
 import enum
@@ -37,7 +39,7 @@ from .errors import (ExpansionTooLarge, IterationBudgetExceeded,
 from .family import (DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet, family_le,
                      family_union, powerset_family)
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
-from .transformer import PSC_MAX_STATES, Transformer, psc_check
+from .transformer import Transformer
 
 
 class LoopVariant(enum.Enum):
@@ -76,7 +78,6 @@ class HEval:
         self.iteration_budget = iteration_budget
         self.stats = HyperStats()
         self._atom_tr = {}
-        self._atom_psc = {}
         self._guard_mask = {}
         self._loop_memo = {}
 
@@ -88,20 +89,6 @@ class HEval:
             tr = Transformer.image(elaborate_atom(atomdef, self.space))
             self._atom_tr[atomdef] = tr
         return tr
-
-    def _atom_preserves_closure(self, atomdef):
-        """PSC atoms keep the down-set fast path valid."""
-        ok = self._atom_psc.get(atomdef)
-        if ok is None:
-            tr = self._atom(atomdef)
-            if tr.rel.is_partial_function():
-                ok = True
-            elif self.space.size <= PSC_MAX_STATES:
-                ok = bool(psc_check(tr))
-            else:
-                ok = False
-            self._atom_psc[atomdef] = ok
-        return ok
 
     def _guard(self, cond):
         m = self._guard_mask.get(cond)
@@ -165,7 +152,7 @@ class HEval:
         if isinstance(node, Atom):
             tr = self._atom(node.atom)
             return self._map_family(
-                fam, tr.apply, self._atom_preserves_closure(node.atom))
+                fam, tr.apply, tr.rel.is_partial_function())
         if isinstance(node, Seq):
             return self.eval(node.rest, self.eval(node.first, fam))
         if isinstance(node, Choice):

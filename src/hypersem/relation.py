@@ -3,11 +3,26 @@
 from . import _kernels
 from .errors import SpaceMismatch
 
+IMAGE_TABLE_MAX_STATES = 16
+
+
+def _subset_images(rows):
+    """t[m] = union of rows[i] over the bits i of m, for every mask m over
+    len(rows) states; equivalently t[m] = t[m & (m-1)] | rows[ctz m]."""
+    t = [0]
+    for row in rows:
+        t += [x | row for x in t]
+    return t
+
 
 class Rel:
-    """Immutable relation: rows[s] is the successor mask of state s."""
+    """Immutable relation: rows[s] is the successor mask of state s.
 
-    __slots__ = ("space", "rows")
+    Up to 16 states, direct images come from two subset-image tables, one
+    per half of the states, built on first use (at most 2 x 256 entries).
+    """
+
+    __slots__ = ("space", "rows", "_images")
 
     def __init__(self, space, rows):
         rows = tuple(rows)
@@ -19,6 +34,7 @@ class Rel:
                 raise ValueError("row has bits outside the space")
         self.space = space
         self.rows = rows
+        self._images = None
 
     @classmethod
     def empty(cls, space):
@@ -74,6 +90,19 @@ class Rel:
 
     def dirimg(self, p):
         """Direct image of mask p."""
+        images = self._images
+        if images is None:
+            rows = self.rows
+            if len(rows) > IMAGE_TABLE_MAX_STATES:
+                images = ()
+            else:
+                half = (len(rows) + 1) // 2
+                images = (_subset_images(rows[:half]),
+                          _subset_images(rows[half:]), half, (1 << half) - 1)
+            self._images = images
+        if images:
+            low, high, half, low_mask = images
+            return low[p & low_mask] | high[p >> half]
         return _kernels.dirimg_rows(self.rows, p)
 
     def domain(self):

@@ -161,12 +161,21 @@ def psc_check(tr):
     """Every subset of an image is the exact image of some subset.
 
     Returns a truthy PscResult, or a falsy one carrying the first (q, r)
-    with no witness s.  Brute force; spaces capped at 10 states.
+    with no witness s, in the scan order of ``psc_scan_table``.  Spaces
+    are capped at 10 states.
+
+    A direct image has the property exactly when its relation is a
+    partial function, so image-backed transformers are answered from the
+    rows: the scan's first failing pair is q = {t} for the smallest state
+    t with two or more successors, and r = the successors of t minus the
+    lowest one.  Table-backed transformers are scanned.
     """
     n = tr.space.size
     if n > PSC_MAX_STATES:
         raise SpaceTooLarge(f"psc check limited to {PSC_MAX_STATES} states")
-    tab = tr.table if tr.table is not None else [
-        tr.apply(p) for p in range(1 << n)]
-    ok, q, r = _kernels.psc_scan_table(list(tab), n)
-    return PscResult(ok, q, r)
+    if tr.rel is None:
+        return PscResult(*_kernels.psc_scan_table(tr.table, n))
+    for s, row in enumerate(tr.rel.rows):
+        if row & (row - 1):
+            return PscResult(False, 1 << s, row & (row - 1))
+    return PscResult(True, -1, -1)

@@ -226,7 +226,13 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_backend_flag(capsys):
-    code, out, _ = run(capsys, "--backend")
-    assert code == 0
-    assert out.strip() in ("native", "pure")
+def test_deep_program_is_an_error_not_a_verdict(capsys, tmp_path):
+    # 2,000 sequenced statements overflow the recursive-descent parser;
+    # that must exit 2 (error), never 1 (verdict false)
+    p = tmp_path / "deep.imp"
+    p.write_text("var x: 0..1;\nlow x;\n"
+                 + ";\n".join(["x := 1 - x"] * 2000) + "\n")
+    for cmd in ("parse", "check-ni"):
+        code, _, err = run(capsys, cmd, str(p))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hypersem import _kernels
 from hypersem.errors import SpaceMismatch
 from hypersem.family import mask_of, states_of
 from hypersem.harness import GenConfig, gen_program
@@ -95,6 +96,19 @@ def test_dirimg_strict_and_pointwise(x8):
     inc = sem_rel(node, space)
     assert inc.dirimg(0) == 0
     assert states_of(inc.dirimg(mask_of([2, 5]))) == [3, 6]
+
+
+def test_dirimg_tables_match_row_kernel():
+    # spaces on both sides of the 16-state limit of the subset-image tables
+    rng = random.Random(5)
+    for n in (1, 2, 9, 10, 16, 17, 64):
+        space = StateSpace((("s", 0, n - 1),))
+        masks = ([0, space.full_mask] + [1 << s for s in range(n)]
+                 + [rng.randrange(1 << n) for _ in range(40)])
+        for density in (0.1, 0.5):
+            rel = rnd_rel(rng, space, density)
+            for p in masks:
+                assert rel.dirimg(p) == _kernels.dirimg_rows(rel.rows, p)
 
 
 def test_dirimg_of_loop_worked_value():

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from hypersem import _kernels
 from hypersem.errors import SpaceTooLarge
 from hypersem.family import mask_of, states_of, subsets_of
 from hypersem.harness import GenConfig, gen_program
@@ -142,11 +143,23 @@ def test_psc_partial_functions_exhaustive(s3):
 
 def test_psc_image_iff_partial_function_exhaustive(s3):
     # for direct images the subset-image property characterizes partial
-    # functions; this rules out image-backed non-function examples
-    for rows in product(range(8), repeat=3):
-        rel = Rel(s3, rows)
-        assert bool(psc_check(Transformer.image(rel))) == \
-            rel.is_partial_function()
+    # functions; this rules out image-backed non-function examples.  The
+    # answer from the rows must also carry the brute-force scan's witness.
+    rng = random.Random(7)
+    cases = [Rel(s3, rows) for rows in product(range(8), repeat=3)]
+    for n in range(1, 9):
+        space = StateSpace((("s", 0, n - 1),))
+        for _ in range(12):
+            cases.append(rnd_rel(rng, space))
+        # partial functions, so that the full scan runs too
+        cases.append(Rel(space, [rng.choice([0, 1 << rng.randrange(n)])
+                                 for _ in range(n)]))
+    for rel in cases:
+        tr = Transformer.image(rel)
+        res = psc_check(tr)
+        assert bool(res) == rel.is_partial_function()
+        assert tuple(res) == _kernels.psc_scan_table(tr.tabulate(),
+                                                     rel.space.size)
 
 
 def test_psc_crossing_relation_fails_with_witness(s4):
