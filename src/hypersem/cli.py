@@ -26,6 +26,14 @@ from .transformer import Transformer, psc_check
 _VARIANTS = {v.value: v for v in LoopVariant}
 
 
+def _count(text):
+    """argparse type of --size, --steps and --trials: an int >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _read_program(path):
     with open(path, encoding="utf-8") as fh:
         return parse(fh.read())
@@ -242,7 +250,7 @@ def build_parser():
     p = sub.add_parser("iterates", help="print loop-functional iterates")
     p.add_argument("file")
     p.add_argument("--query", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="paper")
 
     p = sub.add_parser("check-ni", help="noninterference checks")
@@ -255,8 +263,8 @@ def build_parser():
     p.add_argument("--thm1", action="store_true")
     p.add_argument("--search", choices=("psc-join", "ssc-necessity"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--size", type=int)
+    p.add_argument("--trials", type=_count, default=50)
+    p.add_argument("--size", type=_count)
     p.add_argument("--cross-check", action="store_true",
                    help="verify demand-driven loop values against the "
                         "synchronized iteration")
@@ -266,7 +274,7 @@ def build_parser():
     p.add_argument("relfile")
 
     p = sub.add_parser("enumerate", help="enumerate subset-closed families")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_count, required=True)
     p.add_argument("--list", action="store_true")
 
     return ap

@@ -21,6 +21,11 @@ class ValueOutOfRange(WorkbenchError):
     """A variable value lies outside its declared range."""
 
 
+class BadDeclaration(WorkbenchError, ValueError):
+    """Variable declarations that define no state space: a duplicate name,
+    an empty range, or more states than the size cap."""
+
+
 class SpaceTooLarge(WorkbenchError):
     """The requested brute-force check exceeds its size precondition."""
 

@@ -3,21 +3,31 @@
 Programs denote maps over the double powerset.  Atoms and guards lift
 elementwise; choice uses the powerset-query inner join; conditionals use
 the guarded inner join, which splits each member set by the guard and
-unions one result from each branch.  Loops are least fixpoints of the
-guarded-join functional, computed by a demand-driven engine:
+unions one result from each branch.
 
-* discover the queries the loop can reach (from a query, each chosen
-  member p induces the dependency query "body semantics at the powerset
-  of the guard-restricted p");
-* initialise every unknown to the bottom family and re-evaluate the
-  equations over current values until nothing changes.
+Loops are least fixpoints of the guarded-join functional, solved over
+*atomic queries* ``(down, m)``: the family of all subsets of ``m`` when
+``down`` holds, else the single set ``{m}``.  A loop's value at a family
+is the union of its values at the family's basis:
 
-Two deliberately anomalous loop functionals are kept behind
-``LoopVariant``: the naive outer-join guess and the singleton-query
-(otimes) guess.  They reproduce the known discrepancies with the
-underlying transformer semantics; the otimes iteration need not be
-increasing, so it runs synchronized with a cycle budget instead of a
-worklist.
+* paper: the subsets of p, for each maximal member p (the functional
+  reads only maximal members);
+* otimes: {q}, for each member q;
+* naive: the subsets of p for each antichain element of a down-set, or
+  {q} for each member of an explicit family (the naive functional is
+  additive over members, and monotone, so both bases are exact).
+
+Each atomic query u has one equation: its dependencies are the basis of
+the body's value at u restricted to the guard, and its value is the union
+of theirs combined with u restricted to the negated guard, by a product
+(paper, otimes) or a union (naive).  Kleene iterates split over these
+bases at every step, so fixpoints and iterate tables are those of the
+family-keyed functional.  Solved values are memoized per loop node and
+atomic query.  The paper variant solves by a demand-driven worklist from
+the bottom family {{}}; the naive and otimes variants, and the optional
+cross-check of the worklist, use synchronized (Kleene) iteration.  The
+otimes chain need not be increasing, so it always iterates its whole
+reachable system from bottom, under a cycle budget.
 
 Down-sets are the fast path throughout: when every value in sight is
 subset closed, all products and unions happen on maximal antichains.
@@ -48,11 +58,22 @@ class LoopVariant(enum.Enum):
     OTIMES = "otimes"
 
 
+_BOTTOM = FamilySet.downset((0,))
+
+
 def hyper_bottom(fam):
     """Bottom of the hyper level: empty to empty, else the family {{}}."""
-    if fam.is_empty:
-        return FamilySet.empty()
-    return FamilySet.downset((0,))
+    return FamilySet.empty() if fam.is_empty else _BOTTOM
+
+
+def _atomic(down, m):
+    """The family an atomic query (down, m) stands for: ↓{m} or {m}."""
+    return powerset_family(m) if down else FamilySet.explicit((m,))
+
+
+def _same(a, b):
+    """Equality of normalized families: their (kind, sets) form is canonical."""
+    return a.kind == b.kind and a.sets == b.sets
 
 
 @dataclass
@@ -119,9 +140,6 @@ class HEval:
             return FamilySet.downset(fn(m) for m in fam.sets)
         out = FamilySet.explicit(fn(p) for p in self._members(fam))
         return out.normalized()
-
-    def _filter_family(self, fam, mask):
-        return self._map_family(fam, lambda m: m & mask, True)
 
     def _prod(self, a, b):
         """{ r | s : r in a, s in b } on families."""
@@ -192,183 +210,127 @@ class HEval:
             parts.append(self._prod(a, b))
         return self._union_all(parts)
 
-    # ---- loop machinery
+    # ---- loop machinery: one unknown per atomic query
 
-    def _loop_system(self, node, fam):
-        """Equation entries for one query of the loop functional.
+    def _basis(self, fam):
+        """Atomic queries whose loop values union to fam's loop value."""
+        if self.variant is LoopVariant.OTIMES or (
+                self.variant is LoopVariant.NAIVE and fam.kind != DOWNSET):
+            return [(False, q) for q in self._members(fam)]
+        return [(True, p) for p in fam.antichain()]
 
-        Returns (entries, extra): entries are (dep_family, combine_mask)
-        pairs whose term is prod(value(dep), wrap(combine_mask)); extra
-        is a constant family unioned in (naive variant only).
+    def _discover(self, node, roots, known):
+        """Equations of the atoms reachable from roots, not entering known.
+
+        Each equation is (deps, wrap): the basis of the body's value at
+        the guard-restricted atom, and the atom restricted to the negated
+        guard.  Roots are always included.
         """
         bmask = self._guard(node.cond)
         nbmask = self.space.full_mask & ~bmask
-        if self.variant is LoopVariant.NAIVE:
-            y = self.eval(node.body, self._filter_family(fam, bmask))
-            return [(y, None)], self._filter_family(fam, nbmask)
-        if self.variant is LoopVariant.OTIMES:
-            entries = []
-            for q in self._members(fam):
-                y = self.eval(node.body, FamilySet.explicit((q & bmask,)))
-                entries.append((y, ("single", q & nbmask)))
-            return entries, FamilySet.empty()
-        entries = []
-        for p in self._chosen(fam):
-            y = self.eval(node.body, powerset_family(p & bmask))
-            entries.append((y, ("power", p & nbmask)))
-        return entries, FamilySet.empty()
-
-    def _combine(self, value, wrap):
-        if wrap is None:
-            return value
-        kind, mask = wrap
-        if kind == "power":
-            return self._prod(value, powerset_family(mask))
-        return self._prod(value, FamilySet.explicit((mask,)))
-
-    def _eval_loop(self, node, fam):
-        memo_key = (node, fam.key())
-        hit = self._loop_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        if self.variant is LoopVariant.PAPER:
-            return self._solve_demand(node, fam)
-        return self._solve_synchronized(node, fam)
-
-    def _discover(self, node, fam, use_finals):
-        """Dependency-closed set of loop queries reachable from fam."""
-        queries = {}
-        systems = {}
-        pending = [fam]
+        system = {}
+        pending = list(roots)
         while pending:
-            q = pending.pop()
-            k = q.key()
-            if k in queries:
+            u = pending.pop()
+            if u in system:
                 continue
-            if use_finals and (node, k) in self._loop_memo:
-                continue
-            queries[k] = q
-            entries, extra = self._loop_system(node, q)
-            systems[k] = (entries, extra)
-            for dep, _ in entries:
-                pending.append(dep)
-        return queries, systems
+            down, m = u
+            deps = self._basis(
+                self.eval(node.body, _atomic(down, m & bmask)))
+            system[u] = (deps, _atomic(down, m & nbmask))
+            pending.extend(d for d in deps if d not in known)
+        return system
 
-    def _equation(self, systems, value_of, k):
-        entries, extra = systems[k]
-        parts = [self._combine(value_of(dep.key()), wrap)
-                 for dep, wrap in entries]
-        parts.append(extra)
-        return self._union_all(parts)
+    def _rhs(self, equation, value_of):
+        deps, wrap = equation
+        value = self._union_all(value_of(d) for d in deps)
+        if self.variant is LoopVariant.NAIVE:
+            return self._union_all((value, wrap))
+        return self._prod(value, wrap)
 
     def _budget(self, nqueries):
         if self.iteration_budget is not None:
             return self.iteration_budget
         return (1 << min(self.space.size, 20)) * max(nqueries, 1) + 8
 
-    def _solve_demand(self, node, fam):
-        """Chaotic iteration to the least solution; memoizes every query."""
-        queries, systems = self._discover(node, fam, use_finals=True)
-        vals = {k: hyper_bottom(q) for k, q in queries.items()}
+    def _kleene(self, system, memo):
+        """Synchronized iterates of system from bottom; other atoms read memo."""
+        cur = dict.fromkeys(system, _BOTTOM)
+        while True:
+            yield cur
+            prev = cur
+            cur = {u: self._rhs(eq, lambda d: prev[d] if d in prev else memo[d])
+                   for u, eq in system.items()}
 
-        def value_of(k):
-            v = vals.get(k)
-            if v is not None:
-                return v
-            return self._loop_memo[(node, k)]
+    def _kleene_limit(self, system, memo):
+        budget = self._budget(len(system))
+        prev = None
+        for i, cur in enumerate(self._kleene(system, memo)):
+            if prev is not None and all(
+                    _same(v, prev[u]) for u, v in cur.items()):
+                return cur
+            if i == budget:
+                raise IterationBudgetExceeded(
+                    f"loop iteration did not stabilize within {budget} steps")
+            prev = cur
 
-        rdeps = {k: set() for k in queries}
-        for k, (entries, _) in systems.items():
-            for dep, _ in entries:
-                dk = dep.key()
-                if dk in rdeps:
-                    rdeps[dk].add(k)
+    def _eval_loop(self, node, fam, resolve=False):
+        memo = self._loop_memo.setdefault(node, {})
+        basis = self._basis(fam)
+        roots = basis if resolve else [u for u in basis if u not in memo]
+        if roots:
+            if self.variant is LoopVariant.PAPER:
+                self._solve_demand(node, memo, roots)
+            else:
+                # otimes chains need not increase, so they never start
+                # from solved values: the whole system iterates from bottom
+                known = {} if self.variant is LoopVariant.OTIMES else memo
+                memo.update(self._kleene_limit(
+                    self._discover(node, roots, known), memo))
+        return self._union_all(memo[u] for u in basis)
 
-        budget = self._budget(len(queries))
+    def _solve_demand(self, node, memo, roots):
+        """Worklist iteration to the least solution; memoizes every atom."""
+        system = self._discover(node, roots, memo)
+        vals = dict.fromkeys(system, _BOTTOM)
+
+        def value_of(d):
+            return vals[d] if d in vals else memo[d]
+
+        rdeps = {u: set() for u in system}
+        for u, (deps, _) in system.items():
+            for d in deps:
+                if d in rdeps:
+                    rdeps[d].add(u)
+
+        budget = self._budget(len(system))
         updates = 0
-        work = deque(queries)
-        queued = set(queries)
+        work = deque(system)
+        queued = set(system)
         while work:
-            k = work.popleft()
-            queued.discard(k)
-            new = self._equation(systems, value_of, k)
-            if new != vals[k]:
-                vals[k] = new
+            u = work.popleft()
+            queued.discard(u)
+            new = self._rhs(system[u], value_of)
+            if not _same(new, vals[u]):
+                vals[u] = new
                 updates += 1
                 if updates > budget:
                     raise IterationBudgetExceeded(
                         f"loop solve exceeded {budget} updates")
-                for d in rdeps[k]:
+                for d in rdeps[u]:
                     if d not in queued:
                         queued.add(d)
                         work.append(d)
 
         self.stats.demand_loops_solved += 1
-        self.stats.queries_solved += len(queries)
+        self.stats.queries_solved += len(system)
         self.stats.value_updates += updates
-        if self.cross_check and queries:
-            self._verify_against_kleene(node, queries, systems, vals)
-        for k, v in vals.items():
-            self._loop_memo[(node, k)] = v
-        return value_of(fam.key())
-
-    def _verify_against_kleene(self, node, queries, systems, vals):
-        """Jacobi iteration from bottom must stabilize at the same values."""
-        limit = self._jacobi(node, queries, systems)
-        self.stats.cross_checks += 1
-        if limit != vals:
-            self.stats.cross_mismatches.append((node, queries, vals, limit))
-
-    def _jacobi(self, node, queries, systems):
-        cur = {k: hyper_bottom(q) for k, q in queries.items()}
-        budget = self._budget(len(queries))
-
-        def value_of(k):
-            v = cur.get(k)
-            if v is not None:
-                return v
-            return self._loop_memo[(node, k)]
-
-        for _ in range(budget):
-            nxt = {k: self._equation(systems, value_of, k) for k in queries}
-            if nxt == cur:
-                return cur
-            cur = nxt
-        raise IterationBudgetExceeded(f"kleene iteration exceeded {budget} steps")
-
-    def _solve_synchronized(self, node, fam):
-        """Naive/otimes loops: synchronized iteration from bottom.
-
-        The naive chain is increasing and converges; the otimes chain may
-        cycle, in which case the budget fires.
-        """
-        use_finals = self.variant is not LoopVariant.OTIMES
-        queries, systems = self._discover(node, fam, use_finals=use_finals)
-        if not queries:
-            return self._loop_memo[(node, fam.key())]
-        cur = {k: hyper_bottom(q) for k, q in queries.items()}
-        budget = self._budget(len(queries))
-
-        def value_of(k):
-            v = cur.get(k)
-            if v is not None:
-                return v
-            return self._loop_memo[(node, k)]
-
-        for _ in range(budget):
-            nxt = {k: self._equation(systems, value_of, k) for k in queries}
-            if nxt == cur:
-                break
-            cur = nxt
-        else:
-            raise IterationBudgetExceeded(
-                f"loop iteration did not stabilize within {budget} steps")
-        if use_finals:
-            for k, v in cur.items():
-                self._loop_memo[(node, k)] = v
-        else:
-            self._loop_memo[(node, fam.key())] = cur[fam.key()]
-        return cur[fam.key()]
+        if self.cross_check:
+            self.stats.cross_checks += 1
+            limit = self._kleene_limit(system, memo)
+            if not all(_same(v, limit[u]) for u, v in vals.items()):
+                self.stats.cross_mismatches.append((node, system, vals, limit))
+        memo.update(vals)
 
 
 # ---------------------------------------------------------------- entry points
@@ -409,13 +371,16 @@ def guarded_join_apply(cond, c, d, fam, ev):
 
 
 def lfp_demand(cond, body, fam, ev):
-    """Demand-driven least-fixpoint value of the loop at one query."""
+    """Demand-driven least-fixpoint value of the loop at one query.
+
+    The query's atoms are solved again even when memoized, so every call
+    is one solve (and, with cross-checking on, one Kleene comparison).
+    """
     if fam.is_empty:
         return FamilySet.empty()
-    node = While(cond, body)
     if ev.variant is not LoopVariant.PAPER:
         raise ValueError("demand solver is the paper-variant loop semantics")
-    return ev._solve_demand(node, fam)
+    return ev._eval_loop(While(cond, body), fam, resolve=True)
 
 
 def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER,
@@ -423,28 +388,10 @@ def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER,
     """Values of the i-th loop-functional iterate at fam, i = 0..steps."""
     if ev is None:
         ev = HEval(space, variant)
-    node = While(cond, body)
-    cache = {}
-
-    def value(i, q):
-        if q.is_empty:
-            return FamilySet.empty()
-        key = (i, q.key())
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if i == 0:
-            out = hyper_bottom(q)
-        else:
-            entries, extra = ev._loop_system(node, q)
-            parts = [ev._combine(value(i - 1, dep), wrap)
-                     for dep, wrap in entries]
-            parts.append(extra)
-            out = ev._union_all(parts)
-        cache[key] = out
-        return out
-
-    return [value(i, fam) for i in range(steps + 1)]
+    basis = ev._basis(fam)
+    system = ev._discover(While(cond, body), basis, {})
+    return [ev._union_all(cur[u] for u in basis)
+            for _, cur in zip(range(steps + 1), ev._kleene(system, {}))]
 
 
 def hrefines(c, d, queries, space, variant=LoopVariant.PAPER):

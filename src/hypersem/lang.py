@@ -264,7 +264,23 @@ class _Parser:
         v = int(self.next().text)
         return -v if neg else v
 
+    def end(self):
+        t = self.peek()
+        if t.kind != "eof":
+            self.fail(f"unexpected trailing input {t.text!r}")
+
     # ---- program
+
+    def var_decl(self):
+        """`var name: lo..hi;` as (name, lo, hi)."""
+        self.eat("var")
+        nm = self.name()
+        self.eat(":")
+        lo = self.int_lit()
+        self.eat("..")
+        hi = self.int_lit()
+        self.eat(";")
+        return nm, lo, hi
 
     def program(self):
         decls = []
@@ -273,14 +289,7 @@ class _Parser:
         low_out = ()
         while self.at("var") or self.at("low") or self.at("lowin") or self.at("lowout"):
             if self.at("var"):
-                self.next()
-                nm = self.name()
-                self.eat(":")
-                lo = self.int_lit()
-                self.eat("..")
-                hi = self.int_lit()
-                self.eat(";")
-                decls.append((nm, lo, hi))
+                decls.append(self.var_decl())
             else:
                 which = self.next().text
                 names = [self.name()]
@@ -297,9 +306,7 @@ class _Parser:
         if not decls:
             self.fail("program must declare at least one variable")
         body = self.stmt()
-        t = self.peek()
-        if t.kind != "eof":
-            self.fail(f"unexpected trailing input {t.text!r}")
+        self.end()
         pf = ProgramFile(tuple(decls), low, low_in, low_out, body)
         _check_declared(pf)
         return pf
@@ -486,12 +493,19 @@ def parse(text):
     return _Parser(text).program()
 
 
+def parse_var_decl(text):
+    """Parse one `var name: lo..hi;` declaration and nothing after it."""
+    p = _Parser(text)
+    decl = p.var_decl()
+    p.end()
+    return decl
+
+
 def parse_stmt(text, decls):
     """Parse a bare statement against existing declarations (for tests)."""
     p = _Parser(text)
     body = p.stmt()
-    if p.peek().kind != "eof":
-        p.fail("unexpected trailing input")
+    p.end()
     pf = ProgramFile(tuple(decls), (), (), (), body)
     _check_declared(pf)
     return pf

@@ -2,15 +2,16 @@
 
 States print as ``{x=2,hi=1}`` (declaration order), state sets as
 ``[{x=2},{x=5}]`` sorted by state id, families as nested brackets
-``[[],[{x=4}],[{x=5}]]``.  Relation files carry ``var`` declarations
-followed by one ``{x=0} -> {x=4}`` line per pair.
+``[[],[{x=4}],[{x=5}]]``.  Relation files carry ``var x: 0..7;``
+declarations, one per line and parsed as in program files, followed by
+one ``{x=0} -> {x=4}`` line per pair.
 """
 
 import json
 
 from .errors import ParseError
 from .family import DEFAULT_EXPANSION_CAP, FamilySet, states_of
-from .lang import tokenize
+from .lang import parse_var_decl, tokenize
 from .relation import Rel
 from .space import StateSpace
 
@@ -163,40 +164,7 @@ def parse_rel_file(text):
         if not line:
             continue
         if line.startswith("var "):
-            toks = tokenize(line)
-
-            def bad():
-                raise ParseError("bad var declaration", toks[0].line, toks[0].col)
-
-            pos = 1
-
-            def take_int():
-                nonlocal pos
-                neg = False
-                if toks[pos].text == "-":
-                    neg = True
-                    pos += 1
-                if toks[pos].kind != "int":
-                    bad()
-                v = int(toks[pos].text)
-                pos += 1
-                return -v if neg else v
-
-            if toks[pos].kind != "name":
-                bad()
-            name = toks[pos].text
-            pos += 1
-            if toks[pos].text != ":":
-                bad()
-            pos += 1
-            lo = take_int()
-            if toks[pos].text != "..":
-                bad()
-            pos += 1
-            hi = take_int()
-            if toks[pos].text not in (";", ""):
-                bad()
-            decls.append((name, lo, hi))
+            decls.append(parse_var_decl(line))
         else:
             pair_lines.append(line)
     if not decls:

@@ -7,7 +7,8 @@ states is an int bitmask with bit ``s`` set for state ``s``; the cap on
 the space size keeps every such mask inside one machine word.
 """
 
-from .errors import MissingVariable, UnknownVariable, ValueOutOfRange
+from .errors import (BadDeclaration, MissingVariable, UnknownVariable,
+                     ValueOutOfRange)
 
 SIZE_CAP = 64
 
@@ -21,15 +22,15 @@ class StateSpace:
         vars_ = tuple((str(n), int(lo), int(hi)) for n, lo, hi in variables)
         names = tuple(n for n, _, _ in vars_)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
+            raise BadDeclaration(f"duplicate variable names in {names}")
         for n, lo, hi in vars_:
             if lo > hi:
-                raise ValueError(f"empty range for {n}: {lo}..{hi}")
+                raise BadDeclaration(f"empty range for {n}: {lo}..{hi}")
         size = 1
         for _, lo, hi in vars_:
             size *= hi - lo + 1
         if size > size_cap:
-            raise ValueError(f"state space has {size} states, cap is {size_cap}")
+            raise BadDeclaration(f"state space has {size} states, cap is {size_cap}")
         # weight of a variable = product of the range sizes to its right
         weights = []
         acc = 1

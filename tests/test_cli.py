@@ -236,3 +236,62 @@ def test_deep_program_is_an_error_not_a_verdict(capsys, tmp_path):
         code, _, err = run(capsys, cmd, str(p))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+
+BAD_DECLS = {
+    "duplicate": "var x: 0..1;\nvar x: 0..1;\n",
+    "empty-range": "var x: 3..1;\n",
+    "too-many-states": "var x: 0..100;\n",
+}
+
+
+@pytest.mark.parametrize("decls", list(BAD_DECLS.values()), ids=list(BAD_DECLS))
+def test_bad_declarations_are_errors_not_verdicts(capsys, tmp_path, decls):
+    imp = tmp_path / "bad.imp"
+    imp.write_text(decls + "low x;\nskip\n")
+    rel = tmp_path / "bad.rel"
+    rel.write_text(decls + "{x=0} -> {x=1}\n")
+    for argv in (["eval", str(imp), "--input", "[{x=0}]"],
+                 ["check-ni", str(imp)],
+                 ["psc", str(rel)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_diff_beyond_the_state_cap_is_an_error(capsys):
+    code, _, err = run(capsys, "diff", "--thm1", "--size", "70")
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--size", "-1"],
+    ["diff", "--prop1", "--trials", "-3"],
+    ["diff", "--prop1", "--size", "-2"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_negative_steps_is_a_usage_error(capsys, loop_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["iterates", loop_file, "--query", "[[]]", "--steps", "-2"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "var x: 0..3; junk",
+    "var x: 0..3; var y: 0..1;",
+    "var x: 0..3",
+])
+def test_psc_rejects_malformed_declarations(capsys, tmp_path, line):
+    rel = tmp_path / "bad.rel"
+    rel.write_text(line + "\n{x=0} -> {x=1}\n")
+    code, _, err = run(capsys, "psc", str(rel))
+    assert code == 2
+    assert err.startswith("error:")

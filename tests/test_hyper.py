@@ -31,10 +31,11 @@ Q25 = fam(mask_of([2, 5]))
 
 # ---------------------------------------------------------------- reference
 # An independent definitional evaluator over plain frozensets: no
-# down-sets, no maximal-element shortcuts, loops by synchronized
-# iteration.  The engine must agree with it exactly.
+# down-sets, no maximal-element shortcuts, loops keyed by whole families
+# and solved by synchronized iteration from {{}}.  The engine must agree
+# with it exactly, for every loop variant.
 
-def ref_eval(node, family, space, ev):
+def ref_eval(node, family, space, ev, variant=LoopVariant.PAPER):
     if not family:
         return frozenset()
     if isinstance(node, Skip):
@@ -43,13 +44,15 @@ def ref_eval(node, family, space, ev):
         tr = ev._atom(node.atom)
         return frozenset(tr.apply(p) for p in family)
     if isinstance(node, Seq):
-        return ref_eval(node.rest, ref_eval(node.first, family, space, ev),
-                        space, ev)
+        return ref_eval(node.rest,
+                        ref_eval(node.first, family, space, ev, variant),
+                        space, ev, variant)
     if isinstance(node, Choice):
         out = set()
         for p in family:
-            a = ref_eval(node.left, frozenset(subsets_of(p)), space, ev)
-            b = ref_eval(node.right, frozenset(subsets_of(p)), space, ev)
+            down = frozenset(subsets_of(p))
+            a = ref_eval(node.left, down, space, ev, variant)
+            b = ref_eval(node.right, down, space, ev, variant)
             out.update(r | s for r in a for s in b)
         return frozenset(out)
     if isinstance(node, If):
@@ -57,16 +60,28 @@ def ref_eval(node, family, space, ev):
         nb = space.full_mask & ~bmask
         out = set()
         for p in family:
-            a = ref_eval(node.then, frozenset(subsets_of(p & bmask)), space, ev)
-            b = ref_eval(node.orelse, frozenset(subsets_of(p & nb)), space, ev)
+            a = ref_eval(node.then, frozenset(subsets_of(p & bmask)), space,
+                         ev, variant)
+            b = ref_eval(node.orelse, frozenset(subsets_of(p & nb)), space,
+                         ev, variant)
             out.update(r | s for r in a for s in b)
         return frozenset(out)
     if isinstance(node, While):
-        return ref_while(node, family, space, ev)
+        return ref_while(node, family, space, ev, variant)
     raise TypeError(node)
 
 
-def ref_while(node, family, space, ev):
+def ref_loop_system(node, family, space, ev, variant):
+    """Family-keyed loop equations: query -> (terms, extra).
+
+    A query's value is extra united with, for each (dep, wrap) term,
+    { r | s : r in value(dep), s in wrap } (or value(dep) when wrap is
+    None).  paper: one term per member p, dep = body at the subsets of
+    p & guard, wrap = subsets of p & ~guard.  otimes: one term per member
+    q, dep = body at {q & guard}, wrap = {q & ~guard}.  naive: one term,
+    dep = body at the guard-filtered query, extra = the query filtered by
+    ~guard.
+    """
     bmask = ev._guard(node.cond)
     nb = space.full_mask & ~bmask
     systems = {}
@@ -75,24 +90,51 @@ def ref_while(node, family, space, ev):
         q = pending.pop()
         if q in systems:
             continue
-        entries = []
-        for p in q:
-            y = ref_eval(node.body, frozenset(subsets_of(p & bmask)), space, ev)
-            entries.append((y, p & nb))
-            pending.append(y)
-        systems[q] = entries
-    vals = {q: frozenset((0,)) for q in systems}
+        extra = frozenset()
+        if variant is LoopVariant.NAIVE:
+            y = ref_eval(node.body, frozenset(p & bmask for p in q), space,
+                         ev, variant)
+            terms = [(y, None)]
+            extra = frozenset(p & nb for p in q)
+        elif variant is LoopVariant.OTIMES:
+            terms = [(ref_eval(node.body, frozenset((p & bmask,)), space, ev,
+                               variant), frozenset((p & nb,)))
+                     for p in q]
+        else:
+            terms = [(ref_eval(node.body, frozenset(subsets_of(p & bmask)),
+                               space, ev, variant),
+                      frozenset(subsets_of(p & nb)))
+                     for p in q]
+        systems[q] = (terms, extra)
+        pending.extend(y for y, _ in terms)
+    return systems
+
+
+def ref_iterates(node, family, space, ev, variant=LoopVariant.PAPER):
+    """Synchronized iterates of every query's value, from {{}}."""
+    systems = ref_loop_system(node, family, space, ev, variant)
+    vals = {q: frozenset((0,)) if q else frozenset() for q in systems}
     while True:
-        nxt = {
-            q: frozenset(r | s
-                         for y, m in systems[q]
-                         for r in vals[y]
-                         for s in subsets_of(m))
-            for q in systems
-        }
-        if nxt == vals:
-            return vals[frozenset(family)]
+        yield vals
+        nxt = {}
+        for q, (terms, extra) in systems.items():
+            out = set(extra)
+            for y, wrap in terms:
+                if wrap is None:
+                    out |= vals[y]
+                else:
+                    out.update(r | s for r in vals[y] for s in wrap)
+            nxt[q] = frozenset(out)
         vals = nxt
+
+
+def ref_while(node, family, space, ev, variant=LoopVariant.PAPER):
+    prev = None
+    for i, vals in enumerate(ref_iterates(node, family, space, ev, variant)):
+        if vals == prev:
+            return vals[frozenset(family)]
+        assert i < 500, "reference loop iteration did not stabilize"
+        prev = vals
 
 
 # ---------------------------------------------------------------- bottom
@@ -488,3 +530,104 @@ def test_engine_matches_reference_evaluator():
             want = ref_eval(pf.body, members, space, ev)
             got = ev.eval(pf.body, q)
             assert got == FamilySet.explicit(want), pf.body
+
+
+def _loops(node):
+    """Every While node in a statement, outermost first."""
+    if isinstance(node, While):
+        yield node
+        yield from _loops(node.body)
+    elif isinstance(node, Seq):
+        yield from _loops(node.first)
+        yield from _loops(node.rest)
+    elif isinstance(node, Choice):
+        yield from _loops(node.left)
+        yield from _loops(node.right)
+    elif isinstance(node, If):
+        yield from _loops(node.then)
+        yield from _loops(node.orelse)
+
+
+def _random_queries(rng, size):
+    """One explicit query and one subset-closed query."""
+    members = {rng.randrange(1 << size) for _ in range(rng.randint(1, 3))}
+    return [FamilySet.explicit(members), random_downset(rng, size)]
+
+
+@pytest.mark.parametrize("variant", list(LoopVariant), ids=lambda v: v.value)
+def test_every_variant_matches_reference_evaluator(variant):
+    rng = random.Random(12)
+    for seed in range(80):
+        cfg = GenConfig(seed=seed, max_space=5, allow_choice=True,
+                        allow_nondet_atoms=True)
+        pf = gen_program(cfg)
+        space = pf.space()
+        ev = HEval(space, variant)
+        for q in _random_queries(rng, space.size) * 2:
+            want = ref_eval(pf.body, q.members(), space, ev, variant)
+            assert ev.eval(pf.body, q) == FamilySet.explicit(want), pf.body
+        for loop in _loops(pf.body):
+            for q in _random_queries(rng, space.size):
+                iters = ref_iterates(loop, q.members(), space, ev, variant)
+                want = [FamilySet.explicit(vals[q.members()])
+                        for _, vals in zip(range(6), iters)]
+                got = loop_iterates(loop.cond, loop.body, q, 5, space,
+                                    variant)
+                assert got == want, loop
+
+
+# ---------------------------------------------------------------- metamorphic
+# The loop solver splits a query into atomic queries and unions their
+# values; these invariants are what make that split exact.
+
+def _loop_cases(rng, nprograms=120):
+    for seed in range(nprograms):
+        cfg = GenConfig(seed=700 + seed, max_space=6, allow_choice=True,
+                        allow_nondet_atoms=True)
+        pf = gen_program(cfg)
+        space = pf.space()
+        for loop in _loops(pf.body):
+            for q in _random_queries(rng, space.size):
+                yield loop, space, q
+
+
+def test_loop_value_is_additive_over_its_basis():
+    rng = random.Random(13)
+    down = powerset_family
+    single = lambda m: FamilySet.explicit((m,))  # noqa: E731
+    cases = 0
+    for loop, space, q in _loop_cases(rng):
+        def lhs(variant):
+            return HEval(space, variant).eval(loop, q)
+
+        def rhs(variant, atom, masks):
+            ev = HEval(space, variant)
+            return HEval._union_all(ev.eval(loop, atom(m)) for m in masks)
+
+        paper, naive, otimes = (LoopVariant.PAPER, LoopVariant.NAIVE,
+                                LoopVariant.OTIMES)
+        assert lhs(paper) == rhs(paper, down, q.antichain()), loop
+        assert lhs(otimes) == rhs(otimes, single, q.members()), loop
+        assert lhs(naive) == rhs(naive, single, q.members()), loop
+        if q.is_subset_closed():
+            assert lhs(naive) == rhs(naive, down, q.antichain()), loop
+        cases += 1
+    assert cases > 100
+
+
+def test_paper_and_naive_loops_are_monotone_in_the_query():
+    rng = random.Random(14)
+    cases = 0
+    for loop, space, small in _loop_cases(rng):
+        extra = {rng.randrange(1 << space.size) for _ in range(2)}
+        if small.is_subset_closed():
+            big = FamilySet.downset(set(small.antichain()) | extra)
+        else:
+            big = FamilySet.explicit(set(small.members()) | extra)
+        assert family_le(small, big)
+        for variant in (LoopVariant.PAPER, LoopVariant.NAIVE):
+            lo = HEval(space, variant).eval(loop, small)
+            hi = HEval(space, variant).eval(loop, big)
+            assert family_le(lo, hi), (variant, loop)
+        cases += 1
+    assert cases > 100

@@ -77,3 +77,12 @@ def test_rel_file_negative_ranges():
     space, rel = parse_rel_file("var x: -1..1;\n{x=-1} -> {x=1}\n")
     assert space.size == 3
     assert sorted(rel.pairs()) == [(0, 2)]
+
+
+def test_rel_file_declarations_use_the_program_grammar():
+    for line in ("var x: 0..3; junk", "var x: 0..3; var y: 0..1;",
+                 "var x: 0..3", "var x 0..3;"):
+        with pytest.raises(ParseError):
+            parse_rel_file(line + "\n{x=0} -> {x=1}\n")
+    space, _ = parse_rel_file("var x: 0..1;  // low bit\nvar y: -2..0;\n")
+    assert space.vars == (("x", 0, 1), ("y", -2, 0))
