@@ -58,6 +58,10 @@ class ElaborationError(WorkbenchError):
 class UndeclaredVariable(ElaborationError):
     """Program text references a variable that was never declared."""
 
+    def __init__(self, name):
+        super().__init__(f"undeclared variable {name!r}")
+        self.name = name
+
 
 class ParseError(WorkbenchError):
     """Syntax error with source position."""

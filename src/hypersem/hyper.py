@@ -5,29 +5,38 @@ elementwise; choice uses the powerset-query inner join; conditionals use
 the guarded inner join, which splits each member set by the guard and
 unions one result from each branch.
 
-Loops are least fixpoints of the guarded-join functional, solved over
-*atomic queries* ``(down, m)``: the family of all subsets of ``m`` when
-``down`` holds, else the single set ``{m}``.  A loop's value at a family
-is the union of its values at the family's basis:
+Values are memoized per node at *atomic queries*
+``(down, m)``: the family of all subsets of ``m`` when ``down`` holds,
+else the single set ``{m}``.  A node's value at a family is the union of
+its values at the family's basis:
 
-* paper: the subsets of p, for each maximal member p (the functional
+* paper: the subsets of p, for each maximal member p (every construct
   reads only maximal members);
 * otimes: {q}, for each member q;
 * naive: the subsets of p for each antichain element of a down-set, or
   {q} for each member of an explicit family (the naive functional is
   additive over members, and monotone, so both bases are exact).
 
-Each atomic query u has one equation: its dependencies are the basis of
-the body's value at u restricted to the guard, and its value is the union
-of theirs combined with u restricted to the negated guard, by a product
-(paper, otimes) or a union (naive).  Kleene iterates split over these
-bases at every step, so fixpoints and iterate tables are those of the
-family-keyed functional.  Solved values are memoized per loop node and
-atomic query.  The paper variant solves by a demand-driven worklist from
-the bottom family {{}}; the naive and otimes variants, and the optional
-cross-check of the worklist, use synchronized (Kleene) iteration.  The
-otimes chain need not be increasing, so it always iterates its whole
-reachable system from bottom, under a cycle budget.
+Under paper and naive, every construct but an atom answers a down-set
+query this way; a miss is evaluated structurally at the atomic query.
+Atoms map elementwise, which is cheaper than a lookup and a union.  Loops
+answer every query from the memo, under every variant; explicit queries
+to other constructs, and every otimes query, are evaluated structurally.
+The memo is keyed by node identity and holds each node, so no AST node is
+hashed on the way.
+
+Loops are least fixpoints of the guarded-join functional, solved over
+atomic queries.  Each atomic query u has one equation: its dependencies
+are the basis of the body's value at u restricted to the guard, and its
+value is the union of theirs combined with u restricted to the negated
+guard, by a product (paper, otimes) or a union (naive).  Kleene iterates
+split over these bases at every step, so fixpoints and iterate tables are
+those of the family-keyed functional.  A loop's misses are solved
+together: the paper variant by a demand-driven worklist from the bottom
+family {{}}; the naive and otimes variants, and the optional cross-check
+of the worklist, by synchronized (Kleene) iteration.  The otimes chain
+need not be increasing, so it always iterates its whole reachable system
+from bottom, under a cycle budget.
 
 Down-sets are the fast path throughout: when every value in sight is
 subset closed, all products and unions happen on maximal antichains.
@@ -47,7 +56,7 @@ from dataclasses import dataclass, field
 from .errors import (ExpansionTooLarge, IterationBudgetExceeded,
                      NonSubsetClosedQuery, QueryBlowup)
 from .family import (DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet, family_le,
-                     family_union, powerset_family)
+                     powerset_family)
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .transformer import Transformer
 
@@ -87,7 +96,7 @@ class HyperStats:
 
 class HEval:
     """One evaluation context: space, loop variant, atom/guard caches, and
-    the per-loop-site memo of solved queries."""
+    the per-node memo of values at atomic queries."""
 
     def __init__(self, space, variant=LoopVariant.PAPER, *,
                  expansion_cap=DEFAULT_EXPANSION_CAP, cross_check=False,
@@ -100,7 +109,7 @@ class HEval:
         self.stats = HyperStats()
         self._atom_tr = {}
         self._guard_mask = {}
-        self._loop_memo = {}
+        self._memo = {}
 
     # ---- caches
 
@@ -155,12 +164,34 @@ class HEval:
 
     @staticmethod
     def _union_all(parts):
-        out = FamilySet.empty()
-        for part in parts:
-            out = family_union(out, part)
-        return out.normalized()
+        """Union of families in one step: one antichain reduction when
+        every part is a down-set, else one member union, normalized."""
+        parts = [part for part in parts if not part.is_empty]
+        if not parts:
+            return FamilySet.empty()
+        if len(parts) == 1:
+            return parts[0].normalized()
+        if all(part.kind == DOWNSET for part in parts):
+            return FamilySet.downset({m for part in parts for m in part.sets})
+        return FamilySet.explicit(
+            m for part in parts for m in part.members()).normalized()
 
-    # ---- structural evaluation
+    # ---- evaluation
+
+    def _table(self, node):
+        """The memo of one node: {atomic query: value}.  Keyed by identity;
+        the entry holds the node, so its id is not reused while we live."""
+        entry = self._memo.get(id(node))
+        if entry is None:
+            entry = self._memo[id(node)] = (node, {})
+        return entry[1]
+
+    def _basis(self, fam):
+        """Atomic queries whose values union to fam's value."""
+        if self.variant is LoopVariant.OTIMES or (
+                self.variant is LoopVariant.NAIVE and fam.kind != DOWNSET):
+            return [(False, q) for q in self._members(fam)]
+        return [(True, p) for p in fam.antichain()]
 
     def eval(self, node, fam):
         if fam.is_empty:
@@ -171,15 +202,44 @@ class HEval:
             tr = self._atom(node.atom)
             return self._map_family(
                 fam, tr.apply, tr.rel.is_partial_function())
-        if isinstance(node, Seq):
-            return self.eval(node.rest, self.eval(node.first, fam))
-        if isinstance(node, Choice):
-            return self.inner_join(node.left, node.right, fam)
-        if isinstance(node, If):
-            return self.guarded_join(node.cond, node.then, node.orelse, fam)
+        # loops answer every query from the memo; the other constructs
+        # answer down-set queries from it under paper and naive, which are
+        # additive over maximal members, and the rest structurally
         if isinstance(node, While):
-            return self._eval_loop(node, fam)
+            rule = None
+        else:
+            rule, args = self._rule(node)
+            if fam.kind != DOWNSET or self.variant is LoopVariant.OTIMES:
+                return rule(*args, fam)
+        memo = self._table(node)
+        basis = self._basis(fam)
+        missing = [u for u in basis if u not in memo]
+        if rule is None:
+            if missing:
+                self._solve_loop(node, memo, missing)
+        else:
+            for u in missing:
+                memo[u] = rule(*args, _atomic(*u))
+        return self._union_all([memo[u] for u in basis])
+
+    def _rule(self, node):
+        """A construct's structural rule as (function, leading arguments);
+        the query is the last argument.  Handing it back instead of calling
+        it keeps one stack frame per nesting level."""
+        if isinstance(node, Seq):
+            return self._seq, (node,)
+        if isinstance(node, Choice):
+            return self.inner_join, (node.left, node.right)
+        if isinstance(node, If):
+            return self.guarded_join, (node.cond, node.then, node.orelse)
         raise TypeError(f"not a statement: {node!r}")
+
+    def _seq(self, node, fam):
+        """A Seq spine, walked in a loop: a chain of ';' costs no depth."""
+        while isinstance(node, Seq):
+            fam = self.eval(node.first, fam)
+            node = node.rest
+        return self.eval(node, fam)
 
     def inner_join(self, c, d, fam):
         """Powerset-query inner join of the two branch semantics."""
@@ -211,13 +271,6 @@ class HEval:
         return self._union_all(parts)
 
     # ---- loop machinery: one unknown per atomic query
-
-    def _basis(self, fam):
-        """Atomic queries whose loop values union to fam's loop value."""
-        if self.variant is LoopVariant.OTIMES or (
-                self.variant is LoopVariant.NAIVE and fam.kind != DOWNSET):
-            return [(False, q) for q in self._members(fam)]
-        return [(True, p) for p in fam.antichain()]
 
     def _discover(self, node, roots, known):
         """Equations of the atoms reachable from roots, not entering known.
@@ -274,20 +327,16 @@ class HEval:
                     f"loop iteration did not stabilize within {budget} steps")
             prev = cur
 
-    def _eval_loop(self, node, fam, resolve=False):
-        memo = self._loop_memo.setdefault(node, {})
-        basis = self._basis(fam)
-        roots = basis if resolve else [u for u in basis if u not in memo]
-        if roots:
-            if self.variant is LoopVariant.PAPER:
-                self._solve_demand(node, memo, roots)
-            else:
-                # otimes chains need not increase, so they never start
-                # from solved values: the whole system iterates from bottom
-                known = {} if self.variant is LoopVariant.OTIMES else memo
-                memo.update(self._kleene_limit(
-                    self._discover(node, roots, known), memo))
-        return self._union_all(memo[u] for u in basis)
+    def _solve_loop(self, node, memo, roots):
+        """Solve the loop's atoms reachable from roots into its memo."""
+        if self.variant is LoopVariant.PAPER:
+            self._solve_demand(node, memo, roots)
+        else:
+            # otimes chains need not increase, so they never start
+            # from solved values: the whole system iterates from bottom
+            known = {} if self.variant is LoopVariant.OTIMES else memo
+            memo.update(self._kleene_limit(
+                self._discover(node, roots, known), memo))
 
     def _solve_demand(self, node, memo, roots):
         """Worklist iteration to the least solution; memoizes every atom."""
@@ -380,7 +429,9 @@ def lfp_demand(cond, body, fam, ev):
         return FamilySet.empty()
     if ev.variant is not LoopVariant.PAPER:
         raise ValueError("demand solver is the paper-variant loop semantics")
-    return ev._eval_loop(While(cond, body), fam, resolve=True)
+    node = While(cond, body)
+    ev._solve_loop(node, ev._table(node), ev._basis(fam))
+    return ev.eval(node, fam)
 
 
 def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER,

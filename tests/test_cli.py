@@ -295,3 +295,15 @@ def test_psc_rejects_malformed_declarations(capsys, tmp_path, line):
     code, _, err = run(capsys, "psc", str(rel))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text, name", [
+    ("var x: 0..1;\nlow z;\nskip\n", "z"),
+    ("var x: 0..1;\nlow x;\nx := y\n", "y"),
+], ids=["low-declaration", "statement"])
+def test_undeclared_variable_is_named(capsys, tmp_path, text, name):
+    p = tmp_path / "undeclared.imp"
+    p.write_text(text)
+    code, _, err = run(capsys, "check-ni", str(p))
+    assert code == 2
+    assert err.strip() == f"error: undeclared variable '{name}'"

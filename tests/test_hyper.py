@@ -1,3 +1,4 @@
+import copy
 import random
 import warnings
 
@@ -532,20 +533,25 @@ def test_engine_matches_reference_evaluator():
             assert got == FamilySet.explicit(want), pf.body
 
 
+def _statements(node):
+    """Every sub-statement of a statement, itself included, outermost first."""
+    yield node
+    if isinstance(node, While):
+        yield from _statements(node.body)
+    elif isinstance(node, Seq):
+        yield from _statements(node.first)
+        yield from _statements(node.rest)
+    elif isinstance(node, Choice):
+        yield from _statements(node.left)
+        yield from _statements(node.right)
+    elif isinstance(node, If):
+        yield from _statements(node.then)
+        yield from _statements(node.orelse)
+
+
 def _loops(node):
     """Every While node in a statement, outermost first."""
-    if isinstance(node, While):
-        yield node
-        yield from _loops(node.body)
-    elif isinstance(node, Seq):
-        yield from _loops(node.first)
-        yield from _loops(node.rest)
-    elif isinstance(node, Choice):
-        yield from _loops(node.left)
-        yield from _loops(node.right)
-    elif isinstance(node, If):
-        yield from _loops(node.then)
-        yield from _loops(node.orelse)
+    return (s for s in _statements(node) if isinstance(s, While))
 
 
 def _random_queries(rng, size):
@@ -577,7 +583,7 @@ def test_every_variant_matches_reference_evaluator(variant):
 
 
 # ---------------------------------------------------------------- metamorphic
-# The loop solver splits a query into atomic queries and unions their
+# The engine splits a query into atomic queries and unions their memoized
 # values; these invariants are what make that split exact.
 
 def _loop_cases(rng, nprograms=120):
@@ -631,3 +637,69 @@ def test_paper_and_naive_loops_are_monotone_in_the_query():
             assert family_le(lo, hi), (variant, loop)
         cases += 1
     assert cases > 100
+
+
+def test_every_construct_is_additive_over_maximal_members():
+    # eval(s, ↓A) is the union of eval(s, ↓{p}) over p in max A, for every
+    # sub-statement; the explicit form of ↓A takes the structural path
+    rng = random.Random(15)
+    cases = 0
+    for seed in range(60):
+        cfg = GenConfig(seed=900 + seed, max_space=6, allow_choice=True,
+                        allow_nondet_atoms=True)
+        pf = gen_program(cfg)
+        space = pf.space()
+        for stmt in _statements(pf.body):
+            q = random_downset(rng, space.size)
+            for variant in (LoopVariant.PAPER, LoopVariant.NAIVE):
+                whole = HEval(space, variant).eval(stmt, q)
+                ev = HEval(space, variant)
+                parts = HEval._union_all(
+                    ev.eval(stmt, powerset_family(p)) for p in q.antichain())
+                assert whole == parts, (variant, stmt)
+                structural = HEval(space, variant).eval(
+                    stmt, FamilySet.explicit(q.members()))
+                assert whole == structural, (variant, stmt)
+            cases += len(q.antichain()) > 1
+    assert cases > 100
+
+
+# ---------------------------------------------------------------- the memo
+
+def test_shared_evaluator_matches_fresh_ones():
+    # one evaluator over many programs, each built, evaluated on shuffled
+    # queries and dropped (so node ids may be reused), with structurally
+    # equal but distinct subtrees: every answer is a fresh evaluator's
+    rng = random.Random(16)
+    space = StateSpace((("x", 0, 5),))
+    # otimes expands every query into members, so it gets fewer programs
+    for variant, nprograms in ((LoopVariant.PAPER, 40), (LoopVariant.NAIVE, 40),
+                               (LoopVariant.OTIMES, 8)):
+        shared = HEval(space, variant)
+        for seed in range(nprograms):
+            cfg = GenConfig(seed=1300 + seed, max_vars=1, max_range=5,
+                            space_size=6, allow_choice=True,
+                            allow_nondet_atoms=True)
+            body = gen_program(cfg).body
+            twin = copy.deepcopy(body)
+            cond = Cmp("<", IntVar("x"), IntConst(rng.randint(0, 5)))
+            prog = rng.choice((body, Seq(body, twin), Choice(body, twin),
+                               If(cond, body, twin), Seq(body, body)))
+            queries = []
+            for _ in range(3):
+                queries += _random_queries(rng, space.size)
+            rng.shuffle(queries)
+            for q in queries:
+                got = shared.eval(prog, q)
+                assert got == HEval(space, variant).eval(prog, q), prog
+            del body, twin, prog
+
+
+def test_long_seq_chain_is_evaluated_without_recursion():
+    space = StateSpace((("x", 0, 1),))
+    flip = Atom(Assign("x", IntBin("-", IntConst(1), IntVar("x"))))
+    chain = flip
+    for _ in range(1499):
+        chain = Seq(flip, chain)
+    for q in (powerset_family(0b01), powerset_family(0b11)):
+        assert happly(chain, q, space) == q
