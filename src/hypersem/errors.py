@@ -12,9 +12,17 @@ class SpaceMismatch(WorkbenchError):
 class UnknownVariable(WorkbenchError):
     """An assignment mentions a variable the space does not declare."""
 
+    def __init__(self, name):
+        super().__init__(f"unknown variable {name!r}")
+        self.name = name
+
 
 class MissingVariable(WorkbenchError):
     """An assignment leaves a declared variable without a value."""
+
+    def __init__(self, name):
+        super().__init__(f"missing variable {name!r}")
+        self.name = name
 
 
 class ValueOutOfRange(WorkbenchError):

@@ -162,10 +162,10 @@ class HEval:
             x | y for x in self._members(a) for y in self._members(b))
         return out.normalized()
 
-    @staticmethod
-    def _union_all(parts):
+    def _union_all(self, parts):
         """Union of families in one step: one antichain reduction when
-        every part is a down-set, else one member union, normalized."""
+        every part is a down-set, else one member union (expanded within
+        the cap), normalized."""
         parts = [part for part in parts if not part.is_empty]
         if not parts:
             return FamilySet.empty()
@@ -174,7 +174,7 @@ class HEval:
         if all(part.kind == DOWNSET for part in parts):
             return FamilySet.downset({m for part in parts for m in part.sets})
         return FamilySet.explicit(
-            m for part in parts for m in part.members()).normalized()
+            m for part in parts for m in self._members(part)).normalized()
 
     # ---- evaluation
 

@@ -221,9 +221,16 @@ def tokenize(text):
 # ---------------------------------------------------------------- parser
 
 class _Parser:
-    def __init__(self, text):
+    """Recursive-descent reader for programs and for every literal form.
+
+    ``declared`` is the set of variable names a reference may use; None
+    reads names unchecked (literals, whose states the space encodes).
+    """
+
+    def __init__(self, text, declared=None):
         self.toks = tokenize(text)
         self.pos = 0
+        self.declared = declared
 
     def peek(self):
         return self.toks[self.pos]
@@ -253,6 +260,13 @@ class _Parser:
             self.fail(f"expected identifier, found {t.text!r}")
         return self.next().text
 
+    def ref(self):
+        """A variable reference: a name that must be declared."""
+        nm = self.name()
+        if self.declared is not None and nm not in self.declared:
+            raise UndeclaredVariable(nm)
+        return nm
+
     def int_lit(self):
         neg = False
         if self.at("-"):
@@ -263,6 +277,22 @@ class _Parser:
             self.fail(f"expected integer, found {t.text!r}")
         v = int(self.next().text)
         return -v if neg else v
+
+    def items(self, open_, close, item):
+        """`open item, ..., item close` as a list of item() results; the
+        list may be empty, and `[]` is one token to the lexer."""
+        if self.at(open_ + close):
+            self.next()
+            return []
+        self.eat(open_)
+        out = []
+        if not self.at(close):
+            out.append(item())
+            while self.at(","):
+                self.next()
+                out.append(item())
+        self.eat(close)
+        return out
 
     def end(self):
         t = self.peek()
@@ -305,11 +335,13 @@ class _Parser:
                     low_out += tuple(names)
         if not decls:
             self.fail("program must declare at least one variable")
+        self.declared = {n for n, _, _ in decls}
+        for nm in low + low_in + low_out:
+            if nm not in self.declared:
+                raise UndeclaredVariable(nm)
         body = self.stmt()
         self.end()
-        pf = ProgramFile(tuple(decls), low, low_in, low_out, body)
-        _check_declared(pf)
-        return pf
+        return ProgramFile(tuple(decls), low, low_in, low_out, body)
 
     # ---- statements
 
@@ -321,11 +353,15 @@ class _Parser:
         return node
 
     def seq(self):
-        first = self.unit()
-        if self.at(";"):
+        """A `;` chain, read in a loop and nested to the right."""
+        units = [self.unit()]
+        while self.at(";"):
             self.next()
-            return Seq(first, self.seq())
-        return first
+            units.append(self.unit())
+        node = units.pop()
+        while units:
+            node = Seq(units.pop(), node)
+        return node
 
     def unit(self):
         t = self.peek()
@@ -337,10 +373,10 @@ class _Parser:
             return Atom(Assume(self.bexpr()))
         if self.at("havoc"):
             self.next()
-            return Atom(Havoc(self.name()))
+            return Atom(Havoc(self.ref()))
         if self.at("rel"):
             self.next()
-            return Atom(self.rel_atom())
+            return Atom(RelAtom(tuple(self.items("{", "}", self.rel_pair))))
         if self.at("if"):
             self.next()
             cond = self.bexpr()
@@ -365,49 +401,40 @@ class _Parser:
             self.eat(")")
             return node
         if t.kind == "name":
-            nm = self.next().text
-            if self.at(":="):
+            # check the target only once this is an assignment, so a
+            # misspelled keyword keeps its syntax error
+            op = self.toks[self.pos + 1].text
+            if op not in (":=", ":in"):
                 self.next()
+                self.fail(f"expected ':=' or ':in' after {t.text!r}")
+            nm = self.ref()
+            self.next()
+            if op == ":=":
                 return Atom(Assign(nm, self.iexpr()))
-            if self.at(":in"):
-                self.next()
-                lo = self.iexpr()
-                self.eat("..")
-                hi = self.iexpr()
-                return Atom(NondetAssign(nm, lo, hi))
-            self.fail(f"expected ':=' or ':in' after {nm!r}")
+            lo = self.iexpr()
+            self.eat("..")
+            return Atom(NondetAssign(nm, lo, self.iexpr()))
         self.fail(f"expected statement, found {t.text!r}")
 
-    def rel_atom(self):
-        self.eat("{")
-        pairs = []
-        if not self.at("}"):
-            while True:
-                src = self.state_literal()
-                self.eat("->")
-                dst = self.state_literal()
-                pairs.append((src, dst))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
-        self.eat("}")
-        return RelAtom(tuple(pairs))
+    def rel_pair(self):
+        src = self.state_literal()
+        self.eat("->")
+        return src, self.state_literal()
 
     def state_literal(self):
-        self.eat("{")
-        items = []
-        if not self.at("}"):
-            while True:
-                nm = self.name()
-                self.eat("=")
-                items.append((nm, self.int_lit()))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
-        self.eat("}")
-        return tuple(sorted(items))
+        """`{x=1, y=0}` as a tuple of (name, value) sorted by name."""
+        values = {}
+
+        def item():
+            t = self.peek()
+            nm = self.ref()
+            if nm in values:
+                raise ParseError(f"repeated variable {nm!r}", t.line, t.col)
+            self.eat("=")
+            values[nm] = self.int_lit()
+
+        self.items("{", "}", item)
+        return tuple(sorted(values.items()))
 
     # ---- boolean expressions
 
@@ -479,7 +506,7 @@ class _Parser:
         if t.kind == "int":
             return IntConst(int(self.next().text))
         if t.kind == "name":
-            return IntVar(self.next().text)
+            return IntVar(self.ref())
         if self.at("("):
             self.next()
             node = self.iexpr()
@@ -503,77 +530,11 @@ def parse_var_decl(text):
 
 def parse_stmt(text, decls):
     """Parse a bare statement against existing declarations (for tests)."""
-    p = _Parser(text)
+    decls = tuple(decls)
+    p = _Parser(text, {n for n, _, _ in decls})
     body = p.stmt()
     p.end()
-    pf = ProgramFile(tuple(decls), (), (), (), body)
-    _check_declared(pf)
-    return pf
-
-
-def _check_declared(pf):
-    declared = {n for n, _, _ in pf.decls}
-    for nm in pf.low + pf.low_in + pf.low_out:
-        if nm not in declared:
-            raise UndeclaredVariable(nm)
-
-    def visit_int(e):
-        if isinstance(e, IntVar):
-            if e.name not in declared:
-                raise UndeclaredVariable(e.name)
-        elif isinstance(e, IntNeg):
-            visit_int(e.expr)
-        elif isinstance(e, IntBin):
-            visit_int(e.left)
-            visit_int(e.right)
-
-    def visit_bool(b):
-        if isinstance(b, Cmp):
-            visit_int(b.left)
-            visit_int(b.right)
-        elif isinstance(b, BoolBin):
-            visit_bool(b.left)
-            visit_bool(b.right)
-        elif isinstance(b, Not):
-            visit_bool(b.expr)
-
-    def visit(node):
-        if isinstance(node, Atom):
-            a = node.atom
-            if isinstance(a, Assign):
-                if a.var not in declared:
-                    raise UndeclaredVariable(a.var)
-                visit_int(a.expr)
-            elif isinstance(a, Assume):
-                visit_bool(a.cond)
-            elif isinstance(a, NondetAssign):
-                if a.var not in declared:
-                    raise UndeclaredVariable(a.var)
-                visit_int(a.lo)
-                visit_int(a.hi)
-            elif isinstance(a, Havoc):
-                if a.var not in declared:
-                    raise UndeclaredVariable(a.var)
-            elif isinstance(a, RelAtom):
-                for src, dst in a.pairs:
-                    for nm, _ in src + dst:
-                        if nm not in declared:
-                            raise UndeclaredVariable(nm)
-        elif isinstance(node, Seq):
-            visit(node.first)
-            visit(node.rest)
-        elif isinstance(node, Choice):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, If):
-            visit_bool(node.cond)
-            visit(node.then)
-            visit(node.orelse)
-        elif isinstance(node, While):
-            visit_bool(node.cond)
-            visit(node.body)
-
-    visit(pf.body)
+    return ProgramFile(decls, (), (), (), body)
 
 
 # ---------------------------------------------------------------- pretty

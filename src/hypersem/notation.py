@@ -3,15 +3,17 @@
 States print as ``{x=2,hi=1}`` (declaration order), state sets as
 ``[{x=2},{x=5}]`` sorted by state id, families as nested brackets
 ``[[],[{x=4}],[{x=5}]]``.  Relation files carry ``var x: 0..7;``
-declarations, one per line and parsed as in program files, followed by
-one ``{x=0} -> {x=4}`` line per pair.
+declarations, one per line, followed by one ``{x=0} -> {x=4}`` line per
+pair.  Every literal is read by the program parser (``lang._Parser``):
+a state is the state-literal grammar of ``rel { ... }`` atoms, and
+declarations are those of program files.
 """
 
 import json
 
 from .errors import ParseError
-from .family import DEFAULT_EXPANSION_CAP, FamilySet, states_of
-from .lang import parse_var_decl, tokenize
+from .family import DEFAULT_EXPANSION_CAP, FamilySet, mask_of, states_of
+from .lang import _Parser, parse_var_decl
 from .relation import Rel
 from .space import StateSpace
 
@@ -47,112 +49,33 @@ def to_json_text(data):
     return json.dumps(data, sort_keys=True)
 
 
-class _Lit:
-    """Tiny recursive-descent reader over the shared token stream."""
+def _read(text, literal):
+    """One literal read by the program parser, and nothing after it."""
+    p = _Parser(text)
+    out = literal(p)
+    p.end()
+    return out
 
-    def __init__(self, space, text):
-        self.space = space
-        self.toks = tokenize(text)
-        self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos]
+def _state(space, p):
+    return space.encode(dict(p.state_literal()))
 
-    def eat(self, text):
-        t = self.toks[self.pos]
-        if t.text != text or t.kind not in ("sym", "kw"):
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        self.pos += 1
-        return t
 
-    def done(self):
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-
-    def state(self):
-        self.eat("{")
-        items = {}
-        if self.peek().text != "}":
-            while True:
-                t = self.toks[self.pos]
-                if t.kind != "name":
-                    raise ParseError("expected variable name", t.line, t.col)
-                self.pos += 1
-                self.eat("=")
-                items[t.text] = self._int()
-                if self.peek().text == ",":
-                    self.pos += 1
-                    continue
-                break
-        self.eat("}")
-        return self.space.encode(items)
-
-    def _int(self):
-        neg = False
-        t = self.peek()
-        if t.text == "-" and t.kind == "sym":
-            self.pos += 1
-            neg = True
-        t = self.peek()
-        if t.kind != "int":
-            raise ParseError("expected integer", t.line, t.col)
-        self.pos += 1
-        v = int(t.text)
-        return -v if neg else v
-
-    def state_set(self):
-        if self.peek().text == "[]":
-            self.pos += 1
-            return 0
-        self.eat("[")
-        mask = 0
-        if self.peek().text != "]":
-            while True:
-                mask |= 1 << self.state()
-                if self.peek().text == ",":
-                    self.pos += 1
-                    continue
-                break
-        self.eat("]")
-        return mask
-
-    def family(self):
-        if self.peek().text == "[]":
-            self.pos += 1
-            return FamilySet.empty()
-        self.eat("[")
-        sets = []
-        if self.peek().text != "]":
-            while True:
-                sets.append(self.state_set())
-                if self.peek().text == ",":
-                    self.pos += 1
-                    continue
-                break
-        self.eat("]")
-        return FamilySet.explicit(sets)
+def _state_set(space, p):
+    return mask_of(p.items("[", "]", lambda: _state(space, p)))
 
 
 def parse_state(space, text):
-    lit = _Lit(space, text)
-    out = lit.state()
-    lit.done()
-    return out
+    return _read(text, lambda p: _state(space, p))
 
 
 def parse_state_set(space, text):
-    lit = _Lit(space, text)
-    out = lit.state_set()
-    lit.done()
-    return out
+    return _read(text, lambda p: _state_set(space, p))
 
 
 def parse_family(space, text):
-    lit = _Lit(space, text)
-    out = lit.family()
-    lit.done()
-    return out
+    return _read(text, lambda p: FamilySet.explicit(
+        p.items("[", "]", lambda: _state_set(space, p))))
 
 
 def parse_rel_file(text):
@@ -172,12 +95,8 @@ def parse_rel_file(text):
     space = StateSpace(decls)
     rows = [0] * space.size
     for line in pair_lines:
-        lit = _Lit(space, line)
-        src = lit.state()
-        lit.eat("->")
-        dst = lit.state()
-        lit.done()
-        rows[src] |= 1 << dst
+        src, dst = _read(line, _Parser.rel_pair)
+        rows[space.encode(dict(src))] |= 1 << space.encode(dict(dst))
     return space, Rel(space, rows)
 
 

@@ -104,9 +104,3 @@ def encode_state(assignment, space):
 def decode_state(sid, space):
     return space.decode(sid)
 
-
-def check_same_space(a, b):
-    from .errors import SpaceMismatch
-
-    if a != b:
-        raise SpaceMismatch(f"{a!r} vs {b!r}")

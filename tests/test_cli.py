@@ -1,8 +1,13 @@
 import json
+import random
 
 import pytest
 
 from hypersem.cli import main
+from hypersem.family import FamilySet
+from hypersem.harness import GenConfig, gen_program
+from hypersem.lang import ProgramFile, pp_program
+from hypersem.notation import format_family, format_state, format_state_set
 
 LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
 LEAK = "var hi: 0..1;\nvar lo: 0..1;\nlow lo;\nlo := hi\n"
@@ -227,8 +232,8 @@ def test_usage_error_exit_code():
 
 
 def test_deep_program_is_an_error_not_a_verdict(capsys, tmp_path):
-    # 2,000 sequenced statements overflow the recursive-descent parser;
-    # that must exit 2 (error), never 1 (verdict false)
+    # 2,000 sequenced statements overflow the recursive AST printer and
+    # relational semantics; that must exit 2 (error), never 1 (verdict false)
     p = tmp_path / "deep.imp"
     p.write_text("var x: 0..1;\nlow x;\n"
                  + ";\n".join(["x := 1 - x"] * 2000) + "\n")
@@ -307,3 +312,66 @@ def test_undeclared_variable_is_named(capsys, tmp_path, text, name):
     code, _, err = run(capsys, "check-ni", str(p))
     assert code == 2
     assert err.strip() == f"error: undeclared variable '{name}'"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (LOOP, ["--level", "tr", "--input", "[{z=1}]"], "unknown variable 'z'"),
+    (LOOP, ["--level", "rel", "--input", "{}"], "missing variable 'x'"),
+    ("var x: 0..1;\nvar y: 0..1;\nrel { {x=0} -> {x=1} }\n",
+     ["--level", "rel", "--input", "{x=0,y=0}"], "missing variable 'y'"),
+], ids=["unknown-in-literal", "missing-in-literal", "missing-in-rel-atom"])
+def test_literal_variable_errors_are_named(capsys, tmp_path, text, argv,
+                                           message):
+    p = tmp_path / "prog.imp"
+    p.write_text(text)
+    code, _, err = run(capsys, "eval", str(p), *argv)
+    assert code == 2
+    assert err.strip() == f"error: {message}"
+
+
+def test_repeated_name_in_a_literal_is_an_error(capsys, loop_file, tmp_path):
+    rel = tmp_path / "twice.rel"
+    rel.write_text("var x: 0..3;\n{x=0,x=2} -> {x=1}\n")
+    for argv in (["eval", loop_file, "--level", "rel", "--input", "{x=2,x=1}"],
+                 ["psc", str(rel)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "repeated variable 'x'" in err
+
+
+def _mutate(rng, text):
+    i = rng.randrange(len(text) + 1)
+    c = rng.choice(" ;{}[](),=<>-+*:.!&|xyz019")
+    return rng.choice((text[:i] + text[i + 1:], text[:i] + c + text[i:],
+                       text[:i] + c + text[i + 1:]))
+
+
+def test_front_end_fuzz(capsys, tmp_path):
+    # generator programs and one-character mutations of them, through
+    # parse, check-ni and eval with (mutated) literals: the exit-code
+    # contract holds and nothing escapes as an exception
+    rng = random.Random(7)
+    path = tmp_path / "fuzz.imp"
+    codes = set()
+    for seed in range(80):
+        pf = gen_program(GenConfig(seed=seed, max_space=6))
+        space = pf.space()
+        low = (pf.decls[-1][0],)
+        text = pp_program(ProgramFile(pf.decls, low, (), (), pf.body))
+        level, literal = rng.choice((
+            ("rel", format_state(space, rng.randrange(space.size))),
+            ("tr", format_state_set(space, rng.randrange(1 << space.size))),
+            ("hyper", format_family(space, FamilySet.downset(
+                (rng.randrange(1 << space.size),))))))
+        if seed % 2:
+            text = _mutate(rng, text)
+            literal = _mutate(rng, literal)
+        path.write_text(text)
+        for argv in (["parse", str(path)], ["check-ni", str(path)],
+                     ["eval", str(path), "--level", level,
+                      "--input", literal]):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (argv, text, literal)
+            assert "Traceback" not in err
+            codes.add(code)
+    assert codes == {0, 1, 2}

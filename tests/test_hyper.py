@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from hypersem.errors import NonSubsetClosedQuery
+from hypersem.errors import NonSubsetClosedQuery, QueryBlowup
 from hypersem.family import (FamilySet, family_le, mask_of, powerset_family,
                              ssc, subsets_of)
 from hypersem.harness import GenConfig, gen_program, lift_family, random_downset
@@ -608,7 +608,7 @@ def test_loop_value_is_additive_over_its_basis():
 
         def rhs(variant, atom, masks):
             ev = HEval(space, variant)
-            return HEval._union_all(ev.eval(loop, atom(m)) for m in masks)
+            return ev._union_all(ev.eval(loop, atom(m)) for m in masks)
 
         paper, naive, otimes = (LoopVariant.PAPER, LoopVariant.NAIVE,
                                 LoopVariant.OTIMES)
@@ -654,7 +654,7 @@ def test_every_construct_is_additive_over_maximal_members():
             for variant in (LoopVariant.PAPER, LoopVariant.NAIVE):
                 whole = HEval(space, variant).eval(stmt, q)
                 ev = HEval(space, variant)
-                parts = HEval._union_all(
+                parts = ev._union_all(
                     ev.eval(stmt, powerset_family(p)) for p in q.antichain())
                 assert whole == parts, (variant, stmt)
                 structural = HEval(space, variant).eval(
@@ -703,3 +703,13 @@ def test_long_seq_chain_is_evaluated_without_recursion():
         chain = Seq(flip, chain)
     for q in (powerset_family(0b01), powerset_family(0b11)):
         assert happly(chain, q, space) == q
+
+
+def test_expansion_cap_bounds_unions():
+    # the union of a down-set part and an explicit part expands the
+    # down-set; the evaluator's cap must bound that expansion too
+    pf = parse("var x: 0..7; if x < 4 { skip } else { havoc x }")
+    q = FamilySet.downset((0b1111, 0b10000000))
+    with pytest.raises(QueryBlowup):
+        HEval(pf.space(), expansion_cap=4).eval(pf.body, q)
+    assert len(HEval(pf.space()).eval(pf.body, q).members()) == 17

@@ -1,7 +1,8 @@
 import pytest
 
 from hypersem.errors import ParseError, UndeclaredVariable
-from hypersem.family import mask_of
+from hypersem.family import mask_of, powerset_family
+from hypersem.hyper import happly
 from hypersem.lang import (Assign, Assume, Atom, BoolConst, Choice, Cmp,
                            Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
                            RelAtom, Seq, Skip, While, atoms_deterministic,
@@ -79,6 +80,31 @@ def test_undeclared_variable():
         parse("var x: 0..3; low y; skip")
     with pytest.raises(UndeclaredVariable):
         parse("var x: 0..3; rel { {y=0} -> {y=0} }")
+
+
+def test_repeated_name_in_a_state_literal_is_an_error():
+    for text in ("var x: 0..3; rel { {x=0,x=2} -> {x=1} }",
+                 "var x: 0..3; rel { {x=0} -> {x=1, x=1} }"):
+        with pytest.raises(ParseError, match="repeated variable 'x'"):
+            parse(text)
+
+
+def test_misspelled_var_keeps_its_syntax_error():
+    with pytest.raises(ParseError, match="expected ':=' or ':in' after 'vr'"):
+        parse("var x: 0..3; vr y: 0..3; x := 1")
+
+
+def test_long_seq_chain_parses_without_recursion():
+    text = ("var x: 0..1;\nlow x;\n"
+            + ";\n".join(["x := 1 - x"] * 2000) + "\n")
+    pf = parse(text)
+    node, depth = pf.body, 0
+    while isinstance(node, Seq):
+        assert node.first == Atom(Assign("x", IntBin("-", IntConst(1), IntVar("x"))))
+        node, depth = node.rest, depth + 1
+    assert depth == 1999
+    q = powerset_family(0b01)
+    assert happly(pf.body, q, pf.space()) == q
 
 
 def test_low_declarations():

@@ -86,3 +86,13 @@ def test_rel_file_declarations_use_the_program_grammar():
             parse_rel_file(line + "\n{x=0} -> {x=1}\n")
     space, _ = parse_rel_file("var x: 0..1;  // low bit\nvar y: -2..0;\n")
     assert space.vars == (("x", 0, 1), ("y", -2, 0))
+
+
+def test_repeated_name_in_a_literal_is_an_error(bits):
+    for parse_lit, text in ((parse_state, "{hi=1,lo=0,hi=0}"),
+                            (parse_state_set, "[{lo=0,lo=1,hi=0}]"),
+                            (parse_family, "[[{hi=1,hi=1,lo=0}]]")):
+        with pytest.raises(ParseError, match="repeated variable"):
+            parse_lit(bits, text)
+    with pytest.raises(ParseError, match="repeated variable 'x'"):
+        parse_rel_file("var x: 0..3;\n{x=0,x=2} -> {x=1}\n")
