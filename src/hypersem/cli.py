@@ -8,11 +8,10 @@ import argparse
 import sys
 
 from .errors import WorkbenchError
-from .family import FamilySet
 from .harness import (GenConfig, diff_prop1, diff_thm1, enumerate_downsets,
-                      search_psc_join_counterexample, search_ssc_necessity)
-from .hyper import HEval, LoopVariant, happly, loop_iterates
-from .lang import (Atom, Choice, If, Seq, Skip, While, parse, pp_bool, pp_int,
+                      search_ssc_necessity)
+from .hyper import LoopVariant, happly, loop_iterates
+from .lang import (Atom, Choice, If, Seq, Skip, While, parse, pp_bool,
                    pp_stmt)
 from .noninterference import (LowView, ni_hyper, ni_possibilistic,
                               ni_relational)
@@ -21,16 +20,25 @@ from .notation import (family_json, format_family, format_state,
                        parse_state, parse_state_set, state_set_json,
                        to_json_text)
 from .semantics import sem_rel, sem_tr
+from .space import StateSpace
 from .transformer import Transformer, psc_check
 
 _VARIANTS = {v.value: v for v in LoopVariant}
 
 
 def _count(text):
-    """argparse type of --size, --steps and --trials: an int >= 0."""
+    """argparse type of enumerate --size, --steps and --trials: an int >= 0."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
+def _positive(text):
+    """argparse type of diff --size: an int >= 1."""
+    n = _count(text)
+    if n == 0:
+        raise argparse.ArgumentTypeError("must be positive, got 0")
     return n
 
 
@@ -180,17 +188,6 @@ def _cmd_diff(args):
         report = diff_thm1(cfg, trials=args.trials, queries=queries,
                            cross_check=args.cross_check)
         return _print_report("thm1", report)
-    if args.search == "psc-join":
-        found = search_psc_join_counterexample(seed=args.seed,
-                                               trials=args.trials,
-                                               size=args.size or 3)
-        if found is None:
-            print("no counterexample found (join of the sampled "
-                  "subset-image-preserving transformers kept the property)")
-            return 0
-        a, b = found
-        print(f"counterexample: {a!r} joined with {b!r}")
-        return 1
     if args.search == "ssc-necessity":
         mism, trials, witness = search_ssc_necessity(seed=args.seed,
                                                      trials=args.trials,
@@ -214,12 +211,13 @@ def _cmd_psc(args):
 
 
 def _cmd_enumerate(args):
+    fams = enumerate_downsets(args.size)
+    # states s=0..size-1; at size 0 the one state of s=0..0 is never named
+    space = StateSpace((("s", 0, max(args.size, 1) - 1),))
     count = 0
-    for fam in enumerate_downsets(args.size):
+    for fam in fams:
         count += 1
         if args.list:
-            from .space import StateSpace
-            space = StateSpace((("s", 0, args.size - 1),))
             print(format_family(space, fam))
     print(f"nonempty subset-closed families over {args.size} states: {count}")
     return 0
@@ -261,10 +259,10 @@ def build_parser():
     p = sub.add_parser("diff", help="differential oracles and searches")
     p.add_argument("--prop1", action="store_true")
     p.add_argument("--thm1", action="store_true")
-    p.add_argument("--search", choices=("psc-join", "ssc-necessity"))
+    p.add_argument("--search", choices=("ssc-necessity",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_count, default=50)
-    p.add_argument("--size", type=_count)
+    p.add_argument("--size", type=_positive)
     p.add_argument("--cross-check", action="store_true",
                    help="verify demand-driven loop values against the "
                         "synchronized iteration")

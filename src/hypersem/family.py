@@ -151,10 +151,6 @@ def ssc(fam):
     return FamilySet(DOWNSET, fam.antichain())
 
 
-def is_subset_closed(fam):
-    return fam.is_subset_closed()
-
-
 def powerset_family(mask):
     """The family of all subsets of one state set."""
     return FamilySet(DOWNSET, frozenset((mask,)))
@@ -180,7 +176,3 @@ def family_le(a, b):
     if a.kind == DOWNSET:
         return all(sub in b.sets for m in a.sets for sub in subsets_of(m))
     return a.sets <= b.sets
-
-
-def family_eq(a, b):
-    return a == b

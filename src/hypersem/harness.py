@@ -11,14 +11,12 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .errors import SpaceTooLarge
-from .family import FamilySet, powerset_family
+from .family import FamilySet
 from .hyper import HEval, LoopVariant, happly
 from .lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice, Cmp,
                    Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
-                   ProgramFile, RelAtom, Seq, Skip, While, parse, pp_program)
-from .relation import Rel
+                   ProgramFile, RelAtom, Seq, Skip, While, pp_program)
 from .semantics import sem_rel, sem_tr
-from .transformer import Transformer, is_univ_disjunctive, psc_check
 
 _VAR_NAMES = ("x", "y", "z", "w", "v", "u")
 _COUNTER_NAMES = ("k", "j", "i", "m")
@@ -74,7 +72,7 @@ def _pick_decls(rng, cfg):
         opts = _factorizations(cfg.space_size, nvars, max(max_factor, 2))
         if not opts:
             opts = [(cfg.space_size,)]
-        factors = rng.choice(opts)
+        factors = rng.choice(opts) or (1,)  # one state: one 0..0 variable
     else:
         factors = []
         size = 1
@@ -254,7 +252,7 @@ def enumerate_downsets(n):
     """Every nonempty subset-closed family over n states, exactly once.
 
     Enumerated as the nonempty antichains of the subset lattice, in a
-    fixed DFS order.  Limited to n <= 5.
+    fixed DFS order.  Limited to n <= 5, checked when called.
     """
     if n > 5:
         raise SpaceTooLarge("down-set enumeration limited to 5 states")
@@ -269,7 +267,7 @@ def enumerate_downsets(n):
             yield FamilySet.downset(nxt)
             yield from rec(i + 1, nxt)
 
-    yield from rec(0, [])
+    return rec(0, [])
 
 
 def random_downset(rng, n, max_antichain=3):
@@ -364,22 +362,6 @@ def diff_thm1(cfg, trials=100, queries=None, samples=100, *,
 
 # ---------------------------------------------------------------- searches
 
-def search_psc_join_counterexample(seed=0, trials=2000, size=3):
-    """Random search for disjunctive transformers with the subset-image
-    property whose join lacks it (open question; domains may overlap)."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        a = _random_rel(rng, size)
-        b = _random_rel(rng, size)
-        ta = Transformer.image(a)
-        tb = Transformer.image(b)
-        if not (psc_check(ta) and psc_check(tb)):
-            continue
-        if not psc_check(ta.join(tb)):
-            return a, b
-    return None
-
-
 def search_ssc_necessity(seed=0, trials=200, size=4):
     """Sample non-closed queries on deterministic programs and report
     how often the loop fixpoint differs from the elementwise lift."""
@@ -407,27 +389,3 @@ def search_ssc_necessity(seed=0, trials=200, size=4):
                 witness = (pf, q, got, want)
     return mismatches, trials, witness
 
-
-def _random_rel(rng, size):
-    density = rng.random()
-    rows = []
-    for _ in range(size):
-        row = 0
-        for t in range(size):
-            if rng.random() < density:
-                row |= 1 << t
-        rows.append(row)
-    space = _sized_space(size)
-    return Rel(space, rows)
-
-
-_SPACE_CACHE = {}
-
-
-def _sized_space(n):
-    space = _SPACE_CACHE.get(n)
-    if space is None:
-        from .space import StateSpace
-        space = StateSpace((("s", 0, n - 1),))
-        _SPACE_CACHE[n] = space
-    return space

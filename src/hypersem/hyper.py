@@ -407,33 +407,6 @@ def happly(node, fam, space, variant=LoopVariant.PAPER, *, strict=True,
     return ev.eval(node, fam)
 
 
-def inner_join_apply(c, d, fam, ev):
-    return ev.inner_join(c, d, fam)
-
-
-def otimes_apply(c, d, fam, ev):
-    return ev.singleton_join(c, d, fam)
-
-
-def guarded_join_apply(cond, c, d, fam, ev):
-    return ev.guarded_join(cond, c, d, fam)
-
-
-def lfp_demand(cond, body, fam, ev):
-    """Demand-driven least-fixpoint value of the loop at one query.
-
-    The query's atoms are solved again even when memoized, so every call
-    is one solve (and, with cross-checking on, one Kleene comparison).
-    """
-    if fam.is_empty:
-        return FamilySet.empty()
-    if ev.variant is not LoopVariant.PAPER:
-        raise ValueError("demand solver is the paper-variant loop semantics")
-    node = While(cond, body)
-    ev._solve_loop(node, ev._table(node), ev._basis(fam))
-    return ev.eval(node, fam)
-
-
 def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER,
                   *, ev=None):
     """Values of the i-th loop-functional iterate at fam, i = 0..steps."""

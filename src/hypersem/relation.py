@@ -64,9 +64,6 @@ class Rel:
                 yield s, low.bit_length() - 1
                 t ^= low
 
-    def pair_count(self):
-        return sum(r.bit_count() for r in self.rows)
-
     def _check(self, other):
         if self.space != other.space:
             raise SpaceMismatch("relations over different spaces")

@@ -12,11 +12,6 @@ from .relation import Rel
 from .transformer import Transformer
 
 
-def guard_rel(b, space):
-    """Coreflexive relation of a guard."""
-    return Rel.coreflexive(space, eval_bool(b, space))
-
-
 def neg_mask(mask, space):
     return space.full_mask & ~mask
 

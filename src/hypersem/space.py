@@ -96,11 +96,3 @@ class StateSpace:
         decls = ", ".join(f"{n}:{lo}..{hi}" for n, lo, hi in self.vars)
         return f"StateSpace({decls})"
 
-
-def encode_state(assignment, space):
-    return space.encode(assignment)
-
-
-def decode_state(sid, space):
-    return space.decode(sid)
-

@@ -3,7 +3,9 @@
 A transformer is backed either by a relation (its direct image — exact
 for everything the language denotes) or by an explicit table over all
 subsets, which is how adversarial transformers for the lemma tests are
-hosted.  Tables are limited to spaces of at most 16 states.
+hosted.  Tables are limited to spaces of at most 16 states; they can be
+applied, tabulated and scanned, while composition, join and equality are
+defined on relation-backed transformers only.
 """
 
 from collections import namedtuple
@@ -63,9 +65,14 @@ class Transformer:
         """The constantly-empty transformer (image of the empty relation)."""
         return cls.image(Rel.empty(space))
 
-    def _check(self, other):
+    def _rels(self, other):
+        """Both operands' relations, for the relation-only operations."""
         if self.space != other.space:
             raise SpaceMismatch("transformers over different spaces")
+        if self.rel is None or other.rel is None:
+            raise TypeError("table-backed transformers cannot be "
+                            "composed, joined or compared")
+        return self.rel, other.rel
 
     def apply(self, p):
         if self.rel is not None:
@@ -74,23 +81,13 @@ class Transformer:
 
     def compose(self, other):
         """Forward composition: apply self, then other."""
-        self._check(other)
-        if self.rel is not None and other.rel is not None:
-            return Transformer.image(self.rel.compose(other.rel))
-        return Transformer.from_table(
-            self.space, (other.apply(self.apply(p))
-                         for p in range(1 << self.space.size)),
-            check_monotone=False)
+        a, b = self._rels(other)
+        return Transformer.image(a.compose(b))
 
     def join(self, other):
         """Pointwise union."""
-        self._check(other)
-        if self.rel is not None and other.rel is not None:
-            return Transformer.image(self.rel.union(other.rel))
-        return Transformer.from_table(
-            self.space, (self.apply(p) | other.apply(p)
-                         for p in range(1 << self.space.size)),
-            check_monotone=False)
+        a, b = self._rels(other)
+        return Transformer.image(a.union(b))
 
     def tabulate(self):
         if self.table is not None:
@@ -100,11 +97,8 @@ class Transformer:
         return [self.apply(p) for p in range(1 << self.space.size)]
 
     def extensionally_equal(self, other):
-        self._check(other)
-        if self.rel is not None and other.rel is not None:
-            # direct image is injective on relations
-            return self.rel == other.rel
-        return self.tabulate() == other.tabulate()
+        a, b = self._rels(other)
+        return a == b  # direct image is injective on relations
 
     def __repr__(self):
         kind = "image" if self.rel is not None else "table"
@@ -161,19 +155,19 @@ def psc_check(tr):
     """Every subset of an image is the exact image of some subset.
 
     Returns a truthy PscResult, or a falsy one carrying the first (q, r)
-    with no witness s, in the scan order of ``psc_scan_table``.  Spaces
-    are capped at 10 states.
+    with no witness s, in the scan order of ``psc_scan_table``.
 
     A direct image has the property exactly when its relation is a
     partial function, so image-backed transformers are answered from the
-    rows: the scan's first failing pair is q = {t} for the smallest state
-    t with two or more successors, and r = the successors of t minus the
-    lowest one.  Table-backed transformers are scanned.
+    rows, at any size: the scan's first failing pair is q = {t} for the
+    smallest state t with two or more successors, and r = the successors
+    of t minus the lowest one.  Table-backed transformers are scanned,
+    which is capped at 10 states.
     """
-    n = tr.space.size
-    if n > PSC_MAX_STATES:
-        raise SpaceTooLarge(f"psc check limited to {PSC_MAX_STATES} states")
     if tr.rel is None:
+        n = tr.space.size
+        if n > PSC_MAX_STATES:
+            raise SpaceTooLarge(f"psc check limited to {PSC_MAX_STATES} states")
         return PscResult(*_kernels.psc_scan_table(tr.table, n))
     for s, row in enumerate(tr.rel.rows):
         if row & (row - 1):

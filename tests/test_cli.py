@@ -191,6 +191,13 @@ def test_enumerate_counts(capsys):
     assert out.strip().splitlines()[-1].endswith("5")
 
 
+def test_enumerate_size_zero_lists_its_one_family(capsys):
+    assert run(capsys, "enumerate", "--size", "0") == (
+        0, "nonempty subset-closed families over 0 states: 1\n", "")
+    assert run(capsys, "enumerate", "--size", "0", "--list") == (
+        0, "[[]]\nnonempty subset-closed families over 0 states: 1\n", "")
+
+
 def test_diff_prop1_cli(capsys):
     code, out, _ = run(capsys, "diff", "--prop1", "--seed", "3",
                        "--trials", "10", "--size", "6")
@@ -205,11 +212,37 @@ def test_diff_thm1_cli(capsys):
     assert "failures=0" in out
 
 
-def test_diff_search_cli(capsys):
-    code, out, _ = run(capsys, "diff", "--search", "psc-join",
-                       "--trials", "300", "--size", "3")
-    assert code == 1
-    assert "counterexample" in out
+def test_diff_search_psc_join_is_a_usage_error(capsys):
+    # psc_check decides the question the search sampled (see
+    # test_transformer.py::test_psc_join_of_partial_functions_exhaustive)
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "--search", "psc-join", "--size", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'psc-join'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "--thm1", "--size", "1", "--trials", "5"],
+    ["diff", "--search", "ssc-necessity", "--size", "1", "--trials", "5"],
+])
+def test_diff_on_one_state(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "Traceback" not in out + err
+
+
+def test_psc_answers_beyond_the_scan_cap(capsys, tmp_path):
+    # relation-backed psc is answered from the rows at any size
+    for n, code_want in ((11, 0), (64, 1)):
+        rel = tmp_path / f"r{n}.rel"
+        pairs = [f"{{s={t}}} -> {{s={(t + 1) % n}}}" for t in range(n)]
+        if code_want:
+            pairs.append(f"{{s={n - 1}}} -> {{s=1}}")
+        rel.write_text(f"var s: 0..{n - 1};\n" + "\n".join(pairs) + "\n")
+        code, out, _ = run(capsys, "psc", str(rel))
+        assert code == code_want
+        assert out == ("psc: holds\n" if code == 0 else
+                       f"psc: fails  q=[{{s={n - 1}}}] r=[{{s=1}}]\n")
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -274,12 +307,16 @@ def test_diff_beyond_the_state_cap_is_an_error(capsys):
     ["enumerate", "--size", "-1"],
     ["diff", "--prop1", "--trials", "-3"],
     ["diff", "--prop1", "--size", "-2"],
+    ["diff", "--thm1", "--size", "0"],
+    ["diff", "--search", "ssc-necessity", "--size", "0"],
 ])
 def test_negative_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "non-negative" in capsys.readouterr().err
+    # a diff --size must be positive: 0 is not a space
+    want = "positive, got 0" if argv[-1] == "0" else "non-negative"
+    assert want in capsys.readouterr().err
 
 
 def test_negative_steps_is_a_usage_error(capsys, loop_file):

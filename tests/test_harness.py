@@ -6,8 +6,7 @@ from hypersem.errors import SpaceTooLarge
 from hypersem.family import FamilySet, subsets_of
 from hypersem.harness import (DiffReport, GenConfig, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
-                              random_downset, search_psc_join_counterexample,
-                              search_ssc_necessity)
+                              random_downset, search_ssc_necessity)
 from hypersem.lang import parse, pp_program
 from hypersem.semantics import sem_rel, sem_tr
 
@@ -152,16 +151,6 @@ def test_diff_thm1_cross_check_counts():
                        trials=10, samples=10, cross_check=True)
     assert report.failures == 0
     assert report.cross_checks >= 1
-
-
-def test_search_psc_join_finds_counterexample():
-    found = search_psc_join_counterexample(seed=0, trials=500, size=3)
-    assert found is not None
-    a, b = found
-    from hypersem.transformer import Transformer, psc_check
-    assert psc_check(Transformer.image(a))
-    assert psc_check(Transformer.image(b))
-    assert not psc_check(Transformer.image(a).join(Transformer.image(b)))
 
 
 def test_search_ssc_necessity_reports_witnesses():

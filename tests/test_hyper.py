@@ -8,9 +8,8 @@ from hypersem.errors import NonSubsetClosedQuery, QueryBlowup
 from hypersem.family import (FamilySet, family_le, mask_of, powerset_family,
                              ssc, subsets_of)
 from hypersem.harness import GenConfig, gen_program, lift_family, random_downset
-from hypersem.hyper import (HEval, LoopVariant, guarded_join_apply, happly,
-                            hrefines, hyper_bottom, inner_join_apply,
-                            lfp_demand, loop_iterates, otimes_apply)
+from hypersem.hyper import (HEval, LoopVariant, happly, hrefines, hyper_bottom,
+                            loop_iterates)
 from hypersem.lang import (Assign, Atom, BoolConst, Choice, Cmp, If, IntBin,
                            IntConst, IntVar, RelAtom, Seq, Skip, While, parse)
 from hypersem.semantics import sem_tr
@@ -152,13 +151,13 @@ def test_inner_join_example(x8):
     c = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(1))))
     d = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(2))))
     ev = HEval(x8)
-    out = inner_join_apply(c, d, fam(mask_of([0])), ev)
+    out = ev.inner_join(c, d, fam(mask_of([0])))
     assert out.members() == {0, mask_of([1]), mask_of([2]), mask_of([1, 2])}
 
 
 def test_inner_join_empty_query(x8):
     ev = HEval(x8)
-    assert inner_join_apply(Skip(), Skip(), FamilySet.empty(), ev).is_empty
+    assert ev.inner_join(Skip(), Skip(), FamilySet.empty()).is_empty
 
 
 def test_inner_join_contains_lift(x8):
@@ -172,7 +171,7 @@ def test_inner_join_contains_lift(x8):
         ev = HEval(space)
         for _ in range(5):
             q = random_downset(rng, space.size)
-            out = inner_join_apply(pf.body, pf.body, q, ev)
+            out = ev.inner_join(pf.body, pf.body, q)
             assert family_le(lift_family(tr, q), out)
 
 
@@ -180,16 +179,16 @@ def test_otimes_example(x8):
     c = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(1))))
     d = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(2))))
     ev = HEval(x8, LoopVariant.OTIMES)
-    out = otimes_apply(c, d, fam(mask_of([0])), ev)
+    out = ev.singleton_join(c, d, fam(mask_of([0])))
     assert out.members() == {mask_of([1, 2])}
-    assert otimes_apply(c, d, FamilySet.empty(), ev).is_empty
+    assert ev.singleton_join(c, d, FamilySet.empty()).is_empty
 
 
 def test_otimes_breaks_subset_closure(x8):
     c = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(1))))
     d = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(2))))
     ev = HEval(x8, LoopVariant.OTIMES)
-    out = otimes_apply(c, d, powerset_family(mask_of([0])), ev)
+    out = ev.singleton_join(c, d, powerset_family(mask_of([0])))
     assert out.members() == {0, mask_of([1, 2])}
     assert not out.is_subset_closed()
 
@@ -198,7 +197,7 @@ def test_guarded_join_example(x8):
     c = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(1))))
     b = Cmp("<", IntVar("x"), IntConst(4))
     ev = HEval(x8)
-    out = guarded_join_apply(b, c, Skip(), Q25, ev)
+    out = ev.guarded_join(b, c, Skip(), Q25)
     assert out.members() == {0, mask_of([3]), mask_of([5]), mask_of([3, 5])}
     assert out.is_subset_closed()  # closed although Q25 is not
 
@@ -213,7 +212,7 @@ def test_guarded_join_true_reduces_to_branch(x8):
         ev = HEval(space)
         for _ in range(4):
             q = random_downset(rng, space.size)
-            out = guarded_join_apply(BoolConst(True), pf.body, Skip(), q, ev)
+            out = ev.guarded_join(BoolConst(True), pf.body, Skip(), q)
             assert out == ev.eval(pf.body, q)
 
 
@@ -226,8 +225,8 @@ def test_guarded_join_monotone_in_query(x8):
     for _ in range(40):
         small = {rng.randrange(256) for _ in range(rng.randint(0, 3))}
         big = small | {rng.randrange(256) for _ in range(2)}
-        out_small = guarded_join_apply(b, c, d, FamilySet.explicit(small), ev)
-        out_big = guarded_join_apply(b, c, d, FamilySet.explicit(big), ev)
+        out_small = ev.guarded_join(b, c, d, FamilySet.explicit(small))
+        out_big = ev.guarded_join(b, c, d, FamilySet.explicit(big))
         assert family_le(out_small, out_big)
 
 
@@ -311,26 +310,22 @@ def test_lfp_while_false_is_closure():
     pf = parse("var x: 0..7; while false { x := x + 1 }")
     space = pf.space()
     rng = random.Random(3)
-    ev = HEval(space)
     for _ in range(15):
         members = {rng.randrange(256) for _ in range(rng.randint(1, 3))}
         q = FamilySet.explicit(members)
-        assert lfp_demand(pf.body.cond, pf.body.body, q, ev) == ssc(q)
+        assert HEval(space).eval(pf.body, q) == ssc(q)
 
 
 def test_lfp_while_true_skip_is_bottom():
     pf = parse("var x: 0..7; while true { skip }")
     space = pf.space()
-    ev = HEval(space)
-    assert lfp_demand(pf.body.cond, pf.body.body, ssc(Q25), ev) == fam(0)
+    assert HEval(space).eval(pf.body, ssc(Q25)) == fam(0)
 
 
 def test_lfp_demand_equals_loop_value():
     node, space = loop_program()
-    ev = HEval(space)
-    assert lfp_demand(node.cond, node.body, ssc(Q25), ev) == \
-        ssc(fam(mask_of([4, 5])))
-    assert lfp_demand(node.cond, node.body, FamilySet.empty(), ev).is_empty
+    assert HEval(space).eval(node, ssc(Q25)) == ssc(fam(mask_of([4, 5])))
+    assert HEval(space).eval(node, FamilySet.empty()).is_empty
 
 
 def test_cross_check_flag_agrees():
@@ -402,7 +397,7 @@ def test_guarded_join_output_always_closed():
         b = Cmp("<", IntVar("s"), IntConst(rng.randint(0, 4)))
         q = FamilySet.explicit(
             {rng.randrange(32) for _ in range(rng.randint(1, 3))})
-        out = guarded_join_apply(b, c, d, q, ev)
+        out = ev.guarded_join(b, c, d, q)
         assert out.is_subset_closed()
 
 
@@ -455,7 +450,7 @@ def test_lift_below_inner_join_with_strict_witness(x8):
     ev = HEval(x8)
     q = fam(mask_of([0]))
     joined = lift_family(sem_tr(Choice(c, d), x8), q)
-    inner = inner_join_apply(c, d, q, ev)
+    inner = ev.inner_join(c, d, q)
     assert family_le(joined, inner)
     # the stored strict witness: the inner join has strictly more sets
     assert joined.members() == {mask_of([1, 2])}

@@ -182,9 +182,18 @@ def test_psc_nonfunction_exists_among_monotone_tables(s3):
 
 
 def test_psc_size_cap():
+    # images are answered from their rows at any size; only table scans
+    # are capped
     space = StateSpace((("a", 0, 3), ("b", 0, 3), ("c", 0, 3)))
+    assert psc_check(Transformer.image(Rel.identity(space)))
+    crossing = Rel.from_pairs(space, [(63, 5), (63, 9)])
+    assert tuple(psc_check(Transformer.image(crossing))) == (
+        False, 1 << 63, 1 << 9)
+    s11 = StateSpace((("s", 0, 10),))
+    table = Transformer.from_function(s11, lambda p: p,
+                                      check_monotone=False)
     with pytest.raises(SpaceTooLarge):
-        psc_check(Transformer.image(Rel.identity(space)))
+        psc_check(table)
 
 
 def test_table_size_cap():
@@ -245,6 +254,34 @@ def test_psc_join_disjoint_domains(s4):
         assert dom(phi) & dom(psi) == 0
         assert psc_check(phi) and psc_check(psi)
         assert psc_check(phi.join(psi))
+
+
+def test_psc_join_of_partial_functions_exhaustive(s3):
+    # every pair of the 64 partial functions on 3 states: the join keeps
+    # the subset-image property exactly when the two agree wherever both
+    # are defined, and the table scan agrees with the answer from rows
+    funcs = [Rel(s3, rows)
+             for rows in product([0] + [1 << t for t in range(3)], repeat=3)]
+    kept = 0
+    for a, b in product(funcs, repeat=2):
+        joined = Transformer.image(a).join(Transformer.image(b))
+        res = psc_check(joined)
+        assert tuple(res) == _kernels.psc_scan_table(joined.tabulate(), 3)
+        agree = all(x == y or not (x and y) for x, y in zip(a.rows, b.rows))
+        assert bool(res) == agree
+        kept += agree
+    assert 0 < kept < len(funcs) ** 2
+
+
+def test_table_operands_are_refused(s3):
+    table = coupled_table(s3)
+    image = Transformer.identity(s3)
+    for op in (Transformer.compose, Transformer.join,
+               Transformer.extensionally_equal):
+        with pytest.raises(TypeError):
+            op(image, table)
+        with pytest.raises(TypeError):
+            op(table, image)
 
 
 def test_psc_join_overlapping_domains_can_fail(s4):
