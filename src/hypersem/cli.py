@@ -10,7 +10,7 @@ import sys
 from .errors import WorkbenchError
 from .harness import (GenConfig, diff_prop1, diff_thm1, enumerate_downsets,
                       search_ssc_necessity)
-from .hyper import LoopVariant, happly, loop_iterates
+from .hyper import LoopVariant, happly, loop_iterates, strict_gate
 from .lang import (Atom, Choice, If, Seq, Skip, While, parse, pp_bool,
                    pp_stmt)
 from .noninterference import (LowView, ni_hyper, ni_possibilistic,
@@ -47,28 +47,32 @@ def _read_program(path):
         return parse(fh.read())
 
 
-def _ast_lines(node, indent=0):
-    pad = "  " * indent
-    if isinstance(node, Skip):
-        yield pad + "skip"
-    elif isinstance(node, Atom):
-        yield pad + "atom " + pp_stmt(node)
-    elif isinstance(node, Seq):
-        yield pad + "seq"
-        yield from _ast_lines(node.first, indent + 1)
-        yield from _ast_lines(node.rest, indent + 1)
-    elif isinstance(node, Choice):
-        yield pad + "choice"
-        yield from _ast_lines(node.left, indent + 1)
-        yield from _ast_lines(node.right, indent + 1)
-    elif isinstance(node, If):
-        yield pad + "if " + pp_bool(node.cond)
-        yield from _ast_lines(node.then, indent + 1)
-        yield pad + "else"
-        yield from _ast_lines(node.orelse, indent + 1)
-    elif isinstance(node, While):
-        yield pad + "while " + pp_bool(node.cond)
-        yield from _ast_lines(node.body, indent + 1)
+def _ast_lines(node):
+    """The AST as indented lines; the stack holds (node or line, indent),
+    so no nesting depth reaches the recursion limit."""
+    stack = [(node, 0)]
+    while stack:
+        node, indent = stack.pop()
+        pad = "  " * indent
+        if isinstance(node, str):
+            yield pad + node
+        elif isinstance(node, Skip):
+            yield pad + "skip"
+        elif isinstance(node, Atom):
+            yield pad + "atom " + pp_stmt(node)
+        elif isinstance(node, Seq):
+            yield pad + "seq"
+            stack += [(node.rest, indent + 1), (node.first, indent + 1)]
+        elif isinstance(node, Choice):
+            yield pad + "choice"
+            stack += [(node.right, indent + 1), (node.left, indent + 1)]
+        elif isinstance(node, If):
+            yield pad + "if " + pp_bool(node.cond)
+            stack += [(node.orelse, indent + 1), ("else", indent),
+                      (node.then, indent + 1)]
+        elif isinstance(node, While):
+            yield pad + "while " + pp_bool(node.cond)
+            stack.append((node.body, indent + 1))
 
 
 def _cmd_parse(args):
@@ -87,27 +91,25 @@ def _cmd_parse(args):
 def _cmd_eval(args):
     pf = _read_program(args.file)
     space = pf.space()
+    if args.level == "hyper":
+        fam = parse_family(space, args.input)
+        variant = _VARIANTS[args.variant]
+        out = happly(pf.body, fam, space, variant,
+                     strict=not args.no_strict_ssc)
+        if args.format == "json-like":
+            print(to_json_text(family_json(space, out,
+                                           antichain=args.antichain)))
+        else:
+            print(format_family(space, out, antichain=args.antichain))
+        return 0
     if args.level == "rel":
         sid = parse_state(space, args.input)
-        rel = sem_rel(pf.body, space)
-        out = rel.dirimg(1 << sid)
-        print(to_json_text(state_set_json(space, out)) if args.format == "json-like"
-              else format_state_set(space, out))
-        return 0
-    if args.level == "tr":
-        mask = parse_state_set(space, args.input)
-        tr = sem_tr(pf.body, space)
-        out = tr.apply(mask)
-        print(to_json_text(state_set_json(space, out)) if args.format == "json-like"
-              else format_state_set(space, out))
-        return 0
-    fam = parse_family(space, args.input)
-    variant = _VARIANTS[args.variant]
-    out = happly(pf.body, fam, space, variant, strict=not args.no_strict_ssc)
-    if args.format == "json-like":
-        print(to_json_text(family_json(space, out, antichain=args.antichain)))
+        out = sem_rel(pf.body, space).dirimg(1 << sid)
     else:
-        print(format_family(space, out, antichain=args.antichain))
+        mask = parse_state_set(space, args.input)
+        out = sem_tr(pf.body, space).apply(mask)
+    print(to_json_text(state_set_json(space, out)) if args.format == "json-like"
+          else format_state_set(space, out))
     return 0
 
 
@@ -120,6 +122,7 @@ def _cmd_iterates(args):
         return 2
     fam = parse_family(space, args.query)
     variant = _VARIANTS[args.variant]
+    strict_gate(fam, variant, strict=True)
     vals = loop_iterates(pf.body.cond, pf.body.body, fam, args.steps,
                          space, variant)
     for i, v in enumerate(vals):

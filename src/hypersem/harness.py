@@ -270,9 +270,9 @@ def enumerate_downsets(n):
     return rec(0, [])
 
 
-def random_downset(rng, n, max_antichain=3):
+def random_downset(rng, n):
     """Random nonempty subset-closed family over n states."""
-    k = rng.randint(1, max_antichain)
+    k = rng.randint(1, 3)
     masks = [rng.randrange(1 << n) for _ in range(k)]
     return FamilySet.downset(masks)
 

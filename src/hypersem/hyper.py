@@ -99,13 +99,11 @@ class HEval:
     the per-node memo of values at atomic queries."""
 
     def __init__(self, space, variant=LoopVariant.PAPER, *,
-                 expansion_cap=DEFAULT_EXPANSION_CAP, cross_check=False,
-                 iteration_budget=None):
+                 expansion_cap=DEFAULT_EXPANSION_CAP, cross_check=False):
         self.space = space
         self.variant = variant
         self.cap = expansion_cap
         self.cross_check = cross_check
-        self.iteration_budget = iteration_budget
         self.stats = HyperStats()
         self._atom_tr = {}
         self._guard_mask = {}
@@ -241,28 +239,27 @@ class HEval:
             node = node.rest
         return self.eval(node, fam)
 
+    def _join(self, c, d, queries):
+        """Union over the (query of c, query of d) pairs of the products
+        of the two branch values."""
+        return self._union_all([self._prod(self.eval(c, qc), self.eval(d, qd))
+                                for qc, qd in queries])
+
     def inner_join(self, c, d, fam):
         """Powerset-query inner join of the two branch semantics."""
-        parts = []
-        for p in self._chosen(fam):
-            a = self.eval(c, powerset_family(p))
-            b = self.eval(d, powerset_family(p))
-            parts.append(self._prod(a, b))
-        return self._union_all(parts)
+        return self._join(c, d, ((powerset_family(p),) * 2
+                                 for p in self._chosen(fam)))
 
     def singleton_join(self, c, d, fam):
         """Singleton-query join (the otimes guess); ranges over all members."""
-        parts = []
-        for q in self._members(fam):
-            a = self.eval(c, FamilySet.explicit((q,)))
-            b = self.eval(d, FamilySet.explicit((q,)))
-            parts.append(self._prod(a, b))
-        return self._union_all(parts)
+        return self._join(c, d, ((FamilySet.explicit((q,)),) * 2
+                                 for q in self._members(fam)))
 
     def guarded_join(self, cond, c, d, fam):
         """Split each member by the guard, then one result from each branch."""
         bmask = self._guard(cond)
         nbmask = self.space.full_mask & ~bmask
+        # _join's loop, inlined: via _join, thm1 ran 0.6% slower (2-core VM)
         parts = []
         for p in self._chosen(fam):
             a = self.eval(c, powerset_family(p & bmask))
@@ -302,8 +299,6 @@ class HEval:
         return self._prod(value, wrap)
 
     def _budget(self, nqueries):
-        if self.iteration_budget is not None:
-            return self.iteration_budget
         return (1 << min(self.space.size, 20)) * max(nqueries, 1) + 8
 
     def _kleene(self, system, memo):
@@ -384,7 +379,9 @@ class HEval:
 
 # ---------------------------------------------------------------- entry points
 
-def _strict_gate(fam, variant, strict):
+def strict_gate(fam, variant, strict):
+    """Refuse (or, unless strict, warn about) an empty or non subset closed
+    query under the paper variant, whose loops read maximal members only."""
     if variant is not LoopVariant.PAPER:
         return
     ok = not fam.is_empty and fam.is_subset_closed()
@@ -397,21 +394,15 @@ def _strict_gate(fam, variant, strict):
     warnings.warn(f"{msg}; evaluating anyway", stacklevel=3)
 
 
-def happly(node, fam, space, variant=LoopVariant.PAPER, *, strict=True,
-           expansion_cap=DEFAULT_EXPANSION_CAP, cross_check=False, ev=None):
+def happly(node, fam, space, variant=LoopVariant.PAPER, *, strict=True):
     """Hyper-level denotation of a statement applied to a query family."""
-    if ev is None:
-        ev = HEval(space, variant, expansion_cap=expansion_cap,
-                   cross_check=cross_check)
-    _strict_gate(fam, ev.variant, strict)
-    return ev.eval(node, fam)
+    strict_gate(fam, variant, strict)
+    return HEval(space, variant).eval(node, fam)
 
 
-def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER,
-                  *, ev=None):
+def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
     """Values of the i-th loop-functional iterate at fam, i = 0..steps."""
-    if ev is None:
-        ev = HEval(space, variant)
+    ev = HEval(space, variant)
     basis = ev._basis(fam)
     system = ev._discover(While(cond, body), basis, {})
     return [ev._union_all(cur[u] for u in basis)

@@ -141,8 +141,8 @@ class ProgramFile:
     low_out: tuple
     body: object
 
-    def space(self, size_cap=64):
-        return StateSpace(self.decls, size_cap=size_cap)
+    def space(self):
+        return StateSpace(self.decls)
 
 
 # ---------------------------------------------------------------- lexer
@@ -154,8 +154,11 @@ _SYMBOLS = [":=", ":in", "..", "[]", "->", "!=", "<=", ">=", "&&", "||",
             ";", "{", "}", "(", ")", "[", "]", ",", "=", "<", ">", "+",
             "-", "*", "!", ":"]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+# one alternative per token class; symbols are tried in _SYMBOLS order
+_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|(?P<skip>[ \t\r]+|//[^\n]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    "|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")")
 
 
 class Token:
@@ -172,49 +175,27 @@ class Token:
 
 
 def tokenize(text):
+    """Tokens of text, then eof; columns count characters from 1."""
     toks = []
-    i = 0
     line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line_start = 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}",
+                             line, pos - line_start + 1)
+        kind = m.lastgroup
+        if kind == "nl":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
+            line_start = m.end()
+        elif kind != "skip":
             word = m.group()
-            kind = "kw" if word in KEYWORDS else "name"
-            toks.append(Token(kind, word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            toks.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            if kind == "name" and word in KEYWORDS:
+                kind = "kw"
+            toks.append(Token(kind, word, line, pos - line_start + 1))
+        pos = m.end()
+    toks.append(Token("eof", "", line, pos - line_start + 1))
     return toks
 
 
@@ -664,7 +645,6 @@ def elaborate_atom(a, space):
     Assignments whose result falls outside the declared range yield no
     transition from that state (partial atoms, not wrapping).
     """
-    n = space.size
     if isinstance(a, Assign):
         lo, hi = space.var_range(a.var)
         rows = []
@@ -679,6 +659,9 @@ def elaborate_atom(a, space):
         return Rel(space, rows)
     if isinstance(a, Assume):
         return Rel.coreflexive(space, eval_bool(a.cond, space))
+    if isinstance(a, Havoc):
+        lo, hi = space.var_range(a.var)
+        a = NondetAssign(a.var, IntConst(lo), IntConst(hi))
     if isinstance(a, NondetAssign):
         lo, hi = space.var_range(a.var)
         rows = []
@@ -693,25 +676,10 @@ def elaborate_atom(a, space):
                 row |= 1 << space.encode(env2)
             rows.append(row)
         return Rel(space, rows)
-    if isinstance(a, Havoc):
-        lo, hi = space.var_range(a.var)
-        rows = []
-        for s in space.states():
-            env = space.decode(s)
-            row = 0
-            for v in range(lo, hi + 1):
-                env2 = dict(env)
-                env2[a.var] = v
-                row |= 1 << space.encode(env2)
-            rows.append(row)
-        return Rel(space, rows)
     if isinstance(a, RelAtom):
-        rows = [0] * n
-        for src, dst in a.pairs:
-            s = space.encode(dict(src))
-            t = space.encode(dict(dst))
-            rows[s] |= 1 << t
-        return Rel(space, rows)
+        return Rel.from_pairs(space, ((space.encode(dict(src)),
+                                       space.encode(dict(dst)))
+                                      for src, dst in a.pairs))
     raise TypeError(f"not an atom: {a!r}")
 
 

@@ -15,8 +15,7 @@ deterministic programs and are cross-tested against one another:
 from dataclasses import dataclass
 
 from .errors import NotARefinement
-from .family import FamilySet, family_le
-from .hyper import HEval, LoopVariant
+from .family import FamilySet, states_of
 from .relation import Rel
 from .semantics import sem_tr
 
@@ -40,11 +39,8 @@ class LowView:
         classes = tuple(sorted(buckets.values()))
         class_of = [0] * space.size
         for mask in classes:
-            t = mask
-            while t:
-                low_bit = t & -t
-                class_of[low_bit.bit_length() - 1] = mask
-                t ^= low_bit
+            for s in states_of(mask):
+                class_of[s] = mask
         self.space = space
         self.low_vars = low
         self.classes = classes
@@ -118,15 +114,6 @@ def ni_hyper(node, view, view_out=None):
         if not agr(img, out):
             return NIVerdict(False, (cls, img))
     return NIVerdict(True)
-
-
-def ni_hyper_via_families(node, view, view_out=None):
-    """Same check through the hyper engine: image of the agreement
-    down-set must stay inside the output agreement down-set."""
-    out = view_out if view_out is not None else view
-    ev = HEval(view.space, LoopVariant.PAPER)
-    result = ev.eval(node, view.agreement_family())
-    return family_le(result, out.agreement_family())
 
 
 @dataclass

@@ -12,7 +12,7 @@ declarations are those of program files.
 import json
 
 from .errors import ParseError
-from .family import DEFAULT_EXPANSION_CAP, FamilySet, mask_of, states_of
+from .family import FamilySet, mask_of, states_of
 from .lang import _Parser, parse_var_decl
 from .relation import Rel
 from .space import StateSpace
@@ -27,8 +27,8 @@ def format_state_set(space, mask):
     return "[" + ",".join(format_state(space, s) for s in states_of(mask)) + "]"
 
 
-def format_family(space, fam, cap=DEFAULT_EXPANSION_CAP, antichain=False):
-    sets = sorted(fam.antichain() if antichain else fam.members(cap))
+def format_family(space, fam, antichain=False):
+    sets = sorted(fam.antichain() if antichain else fam.members())
     return "[" + ",".join(format_state_set(space, m) for m in sets) + "]"
 
 
@@ -40,8 +40,8 @@ def state_set_json(space, mask):
     return [state_json(space, s) for s in states_of(mask)]
 
 
-def family_json(space, fam, cap=DEFAULT_EXPANSION_CAP, antichain=False):
-    sets = sorted(fam.antichain() if antichain else fam.members(cap))
+def family_json(space, fam, antichain=False):
+    sets = sorted(fam.antichain() if antichain else fam.members())
     return [state_set_json(space, m) for m in sets]
 
 

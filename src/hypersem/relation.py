@@ -2,6 +2,7 @@
 
 from . import _kernels
 from .errors import SpaceMismatch
+from .family import states_of
 
 IMAGE_TABLE_MAX_STATES = 16
 
@@ -58,11 +59,8 @@ class Rel:
 
     def pairs(self):
         for s, row in enumerate(self.rows):
-            t = row
-            while t:
-                low = t & -t
-                yield s, low.bit_length() - 1
-                t ^= low
+            for t in states_of(row):
+                yield s, t
 
     def _check(self, other):
         if self.space != other.space:

@@ -16,6 +16,19 @@ def neg_mask(mask, space):
     return space.full_mask & ~mask
 
 
+def _seq(node, space, sem):
+    """A `;` chain: its parts denoted in order, in a loop, then composed
+    from the right as the chain nests, so its length costs no depth."""
+    parts = []
+    while isinstance(node, Seq):
+        parts.append(sem(node.first, space))
+        node = node.rest
+    out = sem(node, space)
+    for part in reversed(parts):
+        out = part.compose(out)
+    return out
+
+
 def sem_rel(node, space):
     """Relational denotation."""
     if isinstance(node, Skip):
@@ -23,7 +36,7 @@ def sem_rel(node, space):
     if isinstance(node, Atom):
         return elaborate_atom(node.atom, space)
     if isinstance(node, Seq):
-        return sem_rel(node.first, space).compose(sem_rel(node.rest, space))
+        return _seq(node, space, sem_rel)
     if isinstance(node, Choice):
         return sem_rel(node.left, space).union(sem_rel(node.right, space))
     if isinstance(node, If):
@@ -56,7 +69,7 @@ def sem_tr(node, space):
     if isinstance(node, Atom):
         return Transformer.image(elaborate_atom(node.atom, space))
     if isinstance(node, Seq):
-        return sem_tr(node.first, space).compose(sem_tr(node.rest, space))
+        return _seq(node, space, sem_tr)
     if isinstance(node, Choice):
         return sem_tr(node.left, space).join(sem_tr(node.right, space))
     if isinstance(node, If):

@@ -18,7 +18,7 @@ class StateSpace:
 
     __slots__ = ("vars", "names", "size", "_weights", "_index")
 
-    def __init__(self, variables, size_cap=SIZE_CAP):
+    def __init__(self, variables):
         vars_ = tuple((str(n), int(lo), int(hi)) for n, lo, hi in variables)
         names = tuple(n for n, _, _ in vars_)
         if len(set(names)) != len(names):
@@ -29,8 +29,8 @@ class StateSpace:
         size = 1
         for _, lo, hi in vars_:
             size *= hi - lo + 1
-        if size > size_cap:
-            raise BadDeclaration(f"state space has {size} states, cap is {size_cap}")
+        if size > SIZE_CAP:
+            raise BadDeclaration(f"state space has {size} states, cap is {SIZE_CAP}")
         # weight of a variable = product of the range sizes to its right
         weights = []
         acc = 1

@@ -136,19 +136,9 @@ def is_univ_disjunctive(tr):
     if n > PSC_MAX_STATES and tr.table is None:
         raise SpaceTooLarge(f"disjunctivity scan limited to {PSC_MAX_STATES} states")
     tab = tr.tabulate()
-    if tab[0]:
-        return False
     single = [tab[1 << s] for s in range(n)]
-    for p in range(1 << n):
-        acc = 0
-        t = p
-        while t:
-            low = t & -t
-            acc |= single[low.bit_length() - 1]
-            t ^= low
-        if acc != tab[p]:
-            return False
-    return True
+    return all(_kernels.dirimg_rows(single, p) == tab[p]
+               for p in range(1 << n))
 
 
 def psc_check(tr):

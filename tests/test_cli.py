@@ -127,6 +127,18 @@ def test_iterates_otimes(capsys, loop_file):
     assert lines[3] == "Q3 = [[{x=4},{x=5}]]"
 
 
+@pytest.mark.parametrize("query,msg", [
+    ("[[{x=2},{x=5}]]", "query is not subset closed"),
+    ("[]", "query is empty")])
+def test_iterates_gates_paper_queries_like_eval(capsys, loop_file, query,
+                                                msg):
+    for argv in (["iterates", loop_file, "--query", query, "--steps", "3"],
+                 ["eval", loop_file, "--level", "hyper", "--input", query]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {msg}\n"
+
+
 def test_iterates_needs_loop(capsys, tmp_path):
     p = tmp_path / "straight.imp"
     p.write_text("var x: 0..3;\nx := 1\n")
@@ -265,15 +277,34 @@ def test_usage_error_exit_code():
 
 
 def test_deep_program_is_an_error_not_a_verdict(capsys, tmp_path):
-    # 2,000 sequenced statements overflow the recursive AST printer and
-    # relational semantics; that must exit 2 (error), never 1 (verdict false)
+    # an `if` nested 1,000 deep overflows the recursive parser; that must
+    # exit 2 (error), never 1 (verdict false)
     p = tmp_path / "deep.imp"
-    p.write_text("var x: 0..1;\nlow x;\n"
-                 + ";\n".join(["x := 1 - x"] * 2000) + "\n")
+    p.write_text("var x: 0..1;\nlow x;\n" + "if x = 0 { " * 1000 + "skip"
+                 + " } else { skip }" * 1000 + "\n")
     for cmd in ("parse", "check-ni"):
         code, _, err = run(capsys, cmd, str(p))
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_long_seq_chain_answers(capsys, tmp_path):
+    # a `;` chain costs no recursion depth in any command
+    p = tmp_path / "chain.imp"
+    p.write_text("var x: 0..1;\nlow x;\n"
+                 + ";\n".join(["x := 1 - x"] * 2000) + "\n")
+    code, out, _ = run(capsys, "parse", str(p))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["var x: 0..1", "low x", "seq"]
+    assert lines[-1] == "  " * 1999 + "atom x := 1 - x"
+    code, out, _ = run(capsys, "check-ni", str(p))
+    assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
+    for level, literal, want in (("rel", "{x=1}", "[{x=1}]\n"),
+                                 ("tr", "[{x=0}]", "[{x=0}]\n")):
+        code, out, _ = run(capsys, "eval", str(p), "--level", level,
+                           "--input", literal)
+        assert (code, out) == (0, want)
 
 
 BAD_DECLS = {

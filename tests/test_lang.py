@@ -7,7 +7,7 @@ from hypersem.lang import (Assign, Assume, Atom, BoolConst, Choice, Cmp,
                            Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
                            RelAtom, Seq, Skip, While, atoms_deterministic,
                            elaborate_atom, eval_bool, is_choice_free, parse,
-                           pp_program, pp_stmt)
+                           pp_program, pp_stmt, tokenize)
 
 
 def test_parse_while_golden():
@@ -28,6 +28,38 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as exc:
         parse("var x: 0..7;\nx := +")
     assert exc.value.line == 2
+
+
+def test_token_positions():
+    text = ("var\tab1 :in 0..42; // comment := here\r\n"
+            "\t:= .. [] -> != <= >= && || ; { } ( ) [ ] , = < > + - * ! :\r\n"
+            "if_ else 007 x// tail")
+    got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    assert got == [
+        ("kw", "var", 1, 1), ("name", "ab1", 1, 5), ("sym", ":in", 1, 9),
+        ("int", "0", 1, 13), ("sym", "..", 1, 14), ("int", "42", 1, 16),
+        ("sym", ";", 1, 18),
+        ("sym", ":=", 2, 2), ("sym", "..", 2, 5), ("sym", "[]", 2, 8),
+        ("sym", "->", 2, 11), ("sym", "!=", 2, 14), ("sym", "<=", 2, 17),
+        ("sym", ">=", 2, 20), ("sym", "&&", 2, 23), ("sym", "||", 2, 26),
+        ("sym", ";", 2, 29), ("sym", "{", 2, 31), ("sym", "}", 2, 33),
+        ("sym", "(", 2, 35), ("sym", ")", 2, 37), ("sym", "[", 2, 39),
+        ("sym", "]", 2, 41), ("sym", ",", 2, 43), ("sym", "=", 2, 45),
+        ("sym", "<", 2, 47), ("sym", ">", 2, 49), ("sym", "+", 2, 51),
+        ("sym", "-", 2, 53), ("sym", "*", 2, 55), ("sym", "!", 2, 57),
+        ("sym", ":", 2, 59),
+        ("name", "if_", 3, 1), ("kw", "else", 3, 5), ("int", "007", 3, 10),
+        ("name", "x", 3, 14), ("eof", "", 3, 22)]
+    with pytest.raises(ParseError) as exc:
+        tokenize("x := 1 ;\r\n\t y @ 2")
+    assert (exc.value.line, exc.value.col) == (2, 5)
+    assert str(exc.value) == "2:5: unexpected character '@'"
+
+
+def test_end_of_input_after_a_comment_is_at_its_end():
+    with pytest.raises(ParseError) as exc:
+        parse("var x: 0..1; // note")
+    assert (exc.value.line, exc.value.col) == (1, 21)
 
 
 def test_parse_error_cases():
