@@ -5,7 +5,7 @@ one layer boundary; the kernels in ``pure`` call each other directly.
 """
 
 from .pure import (compose_rows, converse_rows, dirimg_rows, expand_downset,
-                   is_downclosed, maximal_sets, psc_scan_table)
+                   is_downclosed, maximal_sets, psc_scan_table, states_of)
 
 
 def backend():

@@ -4,6 +4,16 @@ Masks are plain ints (states fit in one machine word, space cap 64).
 """
 
 
+def states_of(mask):
+    """Ascending state ids in a mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def dirimg_rows(rows, p):
     """Union of successor rows over the states in mask p."""
     out = 0

@@ -13,6 +13,7 @@ semantic, independent of representation.
 """
 
 from . import _kernels
+from ._kernels import states_of  # re-exported: the kernels own bit walks
 from .errors import ExpansionTooLarge
 
 DEFAULT_EXPANSION_CAP = 1 << 16
@@ -35,16 +36,6 @@ def mask_of(states):
     out = 0
     for s in states:
         out |= 1 << s
-    return out
-
-
-def states_of(mask):
-    """Ascending state ids in a mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
     return out
 
 

@@ -259,13 +259,9 @@ class HEval:
         """Split each member by the guard, then one result from each branch."""
         bmask = self._guard(cond)
         nbmask = self.space.full_mask & ~bmask
-        # _join's loop, inlined: via _join, thm1 ran 0.6% slower (2-core VM)
-        parts = []
-        for p in self._chosen(fam):
-            a = self.eval(c, powerset_family(p & bmask))
-            b = self.eval(d, powerset_family(p & nbmask))
-            parts.append(self._prod(a, b))
-        return self._union_all(parts)
+        return self._join(c, d, ((powerset_family(p & bmask),
+                                  powerset_family(p & nbmask))
+                                 for p in self._chosen(fam)))
 
     # ---- loop machinery: one unknown per atomic query
 

@@ -14,8 +14,9 @@ deterministic programs and are cross-tested against one another:
 
 from dataclasses import dataclass
 
+from . import _kernels
 from .errors import NotARefinement
-from .family import FamilySet, states_of
+from .family import FamilySet
 from .relation import Rel
 from .semantics import sem_tr
 
@@ -39,7 +40,7 @@ class LowView:
         classes = tuple(sorted(buckets.values()))
         class_of = [0] * space.size
         for mask in classes:
-            for s in states_of(mask):
+            for s in _kernels.states_of(mask):
                 class_of[s] = mask
         self.space = space
         self.low_vars = low

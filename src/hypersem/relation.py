@@ -2,7 +2,6 @@
 
 from . import _kernels
 from .errors import SpaceMismatch
-from .family import states_of
 
 IMAGE_TABLE_MAX_STATES = 16
 
@@ -59,7 +58,7 @@ class Rel:
 
     def pairs(self):
         for s, row in enumerate(self.rows):
-            for t in states_of(row):
+            for t in _kernels.states_of(row):
                 yield s, t
 
     def _check(self, other):
