@@ -2,9 +2,13 @@
 
 Exit codes: 0 for success / verdict true, 1 for verdict false or
 differential failures, 2 for usage and parse errors.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused by every later call; parsing leaves it unchanged.
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import WorkbenchError
@@ -226,7 +230,9 @@ def _cmd_enumerate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The process's one argument parser; callers must not change it."""
     ap = argparse.ArgumentParser(
         prog="hypersem",
         description="finite-state workbench for relational, transformer and "

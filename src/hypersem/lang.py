@@ -570,7 +570,13 @@ def pp_stmt(node, level=0):
                 for s, d in a.pairs)
             return "rel { " + body + " }" if body else "rel { }"
     if isinstance(node, Seq):
-        s = f"{pp_stmt(node.first, 2)} ; {pp_stmt(node.rest, 1)}"
+        # the right spine in a loop, so a `;` chain's length costs no depth
+        parts = []
+        while isinstance(node, Seq):
+            parts.append(pp_stmt(node.first, 2))
+            node = node.rest
+        parts.append(pp_stmt(node, 1))
+        s = " ; ".join(parts)
         return f"({s})" if level > 1 else s
     if isinstance(node, Choice):
         s = f"{pp_stmt(node.left, 1)} [] {pp_stmt(node.right, 1)}"
@@ -683,35 +689,28 @@ def elaborate_atom(a, space):
     raise TypeError(f"not an atom: {a!r}")
 
 
-def iter_atoms(node):
-    if isinstance(node, Atom):
-        yield node.atom
-    elif isinstance(node, Seq):
-        yield from iter_atoms(node.first)
-        yield from iter_atoms(node.rest)
-    elif isinstance(node, Choice):
-        yield from iter_atoms(node.left)
-        yield from iter_atoms(node.right)
-    elif isinstance(node, If):
-        yield from iter_atoms(node.then)
-        yield from iter_atoms(node.orelse)
-    elif isinstance(node, While):
-        yield from iter_atoms(node.body)
+def _statements(node):
+    """Every statement node under node, in pre-order from the left; the
+    stack makes no nesting depth reach the recursion limit."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Seq):
+            stack += (node.rest, node.first)
+        elif isinstance(node, Choice):
+            stack += (node.right, node.left)
+        elif isinstance(node, If):
+            stack += (node.orelse, node.then)
+        elif isinstance(node, While):
+            stack.append(node.body)
 
 
 def is_choice_free(node):
-    if isinstance(node, Choice):
-        return False
-    if isinstance(node, Seq):
-        return is_choice_free(node.first) and is_choice_free(node.rest)
-    if isinstance(node, If):
-        return is_choice_free(node.then) and is_choice_free(node.orelse)
-    if isinstance(node, While):
-        return is_choice_free(node.body)
-    return True
+    return not any(isinstance(n, Choice) for n in _statements(node))
 
 
 def atoms_deterministic(node, space):
     """True iff every elaborated atom is a partial function."""
-    return all(elaborate_atom(a, space).is_partial_function()
-               for a in iter_atoms(node))
+    return all(elaborate_atom(n.atom, space).is_partial_function()
+               for n in _statements(node) if isinstance(n, Atom))

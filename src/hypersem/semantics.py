@@ -29,6 +29,20 @@ def _seq(node, space, sem):
     return out
 
 
+def _choice(node, space, sem, join):
+    """A `[]` chain, nested to the left by the parser: its parts denoted
+    in order, in a loop, and joined from the left, so its length costs no
+    depth."""
+    rights = []
+    while isinstance(node, Choice):
+        rights.append(node.right)
+        node = node.left
+    out = sem(node, space)
+    for right in reversed(rights):
+        out = join(out, sem(right, space))
+    return out
+
+
 def sem_rel(node, space):
     """Relational denotation."""
     if isinstance(node, Skip):
@@ -38,7 +52,7 @@ def sem_rel(node, space):
     if isinstance(node, Seq):
         return _seq(node, space, sem_rel)
     if isinstance(node, Choice):
-        return sem_rel(node.left, space).union(sem_rel(node.right, space))
+        return _choice(node, space, sem_rel, Rel.union)
     if isinstance(node, If):
         b = eval_bool(node.cond, space)
         then = Rel.coreflexive(space, b).compose(sem_rel(node.then, space))
@@ -71,7 +85,7 @@ def sem_tr(node, space):
     if isinstance(node, Seq):
         return _seq(node, space, sem_tr)
     if isinstance(node, Choice):
-        return sem_tr(node.left, space).join(sem_tr(node.right, space))
+        return _choice(node, space, sem_tr, Transformer.join)
     if isinstance(node, If):
         b = eval_bool(node.cond, space)
         tb = Transformer.image(Rel.coreflexive(space, b))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hypersem import cli
 from hypersem.cli import main
 from hypersem.family import FamilySet
 from hypersem.harness import GenConfig, gen_program
@@ -307,6 +308,21 @@ def test_long_seq_chain_answers(capsys, tmp_path):
         assert (code, out) == (0, want)
 
 
+def test_long_choice_chain_answers(capsys, tmp_path):
+    # the parser nests a `[]` chain to the left; sem_rel and sem_tr walk
+    # it in a loop, so check-ni and eval --level rel|tr answer
+    p = tmp_path / "choice.imp"
+    p.write_text("var x: 0..1;\nlow x;\n"
+                 + " [] ".join(["x := 1 - x"] * 2000) + "\n")
+    code, out, _ = run(capsys, "check-ni", str(p))
+    assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
+    for level, literal, want in (("rel", "{x=0}", "[{x=1}]\n"),
+                                 ("tr", "[{x=0},{x=1}]", "[{x=0},{x=1}]\n")):
+        code, out, _ = run(capsys, "eval", str(p), "--level", level,
+                           "--input", literal)
+        assert (code, out) == (0, want)
+
+
 BAD_DECLS = {
     "duplicate": "var x: 0..1;\nvar x: 0..1;\n",
     "empty-range": "var x: 3..1;\n",
@@ -443,3 +459,60 @@ def test_front_end_fuzz(capsys, tmp_path):
             assert "Traceback" not in err
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch, tmp_path):
+    # main reuses one parser per process; every subcommand and every kind
+    # of usage error argparse raises must leave it as a fresh one would
+    prog = tmp_path / "loop.imp"
+    prog.write_text(LOOP)
+    leak = tmp_path / "leak.imp"
+    leak.write_text(LEAK)
+    rel = tmp_path / "fun.rel"
+    rel.write_text("var x: 0..3;\n{x=0} -> {x=1}\n{x=1} -> {x=1}\n")
+    p, k = str(prog), str(leak)
+    argvs = [
+        ["parse", p],
+        ["eval", p, "--input", "[{x=2}]"],
+        ["eval", p],
+        ["eval", p, "--level", "rel", "--input", "{x=2}", "--format",
+         "json-like"],
+        ["eval", p, "--level", "bogus", "--input", "{x=2}"],
+        ["eval", p, "--level", "hyper", "--input", "[[],[{x=2}]]",
+         "--variant", "naive", "--antichain"],
+        ["iterates", p, "--query", "[[],[{x=2}]]", "--steps", "-1"],
+        ["iterates", p, "--query", "[[],[{x=2}]]", "--steps", "2"],
+        ["check-ni", k, "--form", "bogus"],
+        ["check-ni", k],
+        ["check-ni", k, "--form", "poss"],
+        ["check-ni"],
+        ["diff", "--prop1", "--trials", "2", "--seed", "3"],
+        ["diff", "--size", "0"],
+        ["diff", "--thm1", "--trials", "1", "--size", "2", "--cross-check"],
+        ["diff", "--seed", "x"],
+        ["psc", str(rel)],
+        ["psc"],
+        ["enumerate", "--size", "3", "--list"],
+        ["enumerate"],
+        ["enumerate", "--size", "2", "--bogus"],
+        ["frobnicate"],
+        [],
+        ["check-ni", "--help"],
+        ["parse", p],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            got.append((argv, code, out.out, out.err))
+        return got
+
+    shared = outcomes()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes() == shared
+    assert {code for _, code, _, _ in shared} == {0, 1, 2}

@@ -137,6 +137,12 @@ def test_long_seq_chain_parses_without_recursion():
     assert depth == 1999
     q = powerset_family(0b01)
     assert happly(pf.body, q, pf.space()) == q
+    # the printer and the tree walks cost no depth on the chain either
+    assert pp_program(pf) == ("var x: 0..1;\nlow x;\n"
+                              + " ; ".join(["x := 1 - x"] * 2000) + "\n")
+    assert pp_program(parse(pp_program(pf))) == pp_program(pf)
+    assert is_choice_free(pf.body)
+    assert atoms_deterministic(pf.body, pf.space())
 
 
 def test_low_declarations():
