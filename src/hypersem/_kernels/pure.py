@@ -43,7 +43,11 @@ def converse_rows(rows, n):
 
 def maximal_sets(sets):
     """Subset-maximal elements of an iterable of masks, sorted ascending."""
-    uniq = sorted(set(sets), key=lambda m: (m.bit_count(), m), reverse=True)
+    uniq = sorted(set(sets), reverse=True)
+    if len(uniq) < 2:
+        return uniq
+    # stable: larger masks first, and by value within one popcount
+    uniq.sort(key=int.bit_count, reverse=True)
     kept = []
     for m in uniq:
         for k in kept:

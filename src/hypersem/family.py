@@ -9,7 +9,12 @@ powerset) is a ``FamilySet`` in one of two canonical representations:
 
 Down-sets are how subset-closed families stay small: the antichain is
 linear where the expansion is exponential.  Equality and ordering are
-semantic, independent of representation.
+semantic, independent of representation.  Both representations are
+canonical, so ``==`` decides on them directly: two families of one kind
+are equal iff their stored sets are; a down-set equals an explicit family
+iff its expansion, capped at the explicit family's size, is exactly that
+member set.  ``key()`` (and so ``hash``) is the semantic identity: an
+explicit family that is subset closed keys as its down-set.
 """
 
 from . import _kernels
@@ -120,7 +125,13 @@ class FamilySet:
     def __eq__(self, other):
         if not isinstance(other, FamilySet):
             return NotImplemented
-        return self.key() == other.key()
+        if self.kind == other.kind:
+            return self.sets == other.sets
+        down, expl = (self, other) if self.kind == DOWNSET else (other, self)
+        # capped at the explicit side's size, so this never blows up
+        out = _kernels.expand_downset(list(down.sets), len(expl.sets))
+        return (out is not None and len(out) == len(expl.sets)
+                and expl.sets.issuperset(out))
 
     def __hash__(self):
         return hash(self.key())

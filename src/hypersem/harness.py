@@ -9,9 +9,10 @@ reproducible from its seed.
 import random
 import warnings
 from dataclasses import dataclass, replace
+from itertools import product
 
 from .errors import SpaceTooLarge
-from .family import FamilySet
+from .family import DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet
 from .hyper import HEval, LoopVariant, happly
 from .lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice, Cmp,
                    Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
@@ -162,17 +163,8 @@ class _Gen:
 
     def total_rel_atom(self, frozen=frozenset()):
         r = self.rng
-        envs = []
-
-        def expand(i, acc):
-            if i == len(self.decls):
-                envs.append(tuple(sorted(acc)))
-                return
-            n, lo, hi = self.decls[i]
-            for v in range(lo, hi + 1):
-                expand(i + 1, acc + [(n, v)])
-
-        expand(0, [])
+        envs = [tuple(sorted(zip(self.names, vals))) for vals in product(
+            *(range(lo, hi + 1) for _, lo, hi in self.decls))]
         pairs = []
         for src in envs:
             dst = r.choice(envs)
@@ -278,8 +270,31 @@ def random_downset(rng, n):
 
 
 def lift_family(tr, fam):
-    """Elementwise image { phi p | p in fam } as an explicit family."""
-    return FamilySet.explicit(tr.apply(p) for p in fam.members())
+    """Elementwise image { phi p | p in fam } as an explicit family.
+
+    A relation-backed transformer images a down-set's members without a
+    call per member: for each antichain element m, the images of all
+    subsets of m come from the subset-image recurrence over m's states
+    (as in ``relation._subset_images``).  Every member is still imaged,
+    with no monotonicity shortcut.  Table-backed transformers, explicit
+    families, and down-sets whose antichain spans more subsets than the
+    expansion cap go member by member, so ``ExpansionTooLarge`` is raised
+    exactly where ``members`` raises it.
+    """
+    if (tr.rel is None or fam.kind != DOWNSET or sum(
+            1 << m.bit_count() for m in fam.sets) > DEFAULT_EXPANSION_CAP):
+        return FamilySet.explicit(map(tr.apply, fam.members()))
+    rows = tr.rel.rows
+    out = set()
+    for m in fam.sets:
+        t = [0]
+        while m:
+            low = m & -m
+            row = rows[low.bit_length() - 1]
+            t += [x | row for x in t]
+            m ^= low
+        out.update(t)
+    return FamilySet.explicit(out)
 
 
 # ---------------------------------------------------------------- oracles

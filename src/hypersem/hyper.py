@@ -23,7 +23,9 @@ Atoms map elementwise, which is cheaper than a lookup and a union.  Loops
 answer every query from the memo, under every variant; explicit queries
 to other constructs, and every otimes query, are evaluated structurally.
 The memo is keyed by node identity and holds each node, so no AST node is
-hashed on the way.
+hashed on the way.  So are the atom and guard caches: each Atom node's
+transformer is elaborated once, with its partial-function flag, and each
+guard's mask is computed once.
 
 Loops are least fixpoints of the guarded-join functional, solved over
 atomic queries.  Each atomic query u has one equation: its dependencies
@@ -80,11 +82,6 @@ def _atomic(down, m):
     return powerset_family(m) if down else FamilySet.explicit((m,))
 
 
-def _same(a, b):
-    """Equality of normalized families: their (kind, sets) form is canonical."""
-    return a.kind == b.kind and a.sets == b.sets
-
-
 @dataclass
 class HyperStats:
     demand_loops_solved: int = 0
@@ -109,21 +106,24 @@ class HEval:
         self._guard_mask = {}
         self._memo = {}
 
-    # ---- caches
+    # ---- caches, keyed by node identity; each entry holds its node, so
+    # its id is not reused while we live
 
-    def _atom(self, atomdef):
-        tr = self._atom_tr.get(atomdef)
-        if tr is None:
-            tr = Transformer.image(elaborate_atom(atomdef, self.space))
-            self._atom_tr[atomdef] = tr
-        return tr
+    def _atom(self, node):
+        """An Atom node's transformer and whether it is a partial function."""
+        entry = self._atom_tr.get(id(node))
+        if entry is None:
+            rel = elaborate_atom(node.atom, self.space)
+            entry = self._atom_tr[id(node)] = (
+                node, Transformer.image(rel), rel.is_partial_function())
+        return entry[1], entry[2]
 
     def _guard(self, cond):
-        m = self._guard_mask.get(cond)
-        if m is None:
-            m = eval_bool(cond, self.space)
-            self._guard_mask[cond] = m
-        return m
+        entry = self._guard_mask.get(id(cond))
+        if entry is None:
+            entry = self._guard_mask[id(cond)] = (
+                cond, eval_bool(cond, self.space))
+        return entry[1]
 
     # ---- family helpers
 
@@ -197,9 +197,8 @@ class HEval:
         if isinstance(node, Skip):
             return fam
         if isinstance(node, Atom):
-            tr = self._atom(node.atom)
-            return self._map_family(
-                fam, tr.apply, tr.rel.is_partial_function())
+            tr, partial = self._atom(node)
+            return self._map_family(fam, tr.apply, partial)
         # loops answer every query from the memo; the other constructs
         # answer down-set queries from it under paper and naive, which are
         # additive over maximal members, and the rest structurally
@@ -310,8 +309,7 @@ class HEval:
         budget = self._budget(len(system))
         prev = None
         for i, cur in enumerate(self._kleene(system, memo)):
-            if prev is not None and all(
-                    _same(v, prev[u]) for u, v in cur.items()):
+            if prev is not None and all(v == prev[u] for u, v in cur.items()):
                 return cur
             if i == budget:
                 raise IterationBudgetExceeded(
@@ -351,7 +349,7 @@ class HEval:
             u = work.popleft()
             queued.discard(u)
             new = self._rhs(system[u], value_of)
-            if not _same(new, vals[u]):
+            if new != vals[u]:
                 vals[u] = new
                 updates += 1
                 if updates > budget:
@@ -368,7 +366,7 @@ class HEval:
         if self.cross_check:
             self.stats.cross_checks += 1
             limit = self._kleene_limit(system, memo)
-            if not all(_same(v, limit[u]) for u, v in vals.items()):
+            if not all(v == limit[u] for u, v in vals.items()):
                 self.stats.cross_mismatches.append((node, system, vals, limit))
         memo.update(vals)
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from hypersem import _kernels
 from hypersem.errors import ExpansionTooLarge
 from hypersem.family import (DOWNSET, EXPLICIT, FamilySet, family_le,
                              family_union, mask_of, powerset_family, ssc,
@@ -178,3 +179,58 @@ def test_contains():
     expl = FamilySet.explicit([0b011])
     assert 0b011 in expl
     assert 0b001 not in expl
+
+
+def _equality_pool(rng, n):
+    """Families over n states: down-sets, explicit families near their
+    expansions, arbitrary explicit families, and the empty family."""
+    down = FamilySet.downset(rng.randrange(1 << n)
+                             for _ in range(rng.randint(1, 3)))
+    expansion = sorted(down.members())
+    outside = [m for m in range(1 << n) if m not in down]
+    pool = [down, FamilySet.downset(rng.randrange(1 << n)
+                                    for _ in range(rng.randint(1, 3))),
+            FamilySet.explicit(expansion), FamilySet.empty(),
+            FamilySet.explicit(rng.randrange(1 << n)
+                               for _ in range(rng.randint(1, 5))),
+            FamilySet.explicit(rng.sample(expansion,
+                                          rng.randint(1, len(expansion))))]
+    dropped = list(expansion)
+    dropped.remove(rng.choice(expansion))
+    pool.append(FamilySet.explicit(dropped))
+    if outside:
+        pool.append(FamilySet.explicit(expansion + [rng.choice(outside)]))
+    return pool
+
+
+def test_family_eq_matches_its_definition():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(300):
+        pool = _equality_pool(rng, rng.randint(1, 5))
+        for a in pool:
+            for b in pool:
+                kinds.add((a.kind, b.kind))
+                same = a.key() == b.key()
+                assert (a == b) == same, (a, b)
+                assert (a != b) == (not same), (a, b)
+                assert (a == b) == (a.members() == b.members()), (a, b)
+                if same:
+                    assert hash(a) == hash(b)
+    assert kinds == {(x, y) for x in (DOWNSET, EXPLICIT)
+                     for y in (DOWNSET, EXPLICIT)}
+
+
+def _brute_maximal(masks):
+    uniq = set(masks)
+    return sorted(m for m in uniq
+                  if not any(m != k and m & ~k == 0 for k in uniq))
+
+
+def test_maximal_sets_matches_brute_force():
+    cases = [[], [0], [5], [3, 3], [1, 3, 3, 1], [0, 0, 7], [6, 5, 3]]
+    rng = random.Random(4)
+    cases += [[rng.randrange(256) for _ in range(rng.randint(0, 40))]
+              for _ in range(500)]
+    for masks in cases:
+        assert _kernels.maximal_sets(list(masks)) == _brute_maximal(masks)

@@ -1,14 +1,19 @@
+import gc
 import random
+from dataclasses import replace
 
 import pytest
 
-from hypersem.errors import SpaceTooLarge
+from hypersem.errors import ExpansionTooLarge, SpaceTooLarge
 from hypersem.family import FamilySet, subsets_of
 from hypersem.harness import (DiffReport, GenConfig, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
                               random_downset, search_ssc_necessity)
 from hypersem.lang import parse, pp_program
+from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
+from hypersem.space import StateSpace
+from hypersem.transformer import Transformer
 
 
 def test_gen_reproducible():
@@ -179,3 +184,78 @@ def test_diff_report_records_first_witness_only():
     rep.record_failure("second")
     assert rep.failures == 2
     assert rep.first_witness == "first"
+
+
+def test_generator_leaves_no_reference_cycles():
+    # a cycle through the generator would keep its Random alive until
+    # the cyclic collector runs
+    cfg = GenConfig(max_vars=2, max_range=1, max_space=4, space_size=4,
+                    allow_choice=False, allow_nondet_atoms=False,
+                    total_atoms=True)
+    was_enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(50):
+            gen_program(replace(cfg, seed=seed))
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        gc.collect()
+        freed = [o for o in gc.garbage if isinstance(o, random.Random)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert freed == []
+
+
+def _member_wise_lift(tr, fam):
+    return FamilySet.explicit(tr.apply(p) for p in fam.members())
+
+
+def _rnd_rel(rng, space, functional):
+    n = space.size
+    if functional:
+        rows = [0 if rng.random() < 0.2 else 1 << rng.randrange(n)
+                for _ in range(n)]
+    else:
+        rows = [rng.randrange(1 << n) for _ in range(n)]
+    return Rel(space, rows)
+
+
+def test_lift_family_matches_member_wise_lift():
+    rng = random.Random(23)
+    for n in range(1, 9):
+        space = StateSpace((("s", 0, n - 1),))
+        for functional in (True, False):
+            image = Transformer.image(_rnd_rel(rng, space, functional))
+            table = Transformer.from_table(space, image.tabulate())
+            for _ in range(8):
+                members = [rng.randrange(1 << n)
+                           for _ in range(rng.randint(0, 4))]
+                for q in (random_downset(rng, n),
+                          FamilySet.downset(members),
+                          FamilySet.explicit(members)):
+                    for tr in (image, table):
+                        got = lift_family(tr, q)
+                        want = _member_wise_lift(tr, q)
+                        assert got.kind == want.kind
+                        assert got.sets == want.sets, (tr, q)
+
+
+def test_lift_family_expansion_cap():
+    space = StateSpace((("s", 0, 15),))
+    tr = Transformer.image(_rnd_rel(random.Random(5), space, False))
+    # three 15-state sets span more subsets than the cap, but their
+    # union of subsets stays inside it: the member path answers
+    full = (1 << 16) - 1
+    within = FamilySet.downset(full & ~(1 << b) for b in (0, 5, 9))
+    assert lift_family(tr, within).sets == _member_wise_lift(tr, within).sets
+    space17 = StateSpace((("s", 0, 16),))
+    tr17 = Transformer.identity(space17)
+    past = FamilySet.downset(((1 << 17) - 1,))
+    with pytest.raises(ExpansionTooLarge):
+        lift_family(tr17, past)
+    with pytest.raises(ExpansionTooLarge):
+        _member_wise_lift(tr17, past)

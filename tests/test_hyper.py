@@ -11,7 +11,8 @@ from hypersem.harness import GenConfig, gen_program, lift_family, random_downset
 from hypersem.hyper import (HEval, LoopVariant, happly, hrefines, hyper_bottom,
                             loop_iterates)
 from hypersem.lang import (Assign, Atom, BoolConst, Choice, Cmp, If, IntBin,
-                           IntConst, IntVar, RelAtom, Seq, Skip, While, parse)
+                           IntConst, IntVar, RelAtom, Seq, Skip, While,
+                           elaborate_atom, eval_bool, parse)
 from hypersem.semantics import sem_tr
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer
@@ -35,43 +36,43 @@ Q25 = fam(mask_of([2, 5]))
 # and solved by synchronized iteration from {{}}.  The engine must agree
 # with it exactly, for every loop variant.
 
-def ref_eval(node, family, space, ev, variant=LoopVariant.PAPER):
+def ref_eval(node, family, space, variant=LoopVariant.PAPER):
     if not family:
         return frozenset()
     if isinstance(node, Skip):
         return frozenset(family)
     if isinstance(node, Atom):
-        tr = ev._atom(node.atom)
+        tr = Transformer.image(elaborate_atom(node.atom, space))
         return frozenset(tr.apply(p) for p in family)
     if isinstance(node, Seq):
         return ref_eval(node.rest,
-                        ref_eval(node.first, family, space, ev, variant),
-                        space, ev, variant)
+                        ref_eval(node.first, family, space, variant),
+                        space, variant)
     if isinstance(node, Choice):
         out = set()
         for p in family:
             down = frozenset(subsets_of(p))
-            a = ref_eval(node.left, down, space, ev, variant)
-            b = ref_eval(node.right, down, space, ev, variant)
+            a = ref_eval(node.left, down, space, variant)
+            b = ref_eval(node.right, down, space, variant)
             out.update(r | s for r in a for s in b)
         return frozenset(out)
     if isinstance(node, If):
-        bmask = ev._guard(node.cond)
+        bmask = eval_bool(node.cond, space)
         nb = space.full_mask & ~bmask
         out = set()
         for p in family:
             a = ref_eval(node.then, frozenset(subsets_of(p & bmask)), space,
-                         ev, variant)
+                         variant)
             b = ref_eval(node.orelse, frozenset(subsets_of(p & nb)), space,
-                         ev, variant)
+                         variant)
             out.update(r | s for r in a for s in b)
         return frozenset(out)
     if isinstance(node, While):
-        return ref_while(node, family, space, ev, variant)
+        return ref_while(node, family, space, variant)
     raise TypeError(node)
 
 
-def ref_loop_system(node, family, space, ev, variant):
+def ref_loop_system(node, family, space, variant):
     """Family-keyed loop equations: query -> (terms, extra).
 
     A query's value is extra united with, for each (dep, wrap) term,
@@ -82,7 +83,7 @@ def ref_loop_system(node, family, space, ev, variant):
     dep = body at the guard-filtered query, extra = the query filtered by
     ~guard.
     """
-    bmask = ev._guard(node.cond)
+    bmask = eval_bool(node.cond, space)
     nb = space.full_mask & ~bmask
     systems = {}
     pending = [frozenset(family)]
@@ -93,16 +94,16 @@ def ref_loop_system(node, family, space, ev, variant):
         extra = frozenset()
         if variant is LoopVariant.NAIVE:
             y = ref_eval(node.body, frozenset(p & bmask for p in q), space,
-                         ev, variant)
+                         variant)
             terms = [(y, None)]
             extra = frozenset(p & nb for p in q)
         elif variant is LoopVariant.OTIMES:
-            terms = [(ref_eval(node.body, frozenset((p & bmask,)), space, ev,
+            terms = [(ref_eval(node.body, frozenset((p & bmask,)), space,
                                variant), frozenset((p & nb,)))
                      for p in q]
         else:
             terms = [(ref_eval(node.body, frozenset(subsets_of(p & bmask)),
-                               space, ev, variant),
+                               space, variant),
                       frozenset(subsets_of(p & nb)))
                      for p in q]
         systems[q] = (terms, extra)
@@ -110,9 +111,9 @@ def ref_loop_system(node, family, space, ev, variant):
     return systems
 
 
-def ref_iterates(node, family, space, ev, variant=LoopVariant.PAPER):
+def ref_iterates(node, family, space, variant=LoopVariant.PAPER):
     """Synchronized iterates of every query's value, from {{}}."""
-    systems = ref_loop_system(node, family, space, ev, variant)
+    systems = ref_loop_system(node, family, space, variant)
     vals = {q: frozenset((0,)) if q else frozenset() for q in systems}
     while True:
         yield vals
@@ -128,9 +129,9 @@ def ref_iterates(node, family, space, ev, variant=LoopVariant.PAPER):
         vals = nxt
 
 
-def ref_while(node, family, space, ev, variant=LoopVariant.PAPER):
+def ref_while(node, family, space, variant=LoopVariant.PAPER):
     prev = None
-    for i, vals in enumerate(ref_iterates(node, family, space, ev, variant)):
+    for i, vals in enumerate(ref_iterates(node, family, space, variant)):
         if vals == prev:
             return vals[frozenset(family)]
         assert i < 500, "reference loop iteration did not stabilize"
@@ -523,7 +524,7 @@ def test_engine_matches_reference_evaluator():
                 rng.randrange(1 << space.size)
                 for _ in range(rng.randint(1, 3)))
             q = FamilySet.explicit(members)
-            want = ref_eval(pf.body, members, space, ev)
+            want = ref_eval(pf.body, members, space)
             got = ev.eval(pf.body, q)
             assert got == FamilySet.explicit(want), pf.body
 
@@ -565,11 +566,11 @@ def test_every_variant_matches_reference_evaluator(variant):
         space = pf.space()
         ev = HEval(space, variant)
         for q in _random_queries(rng, space.size) * 2:
-            want = ref_eval(pf.body, q.members(), space, ev, variant)
+            want = ref_eval(pf.body, q.members(), space, variant)
             assert ev.eval(pf.body, q) == FamilySet.explicit(want), pf.body
         for loop in _loops(pf.body):
             for q in _random_queries(rng, space.size):
-                iters = ref_iterates(loop, q.members(), space, ev, variant)
+                iters = ref_iterates(loop, q.members(), space, variant)
                 want = [FamilySet.explicit(vals[q.members()])
                         for _, vals in zip(range(6), iters)]
                 got = loop_iterates(loop.cond, loop.body, q, 5, space,
