@@ -313,7 +313,7 @@ def main(argv=None):
         print("error: program nested too deeply (recursion limit reached)",
               file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

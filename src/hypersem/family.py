@@ -1,20 +1,19 @@
 """Sets of states and families of state sets.
 
 A state set is an int bitmask.  A family (an element of the double
-powerset) is a ``FamilySet`` in one of two canonical representations:
+powerset) is a ``FamilySet`` stored in exactly one form, chosen when it
+is built:
 
-* ``explicit`` — the finite set of member masks;
-* ``downset`` — the antichain of its subset-maximal members, denoting
-  every subset of every antichain element.
+* ``downset`` — a nonempty subset-closed family, stored as the antichain
+  of its subset-maximal members, denoting every subset of every
+  antichain element;
+* ``explicit`` — any other family (empty, or not subset closed), stored
+  as the finite set of its member masks.
 
 Down-sets are how subset-closed families stay small: the antichain is
-linear where the expansion is exponential.  Equality and ordering are
-semantic, independent of representation.  Both representations are
-canonical, so ``==`` decides on them directly: two families of one kind
-are equal iff their stored sets are; a down-set equals an explicit family
-iff its expansion, capped at the explicit family's size, is exactly that
-member set.  ``key()`` (and so ``hash``) is the semantic identity: an
-explicit family that is subset closed keys as its down-set.
+linear where the expansion is exponential.  Since each family has one
+stored form, ``==`` and ``hash`` compare that form (kind and stored
+sets), and ``key()`` is the same pair as a sorted tuple.
 """
 
 from . import _kernels
@@ -47,13 +46,12 @@ def mask_of(states):
 class FamilySet:
     """Canonical finite family of state-set masks."""
 
-    __slots__ = ("kind", "sets", "_key")
+    __slots__ = ("kind", "sets")
 
     def __init__(self, kind, sets):
         # not for direct use: classmethods below canonicalize
         self.kind = kind
         self.sets = sets
-        self._key = None
 
     @classmethod
     def empty(cls):
@@ -61,7 +59,12 @@ class FamilySet:
 
     @classmethod
     def explicit(cls, members):
-        return cls(EXPLICIT, frozenset(members))
+        """The family of exactly these masks: a down-set when nonempty and
+        subset closed, else explicit."""
+        sets = frozenset(members)
+        if sets and _kernels.is_downclosed(sets):
+            return cls(DOWNSET, frozenset(_kernels.downset_maximals(sets)))
+        return cls(EXPLICIT, sets)
 
     @classmethod
     def downset(cls, sets):
@@ -98,43 +101,19 @@ class FamilySet:
         return mask in self.sets
 
     def is_subset_closed(self):
-        if self.is_empty:
-            return True
-        if self.kind == DOWNSET:
-            return True
-        return _kernels.is_downclosed(self.sets)
-
-    def normalized(self):
-        """Down-set representation whenever the family is subset closed."""
-        if self.kind == DOWNSET or self.is_empty:
-            return self
-        if self.is_subset_closed():
-            return FamilySet(DOWNSET, self.antichain())
-        return self
+        return self.kind == DOWNSET or self.is_empty
 
     def key(self):
-        """Semantic identity: representation-independent hashable form."""
-        if self._key is None:
-            norm = self.normalized()
-            if norm.kind == DOWNSET:
-                self._key = (DOWNSET, tuple(sorted(norm.sets)))
-            else:
-                self._key = (EXPLICIT, tuple(sorted(norm.sets)))
-        return self._key
+        """Semantic identity as a sortable, hashable tuple."""
+        return (self.kind, tuple(sorted(self.sets)))
 
     def __eq__(self, other):
         if not isinstance(other, FamilySet):
             return NotImplemented
-        if self.kind == other.kind:
-            return self.sets == other.sets
-        down, expl = (self, other) if self.kind == DOWNSET else (other, self)
-        # capped at the explicit side's size, so this never blows up
-        out = _kernels.expand_downset(list(down.sets), len(expl.sets))
-        return (out is not None and len(out) == len(expl.sets)
-                and expl.sets.issuperset(out))
+        return self.kind == other.kind and self.sets == other.sets
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.kind, self.sets))
 
     def __le__(self, other):
         return family_le(self, other)
@@ -146,11 +125,7 @@ class FamilySet:
 
 def ssc(fam):
     """Subset closure; down-set form whenever the input is nonempty."""
-    if fam.is_empty:
-        return FamilySet.empty()
-    if fam.kind == DOWNSET:
-        return fam
-    return FamilySet(DOWNSET, fam.antichain())
+    return fam if fam.kind == DOWNSET else FamilySet.downset(fam.sets)
 
 
 def powerset_family(mask):

@@ -270,7 +270,7 @@ def random_downset(rng, n):
 
 
 def lift_family(tr, fam):
-    """Elementwise image { phi p | p in fam } as an explicit family.
+    """Elementwise image { phi p | p in fam }, in its one stored form.
 
     A relation-backed transformer images a down-set's members without a
     call per member: for each antichain element m, the images of all

@@ -17,6 +17,9 @@ its values at the family's basis:
   {q} for each member of an explicit family (the naive functional is
   additive over members, and monotone, so both bases are exact).
 
+A family is stored as a down-set exactly when it is nonempty and subset
+closed, so an explicit query is never subset closed.
+
 Under paper and naive, every construct but an atom answers a down-set
 query this way; a miss is evaluated structurally at the atomic query.
 Atoms map elementwise, which is cheaper than a lookup and a union.  Loops
@@ -145,34 +148,30 @@ class HEval:
             return FamilySet.empty()
         if fam.kind == DOWNSET and preserves_closure:
             return FamilySet.downset(fn(m) for m in fam.sets)
-        out = FamilySet.explicit(fn(p) for p in self._members(fam))
-        return out.normalized()
+        return FamilySet.explicit(fn(p) for p in self._members(fam))
 
     def _prod(self, a, b):
         """{ r | s : r in a, s in b } on families."""
         if a.is_empty or b.is_empty:
             return FamilySet.empty()
-        a = a.normalized()
-        b = b.normalized()
         if a.kind == DOWNSET and b.kind == DOWNSET:
             return FamilySet.downset(x | y for x in a.sets for y in b.sets)
-        out = FamilySet.explicit(
+        return FamilySet.explicit(
             x | y for x in self._members(a) for y in self._members(b))
-        return out.normalized()
 
     def _union_all(self, parts):
         """Union of families in one step: one antichain reduction when
         every part is a down-set, else one member union (expanded within
-        the cap), normalized."""
+        the cap)."""
         parts = [part for part in parts if not part.is_empty]
         if not parts:
             return FamilySet.empty()
         if len(parts) == 1:
-            return parts[0].normalized()
+            return parts[0]
         if all(part.kind == DOWNSET for part in parts):
             return FamilySet.downset({m for part in parts for m in part.sets})
         return FamilySet.explicit(
-            m for part in parts for m in self._members(part)).normalized()
+            m for part in parts for m in self._members(part))
 
     # ---- evaluation
 

@@ -86,7 +86,7 @@ def parse_rel_file(text):
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("var "):
+        if line.split(None, 1)[0] == "var":
             decls.append(parse_var_decl(line))
         else:
             pair_lines.append(line)

@@ -271,6 +271,22 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse"],
+    ["check-ni"],
+    ["eval", "--level", "rel", "--input", "{x=0}"],
+    ["iterates", "--query", "[[]]", "--steps", "1"],
+    ["psc"],
+], ids=lambda argv: argv[0])
+def test_non_utf8_file_is_an_error_not_a_crash(capsys, tmp_path, argv):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"var x: 0..1;\nx := 1\xff\n")
+    code, _, err = run(capsys, *argv[:1], str(p), *argv[1:])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["eval"])  # missing required --input and file

@@ -149,12 +149,33 @@ def test_union_across_representations():
     assert d.members() == brute_ssc([0b011, 0b110])
 
 
-def test_normalized_promotes_closed_explicit():
-    expl = FamilySet.explicit(subsets_of(0b101))
-    assert expl.kind == EXPLICIT
-    assert expl.normalized().kind == DOWNSET
-    open_fam = FamilySet.explicit([0b101])
-    assert open_fam.normalized().kind == EXPLICIT
+def _closed(members):
+    return all((m & ~(1 << b)) in members for m in members for b in range(5))
+
+
+def _closure_minus_one(tops):
+    closure = sorted(brute_ssc(tops))
+    return st.sampled_from(closure).map(lambda m: set(closure) - {m})
+
+
+_MEMBER_SETS = st.one_of(
+    st.sets(st.integers(0, 31), max_size=12),
+    st.sets(st.integers(0, 31), max_size=4).map(brute_ssc),
+    st.sets(st.integers(0, 31), min_size=1, max_size=4).flatmap(
+        _closure_minus_one))
+
+
+@given(_MEMBER_SETS)
+def test_explicit_stores_one_canonical_form(members):
+    fam = FamilySet.explicit(members)
+    closed = bool(members) and _closed(members)
+    assert (fam.kind == DOWNSET) == closed
+    assert fam.members() == members
+    assert sorted(fam.antichain()) == _brute_maximal(members)
+    # the semantic key: a subset-closed family keys as its down-set
+    want = ((DOWNSET, tuple(_brute_maximal(members))) if closed
+            else (EXPLICIT, tuple(sorted(members))))
+    assert fam.key() == want
 
 
 def test_downset_constructor_prunes_to_maximals():

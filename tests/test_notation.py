@@ -86,6 +86,8 @@ def test_rel_file_declarations_use_the_program_grammar():
             parse_rel_file(line + "\n{x=0} -> {x=1}\n")
     space, _ = parse_rel_file("var x: 0..1;  // low bit\nvar y: -2..0;\n")
     assert space.vars == (("x", 0, 1), ("y", -2, 0))
+    space, _ = parse_rel_file("var\tx: 0..1;\nvar  y: -2..0;\n")
+    assert space.vars == (("x", 0, 1), ("y", -2, 0))
 
 
 def test_repeated_name_in_a_literal_is_an_error(bits):
