@@ -90,25 +90,6 @@ def is_downclosed(members):
     return True
 
 
-def downset_maximals(ms):
-    """Maximal members of a down-closed set of masks, in no fixed order: m
-    is maximal iff adding any one state of the members' union leaves ms."""
-    top = 0
-    for m in ms:
-        top |= m
-    out = []
-    for m in ms:
-        t = top & ~m
-        while t:
-            low = t & -t
-            if (m | low) in ms:
-                break
-            t ^= low
-        else:
-            out.append(m)
-    return out
-
-
 def psc_scan_table(table, n):
     """Check 'every subset of an image is the exact image of some subset'.
 

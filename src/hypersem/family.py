@@ -63,7 +63,7 @@ class FamilySet:
         subset closed, else explicit."""
         sets = frozenset(members)
         if sets and _kernels.is_downclosed(sets):
-            return cls(DOWNSET, frozenset(_kernels.downset_maximals(sets)))
+            return cls.downset(sets)
         return cls(EXPLICIT, sets)
 
     @classmethod
