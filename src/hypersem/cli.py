@@ -121,9 +121,8 @@ def _cmd_iterates(args):
     pf = _read_program(args.file)
     space = pf.space()
     if not isinstance(pf.body, While):
-        print("iterates needs a program whose body is a single loop",
-              file=sys.stderr)
-        return 2
+        raise WorkbenchError(
+            "iterates needs a program whose body is a single loop")
     fam = parse_family(space, args.query)
     variant = _VARIANTS[args.variant]
     strict_gate(fam, variant, strict=True)
@@ -140,8 +139,7 @@ def _cmd_check_ni(args):
     low_in = pf.low_in or pf.low
     low_out = pf.low_out or pf.low
     if not low_in:
-        print("program declares no low variables", file=sys.stderr)
-        return 2
+        raise WorkbenchError("program declares no low variables")
     view_in = LowView(space, low_in)
     view_out = LowView(space, low_out)
     rel = sem_rel(pf.body, space)

@@ -51,8 +51,10 @@ class NonSubsetClosedQuery(WorkbenchError):
 
 
 class IterationBudgetExceeded(WorkbenchError):
-    """A fixpoint iteration ran past its budget (should never happen on
-    the increasing variants; the otimes variant may legitimately cycle)."""
+    """A loop's iterates did not stabilize within the step budget.  The
+    paper and naive iterates increase, so they stabilize within it; the
+    otimes iterates of the definitional evaluator need not, and could
+    cycle."""
 
 
 class NotARefinement(WorkbenchError):

@@ -13,7 +13,7 @@ from itertools import product
 
 from .errors import SpaceTooLarge
 from .family import DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet
-from .hyper import HEval, LoopVariant, happly
+from .hyper import HEval, happly
 from .lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice, Cmp,
                    Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
                    ProgramFile, RelAtom, Seq, Skip, While, pp_program)
@@ -341,7 +341,7 @@ def diff_thm1(cfg, trials=100, queries=None, samples=100, *,
         pf = gen_program(sub)
         space = pf.space()
         tr = sem_tr(pf.body, space)
-        ev = HEval(space, LoopVariant.PAPER, cross_check=cross_check)
+        ev = HEval(space, cross_check=cross_check)
         stats_host.append(ev.stats)
         if queries is not None:
             battery = queries
@@ -396,7 +396,7 @@ def search_ssc_necessity(seed=0, trials=200, size=4):
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = happly(pf.body, q, space, LoopVariant.PAPER, strict=False)
+            got = happly(pf.body, q, space, strict=False)
         want = lift_family(sem_tr(pf.body, space), q)
         if got != want:
             mismatches += 1

@@ -1,76 +1,50 @@
-"""Hyper-level semantics: monotone maps on families of state sets.
+"""Hyper-level semantics of the paper: monotone maps on families of state
+sets.
 
 Programs denote maps over the double powerset.  Atoms and guards lift
 elementwise; choice uses the powerset-query inner join; conditionals use
 the guarded inner join, which splits each member set by the guard and
 unions one result from each branch.
 
-Values are memoized per node at *atomic queries*
-``(down, m)``: the family of all subsets of ``m`` when ``down`` holds,
-else the single set ``{m}``.  A node's value at a family is the union of
-its values at the family's basis:
+Every construct reads only the maximal members of its query, so values
+are memoized per node at *atomic queries*: a memo key is a mask m and
+stands for ↓{m}, the family of all subsets of m, and a node's value at a
+family is the union of its values at the down-sets of the family's
+antichain.  Loops answer every query from the memo.  Sequences, choices
+and conditionals answer down-set queries from it and explicit ones
+structurally; atoms map elementwise.  The memo and the atom and guard
+caches are keyed by node identity and hold their node, so no AST node is
+hashed; each atom's transformer and partial-function flag, and each
+guard's mask, are computed once.
 
-* paper: the subsets of p, for each maximal member p (every construct
-  reads only maximal members);
-* otimes: {q}, for each member q;
-* naive: the subsets of p for each antichain element of a down-set, or
-  {q} for each member of an explicit family (the naive functional is
-  additive over members, and monotone, so both bases are exact).
+Loops are least fixpoints of the guarded-join functional.  The equation
+of atomic query m depends on the antichain of the body's value at
+↓{m & guard}; its value is their union times ↓{m & ~guard}.  A loop's
+misses are solved together by a demand-driven worklist from the bottom
+{{}}; the optional cross-check and ``loop_iterates`` use synchronized
+(Kleene) iteration of the same equations.
 
-A family is stored as a down-set exactly when it is nonempty and subset
-closed, so an explicit query is never subset closed.
+Down-sets are the fast path: when every value in sight is subset closed,
+products and unions happen on antichains.  An atom whose relation is not
+a partial function lacks the subset-image property (PSC) and breaks
+closure; evaluation then falls back to explicit expansion within the cap.
 
-Under paper and naive, every construct but an atom answers a down-set
-query this way; a miss is evaluated structurally at the atomic query.
-Atoms map elementwise, which is cheaper than a lookup and a union.  Loops
-answer every query from the memo, under every variant; explicit queries
-to other constructs, and every otimes query, are evaluated structurally.
-The memo is keyed by node identity and holds each node, so no AST node is
-hashed on the way.  So are the atom and guard caches: each Atom node's
-transformer is elaborated once, with its partial-function flag, and each
-guard's mask is computed once.
-
-Loops are least fixpoints of the guarded-join functional, solved over
-atomic queries.  Each atomic query u has one equation: its dependencies
-are the basis of the body's value at u restricted to the guard, and its
-value is the union of theirs combined with u restricted to the negated
-guard, by a product (paper, otimes) or a union (naive).  Kleene iterates
-split over these bases at every step, so fixpoints and iterate tables are
-those of the family-keyed functional.  A loop's misses are solved
-together: the paper variant by a demand-driven worklist from the bottom
-family {{}}; the naive and otimes variants, and the optional cross-check
-of the worklist, by synchronized (Kleene) iteration.  The otimes chain
-need not be increasing, so it always iterates its whole reachable system
-from bottom, under a cycle budget.
-
-Down-sets are the fast path throughout: when every value in sight is
-subset closed, all products and unions happen on maximal antichains.
-Evaluation falls back to explicit (capped) expansion when a non-PSC atom
-breaks closure; an atom's direct image has the subset-image property
-(PSC) exactly when its relation is a partial function.  Maximal-member
-shortcuts are sound for the paper and naive variants because every
-construct is monotone in the query; the otimes variant enumerates all
-members.
+``happly`` and ``loop_iterates`` hand the anomalous ``naive`` and
+``otimes`` variants to the definitional evaluator in ``reference``.
 """
 
-import enum
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import reference
 from .errors import (ExpansionTooLarge, IterationBudgetExceeded,
                      NonSubsetClosedQuery, QueryBlowup)
 from .family import (DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet, family_le,
                      powerset_family)
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
+from .reference import LoopVariant
 from .transformer import Transformer
-
-
-class LoopVariant(enum.Enum):
-    PAPER = "paper"
-    NAIVE = "naive"
-    OTIMES = "otimes"
-
 
 _BOTTOM = FamilySet.downset((0,))
 
@@ -80,9 +54,11 @@ def hyper_bottom(fam):
     return FamilySet.empty() if fam.is_empty else _BOTTOM
 
 
-def _atomic(down, m):
-    """The family an atomic query (down, m) stands for: ↓{m} or {m}."""
-    return powerset_family(m) if down else FamilySet.explicit((m,))
+def _members(fam, cap=DEFAULT_EXPANSION_CAP):
+    try:
+        return fam.members(cap)
+    except ExpansionTooLarge as exc:
+        raise QueryBlowup(str(exc)) from exc
 
 
 @dataclass
@@ -95,13 +71,15 @@ class HyperStats:
 
 
 class HEval:
-    """One evaluation context: space, loop variant, atom/guard caches, and
+    """One paper-variant evaluation context: space, atom/guard caches, and
     the per-node memo of values at atomic queries."""
 
     def __init__(self, space, variant=LoopVariant.PAPER, *,
                  expansion_cap=DEFAULT_EXPANSION_CAP, cross_check=False):
+        if variant is not LoopVariant.PAPER:
+            raise ValueError(f"HEval computes the paper variant only, not "
+                             f"{variant!r}; see hypersem.reference")
         self.space = space
-        self.variant = variant
         self.cap = expansion_cap
         self.cross_check = cross_check
         self.stats = HyperStats()
@@ -130,25 +108,13 @@ class HEval:
 
     # ---- family helpers
 
-    def _members(self, fam):
-        try:
-            return fam.members(self.cap)
-        except ExpansionTooLarge as exc:
-            raise QueryBlowup(str(exc)) from exc
-
-    def _chosen(self, fam):
-        """Member sets a family operator must range over."""
-        if self.variant is LoopVariant.OTIMES:
-            return self._members(fam)
-        return fam.antichain()
-
     def _map_family(self, fam, fn, preserves_closure):
         """Elementwise image { fn(p) | p in fam }."""
         if fam.is_empty:
             return FamilySet.empty()
         if fam.kind == DOWNSET and preserves_closure:
             return FamilySet.downset(fn(m) for m in fam.sets)
-        return FamilySet.explicit(fn(p) for p in self._members(fam))
+        return FamilySet.explicit(fn(p) for p in _members(fam, self.cap))
 
     def _prod(self, a, b):
         """{ r | s : r in a, s in b } on families."""
@@ -156,8 +122,8 @@ class HEval:
             return FamilySet.empty()
         if a.kind == DOWNSET and b.kind == DOWNSET:
             return FamilySet.downset(x | y for x in a.sets for y in b.sets)
-        return FamilySet.explicit(
-            x | y for x in self._members(a) for y in self._members(b))
+        return FamilySet.explicit(x | y for x in _members(a, self.cap)
+                                  for y in _members(b, self.cap))
 
     def _union_all(self, parts):
         """Union of families in one step: one antichain reduction when
@@ -171,24 +137,18 @@ class HEval:
         if all(part.kind == DOWNSET for part in parts):
             return FamilySet.downset({m for part in parts for m in part.sets})
         return FamilySet.explicit(
-            m for part in parts for m in self._members(part))
+            m for part in parts for m in _members(part, self.cap))
 
     # ---- evaluation
 
     def _table(self, node):
-        """The memo of one node: {atomic query: value}.  Keyed by identity;
-        the entry holds the node, so its id is not reused while we live."""
+        """The memo of one node: {mask m: value at the subsets of m}.  Keyed
+        by identity; the entry holds the node, so its id is not reused
+        while we live."""
         entry = self._memo.get(id(node))
         if entry is None:
             entry = self._memo[id(node)] = (node, {})
         return entry[1]
-
-    def _basis(self, fam):
-        """Atomic queries whose values union to fam's value."""
-        if self.variant is LoopVariant.OTIMES or (
-                self.variant is LoopVariant.NAIVE and fam.kind != DOWNSET):
-            return [(False, q) for q in self._members(fam)]
-        return [(True, p) for p in fam.antichain()]
 
     def eval(self, node, fam):
         if fam.is_empty:
@@ -199,24 +159,24 @@ class HEval:
             tr, partial = self._atom(node)
             return self._map_family(fam, tr.apply, partial)
         # loops answer every query from the memo; the other constructs
-        # answer down-set queries from it under paper and naive, which are
-        # additive over maximal members, and the rest structurally
+        # answer down-set queries from it, being additive over maximal
+        # members, and explicit queries structurally
         if isinstance(node, While):
             rule = None
         else:
             rule, args = self._rule(node)
-            if fam.kind != DOWNSET or self.variant is LoopVariant.OTIMES:
+            if fam.kind != DOWNSET:
                 return rule(*args, fam)
         memo = self._table(node)
-        basis = self._basis(fam)
-        missing = [u for u in basis if u not in memo]
+        basis = fam.antichain()
+        missing = [m for m in basis if m not in memo]
         if rule is None:
             if missing:
-                self._solve_loop(node, memo, missing)
+                self._solve_demand(node, memo, missing)
         else:
-            for u in missing:
-                memo[u] = rule(*args, _atomic(*u))
-        return self._union_all([memo[u] for u in basis])
+            for m in missing:
+                memo[m] = rule(*args, powerset_family(m))
+        return self._union_all([memo[m] for m in basis])
 
     def _rule(self, node):
         """A construct's structural rule as (function, leading arguments);
@@ -246,12 +206,7 @@ class HEval:
     def inner_join(self, c, d, fam):
         """Powerset-query inner join of the two branch semantics."""
         return self._join(c, d, ((powerset_family(p),) * 2
-                                 for p in self._chosen(fam)))
-
-    def singleton_join(self, c, d, fam):
-        """Singleton-query join (the otimes guess); ranges over all members."""
-        return self._join(c, d, ((FamilySet.explicit((q,)),) * 2
-                                 for q in self._members(fam)))
+                                 for p in fam.antichain()))
 
     def guarded_join(self, cond, c, d, fam):
         """Split each member by the guard, then one result from each branch."""
@@ -259,38 +214,34 @@ class HEval:
         nbmask = self.space.full_mask & ~bmask
         return self._join(c, d, ((powerset_family(p & bmask),
                                   powerset_family(p & nbmask))
-                                 for p in self._chosen(fam)))
+                                 for p in fam.antichain()))
 
     # ---- loop machinery: one unknown per atomic query
 
     def _discover(self, node, roots, known):
-        """Equations of the atoms reachable from roots, not entering known.
+        """Equations of the atomic queries reachable from roots, not
+        entering known.
 
-        Each equation is (deps, wrap): the basis of the body's value at
-        the guard-restricted atom, and the atom restricted to the negated
-        guard.  Roots are always included.
+        Each equation is (deps, wrap): the antichain of the body's value
+        at the subsets of m & guard, and the subsets of m & ~guard.  Roots
+        are always included.
         """
         bmask = self._guard(node.cond)
         nbmask = self.space.full_mask & ~bmask
         system = {}
         pending = list(roots)
         while pending:
-            u = pending.pop()
-            if u in system:
+            m = pending.pop()
+            if m in system:
                 continue
-            down, m = u
-            deps = self._basis(
-                self.eval(node.body, _atomic(down, m & bmask)))
-            system[u] = (deps, _atomic(down, m & nbmask))
+            deps = self.eval(node.body, powerset_family(m & bmask)).antichain()
+            system[m] = (deps, powerset_family(m & nbmask))
             pending.extend(d for d in deps if d not in known)
         return system
 
     def _rhs(self, equation, value_of):
         deps, wrap = equation
-        value = self._union_all(value_of(d) for d in deps)
-        if self.variant is LoopVariant.NAIVE:
-            return self._union_all((value, wrap))
-        return self._prod(value, wrap)
+        return self._prod(self._union_all(value_of(d) for d in deps), wrap)
 
     def _budget(self, nqueries):
         return (1 << min(self.space.size, 20)) * max(nqueries, 1) + 8
@@ -314,17 +265,6 @@ class HEval:
                 raise IterationBudgetExceeded(
                     f"loop iteration did not stabilize within {budget} steps")
             prev = cur
-
-    def _solve_loop(self, node, memo, roots):
-        """Solve the loop's atoms reachable from roots into its memo."""
-        if self.variant is LoopVariant.PAPER:
-            self._solve_demand(node, memo, roots)
-        else:
-            # otimes chains need not increase, so they never start
-            # from solved values: the whole system iterates from bottom
-            known = {} if self.variant is LoopVariant.OTIMES else memo
-            memo.update(self._kleene_limit(
-                self._discover(node, roots, known), memo))
 
     def _solve_demand(self, node, memo, roots):
         """Worklist iteration to the least solution; memoizes every atom."""
@@ -390,22 +330,30 @@ def strict_gate(fam, variant, strict):
 def happly(node, fam, space, variant=LoopVariant.PAPER, *, strict=True):
     """Hyper-level denotation of a statement applied to a query family."""
     strict_gate(fam, variant, strict)
-    return HEval(space, variant).eval(node, fam)
+    if variant is not LoopVariant.PAPER:
+        return FamilySet.explicit(
+            reference.ref_eval(node, _members(fam), space, variant))
+    return HEval(space).eval(node, fam)
 
 
 def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
     """Values of the i-th loop-functional iterate at fam, i = 0..steps."""
-    ev = HEval(space, variant)
-    basis = ev._basis(fam)
+    if variant is not LoopVariant.PAPER:
+        q = _members(fam)
+        iters = reference.ref_iterates(While(cond, body), q, space, variant)
+        return [FamilySet.explicit(vals[q])
+                for _, vals in zip(range(steps + 1), iters)]
+    ev = HEval(space)
+    basis = fam.antichain()
     system = ev._discover(While(cond, body), basis, {})
-    return [ev._union_all(cur[u] for u in basis)
+    return [ev._union_all(cur[m] for m in basis)
             for _, cur in zip(range(steps + 1), ev._kleene(system, {}))]
 
 
-def hrefines(c, d, queries, space, variant=LoopVariant.PAPER):
+def hrefines(c, d, queries, space):
     """Pointwise containment of hyper denotations on the given queries."""
-    ev_c = HEval(space, variant)
-    ev_d = HEval(space, variant)
+    ev_c = HEval(space)
+    ev_d = HEval(space)
     for q in queries:
         if not q.is_subset_closed():
             raise NonSubsetClosedQuery("refinement queries must be subset closed")

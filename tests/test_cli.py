@@ -143,10 +143,28 @@ def test_iterates_gates_paper_queries_like_eval(capsys, loop_file, query,
 def test_iterates_needs_loop(capsys, tmp_path):
     p = tmp_path / "straight.imp"
     p.write_text("var x: 0..3;\nx := 1\n")
-    code, _, err = run(capsys, "iterates", str(p), "--query", "[[]]",
-                       "--steps", "1")
-    assert code == 2
-    assert "loop" in err
+    code, out, err = run(capsys, "iterates", str(p), "--query", "[[]]",
+                         "--steps", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: iterates needs a program whose body is a single "
+                   "loop\n")
+
+
+@pytest.mark.parametrize("variant", ["naive", "otimes"])
+@pytest.mark.parametrize("body", ["x := 0 [] x := 1",
+                                  "if x < 18 { x := 0 } else { skip }"],
+                         ids=["choice", "if"])
+def test_anomalous_variants_refuse_wide_member_sets(capsys, tmp_path,
+                                                    variant, body):
+    # the definitional evaluator refuses to enumerate the 2^20 (2^18)
+    # subsets that the choice (the then branch) reads
+    p = tmp_path / "wide.imp"
+    p.write_text(f"var x: 0..19;\n{body}\n")
+    wide = "[[" + ",".join(f"{{x={i}}}" for i in range(20)) + "]]"
+    code, out, err = run(capsys, "eval", str(p), "--level", "hyper",
+                         "--variant", variant, "--input", wide)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_check_ni_leak_all_forms(capsys, tmp_path):
@@ -178,8 +196,9 @@ def test_check_ni_single_form(capsys, tmp_path):
 def test_check_ni_needs_low(capsys, tmp_path):
     p = tmp_path / "nolow.imp"
     p.write_text("var x: 0..3;\nx := 1\n")
-    code, _, err = run(capsys, "check-ni", str(p))
-    assert code == 2
+    code, out, err = run(capsys, "check-ni", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: program declares no low variables\n"
 
 
 def test_psc_verdicts(capsys, tmp_path):

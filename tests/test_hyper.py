@@ -6,13 +6,13 @@ import pytest
 
 from hypersem.errors import NonSubsetClosedQuery, QueryBlowup
 from hypersem.family import (FamilySet, family_le, mask_of, powerset_family,
-                             ssc, subsets_of)
+                             ssc)
 from hypersem.harness import GenConfig, gen_program, lift_family, random_downset
-from hypersem.hyper import (HEval, LoopVariant, happly, hrefines, hyper_bottom,
+from hypersem.hyper import (HEval, happly, hrefines, hyper_bottom,
                             loop_iterates)
 from hypersem.lang import (Assign, Atom, BoolConst, Choice, Cmp, If, IntBin,
-                           IntConst, IntVar, RelAtom, Seq, Skip, While,
-                           elaborate_atom, eval_bool, parse)
+                           IntConst, IntVar, RelAtom, Seq, Skip, While, parse)
+from hypersem.reference import LoopVariant, ref_eval, ref_iterates
 from hypersem.semantics import sem_tr
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer
@@ -30,120 +30,18 @@ def loop_program():
 Q25 = fam(mask_of([2, 5]))
 
 
-# ---------------------------------------------------------------- reference
-# An independent definitional evaluator over plain frozensets: no
-# down-sets, no maximal-element shortcuts, loops keyed by whole families
-# and solved by synchronized iteration from {{}}.  The engine must agree
-# with it exactly, for every loop variant.
-
-def ref_eval(node, family, space, variant=LoopVariant.PAPER):
-    if not family:
-        return frozenset()
-    if isinstance(node, Skip):
-        return frozenset(family)
-    if isinstance(node, Atom):
-        tr = Transformer.image(elaborate_atom(node.atom, space))
-        return frozenset(tr.apply(p) for p in family)
-    if isinstance(node, Seq):
-        return ref_eval(node.rest,
-                        ref_eval(node.first, family, space, variant),
-                        space, variant)
-    if isinstance(node, Choice):
-        out = set()
-        for p in family:
-            down = frozenset(subsets_of(p))
-            a = ref_eval(node.left, down, space, variant)
-            b = ref_eval(node.right, down, space, variant)
-            out.update(r | s for r in a for s in b)
-        return frozenset(out)
-    if isinstance(node, If):
-        bmask = eval_bool(node.cond, space)
-        nb = space.full_mask & ~bmask
-        out = set()
-        for p in family:
-            a = ref_eval(node.then, frozenset(subsets_of(p & bmask)), space,
-                         variant)
-            b = ref_eval(node.orelse, frozenset(subsets_of(p & nb)), space,
-                         variant)
-            out.update(r | s for r in a for s in b)
-        return frozenset(out)
-    if isinstance(node, While):
-        return ref_while(node, family, space, variant)
-    raise TypeError(node)
-
-
-def ref_loop_system(node, family, space, variant):
-    """Family-keyed loop equations: query -> (terms, extra).
-
-    A query's value is extra united with, for each (dep, wrap) term,
-    { r | s : r in value(dep), s in wrap } (or value(dep) when wrap is
-    None).  paper: one term per member p, dep = body at the subsets of
-    p & guard, wrap = subsets of p & ~guard.  otimes: one term per member
-    q, dep = body at {q & guard}, wrap = {q & ~guard}.  naive: one term,
-    dep = body at the guard-filtered query, extra = the query filtered by
-    ~guard.
-    """
-    bmask = eval_bool(node.cond, space)
-    nb = space.full_mask & ~bmask
-    systems = {}
-    pending = [frozenset(family)]
-    while pending:
-        q = pending.pop()
-        if q in systems:
-            continue
-        extra = frozenset()
-        if variant is LoopVariant.NAIVE:
-            y = ref_eval(node.body, frozenset(p & bmask for p in q), space,
-                         variant)
-            terms = [(y, None)]
-            extra = frozenset(p & nb for p in q)
-        elif variant is LoopVariant.OTIMES:
-            terms = [(ref_eval(node.body, frozenset((p & bmask,)), space,
-                               variant), frozenset((p & nb,)))
-                     for p in q]
-        else:
-            terms = [(ref_eval(node.body, frozenset(subsets_of(p & bmask)),
-                               space, variant),
-                      frozenset(subsets_of(p & nb)))
-                     for p in q]
-        systems[q] = (terms, extra)
-        pending.extend(y for y, _ in terms)
-    return systems
-
-
-def ref_iterates(node, family, space, variant=LoopVariant.PAPER):
-    """Synchronized iterates of every query's value, from {{}}."""
-    systems = ref_loop_system(node, family, space, variant)
-    vals = {q: frozenset((0,)) if q else frozenset() for q in systems}
-    while True:
-        yield vals
-        nxt = {}
-        for q, (terms, extra) in systems.items():
-            out = set(extra)
-            for y, wrap in terms:
-                if wrap is None:
-                    out |= vals[y]
-                else:
-                    out.update(r | s for r in vals[y] for s in wrap)
-            nxt[q] = frozenset(out)
-        vals = nxt
-
-
-def ref_while(node, family, space, variant=LoopVariant.PAPER):
-    prev = None
-    for i, vals in enumerate(ref_iterates(node, family, space, variant)):
-        if vals == prev:
-            return vals[frozenset(family)]
-        assert i < 500, "reference loop iteration did not stabilize"
-        prev = vals
-
-
 # ---------------------------------------------------------------- bottom
 
 def test_hyper_bottom():
     assert hyper_bottom(FamilySet.empty()).is_empty
     assert hyper_bottom(Q25).members() == {0}
     assert hyper_bottom(ssc(Q25)).members() == {0}
+
+
+def test_engine_computes_the_paper_variant_only(x8):
+    for variant in (LoopVariant.NAIVE, LoopVariant.OTIMES):
+        with pytest.raises(ValueError):
+            HEval(x8, variant)
 
 
 # ---------------------------------------------------------------- operators
@@ -174,24 +72,6 @@ def test_inner_join_contains_lift(x8):
             q = random_downset(rng, space.size)
             out = ev.inner_join(pf.body, pf.body, q)
             assert family_le(lift_family(tr, q), out)
-
-
-def test_otimes_example(x8):
-    c = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(1))))
-    d = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(2))))
-    ev = HEval(x8, LoopVariant.OTIMES)
-    out = ev.singleton_join(c, d, fam(mask_of([0])))
-    assert out.members() == {mask_of([1, 2])}
-    assert ev.singleton_join(c, d, FamilySet.empty()).is_empty
-
-
-def test_otimes_breaks_subset_closure(x8):
-    c = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(1))))
-    d = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(2))))
-    ev = HEval(x8, LoopVariant.OTIMES)
-    out = ev.singleton_join(c, d, powerset_family(mask_of([0])))
-    assert out.members() == {0, mask_of([1, 2])}
-    assert not out.is_subset_closed()
 
 
 def test_guarded_join_example(x8):
@@ -556,7 +436,8 @@ def _random_queries(rng, size):
     return [FamilySet.explicit(members), random_downset(rng, size)]
 
 
-@pytest.mark.parametrize("variant", list(LoopVariant), ids=lambda v: v.value)
+# the naive and otimes variants are computed by the reference itself
+@pytest.mark.parametrize("variant", [LoopVariant.PAPER], ids=lambda v: v.value)
 def test_every_variant_matches_reference_evaluator(variant):
     rng = random.Random(12)
     for seed in range(80):
@@ -564,7 +445,7 @@ def test_every_variant_matches_reference_evaluator(variant):
                         allow_nondet_atoms=True)
         pf = gen_program(cfg)
         space = pf.space()
-        ev = HEval(space, variant)
+        ev = HEval(space)
         for q in _random_queries(rng, space.size) * 2:
             want = ref_eval(pf.body, q.members(), space, variant)
             assert ev.eval(pf.body, q) == FamilySet.explicit(want), pf.body
@@ -573,8 +454,7 @@ def test_every_variant_matches_reference_evaluator(variant):
                 iters = ref_iterates(loop, q.members(), space, variant)
                 want = [FamilySet.explicit(vals[q.members()])
                         for _, vals in zip(range(6), iters)]
-                got = loop_iterates(loop.cond, loop.body, q, 5, space,
-                                    variant)
+                got = loop_iterates(loop.cond, loop.body, q, 5, space)
                 assert got == want, loop
 
 
@@ -595,24 +475,12 @@ def _loop_cases(rng, nprograms=120):
 
 def test_loop_value_is_additive_over_its_basis():
     rng = random.Random(13)
-    down = powerset_family
-    single = lambda m: FamilySet.explicit((m,))  # noqa: E731
     cases = 0
     for loop, space, q in _loop_cases(rng):
-        def lhs(variant):
-            return HEval(space, variant).eval(loop, q)
-
-        def rhs(variant, atom, masks):
-            ev = HEval(space, variant)
-            return ev._union_all(ev.eval(loop, atom(m)) for m in masks)
-
-        paper, naive, otimes = (LoopVariant.PAPER, LoopVariant.NAIVE,
-                                LoopVariant.OTIMES)
-        assert lhs(paper) == rhs(paper, down, q.antichain()), loop
-        assert lhs(otimes) == rhs(otimes, single, q.members()), loop
-        assert lhs(naive) == rhs(naive, single, q.members()), loop
-        if q.is_subset_closed():
-            assert lhs(naive) == rhs(naive, down, q.antichain()), loop
+        ev = HEval(space)
+        parts = ev._union_all(
+            ev.eval(loop, powerset_family(m)) for m in q.antichain())
+        assert HEval(space).eval(loop, q) == parts, loop
         cases += 1
     assert cases > 100
 
@@ -627,10 +495,9 @@ def test_paper_and_naive_loops_are_monotone_in_the_query():
         else:
             big = FamilySet.explicit(set(small.members()) | extra)
         assert family_le(small, big)
-        for variant in (LoopVariant.PAPER, LoopVariant.NAIVE):
-            lo = HEval(space, variant).eval(loop, small)
-            hi = HEval(space, variant).eval(loop, big)
-            assert family_le(lo, hi), (variant, loop)
+        lo = HEval(space).eval(loop, small)
+        hi = HEval(space).eval(loop, big)
+        assert family_le(lo, hi), loop
         cases += 1
     assert cases > 100
 
@@ -647,15 +514,14 @@ def test_every_construct_is_additive_over_maximal_members():
         space = pf.space()
         for stmt in _statements(pf.body):
             q = random_downset(rng, space.size)
-            for variant in (LoopVariant.PAPER, LoopVariant.NAIVE):
-                whole = HEval(space, variant).eval(stmt, q)
-                ev = HEval(space, variant)
-                parts = ev._union_all(
-                    ev.eval(stmt, powerset_family(p)) for p in q.antichain())
-                assert whole == parts, (variant, stmt)
-                structural = HEval(space, variant).eval(
-                    stmt, FamilySet.explicit(q.members()))
-                assert whole == structural, (variant, stmt)
+            whole = HEval(space).eval(stmt, q)
+            ev = HEval(space)
+            parts = ev._union_all(
+                ev.eval(stmt, powerset_family(p)) for p in q.antichain())
+            assert whole == parts, stmt
+            structural = HEval(space).eval(
+                stmt, FamilySet.explicit(q.members()))
+            assert whole == structural, stmt
             cases += len(q.antichain()) > 1
     assert cases > 100
 
@@ -668,27 +534,24 @@ def test_shared_evaluator_matches_fresh_ones():
     # equal but distinct subtrees: every answer is a fresh evaluator's
     rng = random.Random(16)
     space = StateSpace((("x", 0, 5),))
-    # otimes expands every query into members, so it gets fewer programs
-    for variant, nprograms in ((LoopVariant.PAPER, 40), (LoopVariant.NAIVE, 40),
-                               (LoopVariant.OTIMES, 8)):
-        shared = HEval(space, variant)
-        for seed in range(nprograms):
-            cfg = GenConfig(seed=1300 + seed, max_vars=1, max_range=5,
-                            space_size=6, allow_choice=True,
-                            allow_nondet_atoms=True)
-            body = gen_program(cfg).body
-            twin = copy.deepcopy(body)
-            cond = Cmp("<", IntVar("x"), IntConst(rng.randint(0, 5)))
-            prog = rng.choice((body, Seq(body, twin), Choice(body, twin),
-                               If(cond, body, twin), Seq(body, body)))
-            queries = []
-            for _ in range(3):
-                queries += _random_queries(rng, space.size)
-            rng.shuffle(queries)
-            for q in queries:
-                got = shared.eval(prog, q)
-                assert got == HEval(space, variant).eval(prog, q), prog
-            del body, twin, prog
+    shared = HEval(space)
+    for seed in range(40):
+        cfg = GenConfig(seed=1300 + seed, max_vars=1, max_range=5,
+                        space_size=6, allow_choice=True,
+                        allow_nondet_atoms=True)
+        body = gen_program(cfg).body
+        twin = copy.deepcopy(body)
+        cond = Cmp("<", IntVar("x"), IntConst(rng.randint(0, 5)))
+        prog = rng.choice((body, Seq(body, twin), Choice(body, twin),
+                           If(cond, body, twin), Seq(body, body)))
+        queries = []
+        for _ in range(3):
+            queries += _random_queries(rng, space.size)
+        rng.shuffle(queries)
+        for q in queries:
+            got = shared.eval(prog, q)
+            assert got == HEval(space).eval(prog, q), prog
+        del body, twin, prog
 
 
 def test_long_seq_chain_is_evaluated_without_recursion():
