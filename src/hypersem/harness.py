@@ -21,12 +21,12 @@ from .semantics import sem_rel, sem_tr
 
 _VAR_NAMES = ("x", "y", "z", "w", "v", "u")
 _COUNTER_NAMES = ("k", "j", "i", "m")
+_MAX_DEPTH = 3  # statement nesting of generated program bodies
 
 
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 0
-    max_depth: int = 3
     max_vars: int = 2
     max_range: int = 4
     allow_choice: bool = True
@@ -234,7 +234,7 @@ def gen_program(cfg):
     rng = random.Random(cfg.seed)
     decls = _pick_decls(rng, cfg)
     g = _Gen(cfg, rng, decls)
-    body = g.stmt(cfg.max_depth, frozenset())
+    body = g.stmt(_MAX_DEPTH, frozenset())
     return ProgramFile(decls, (), (), (), body)
 
 

@@ -8,7 +8,9 @@ anomalous ``naive`` and ``otimes`` variants (see ``ref_loop_system``).
 A product or loop value of more than ``DEFAULT_EXPANSION_CAP`` members
 raises ``QueryBlowup``, and so does a subset closure ↓p of one, before
 it is enumerated: a member set of more than 16 states under a choice, or
-on one side of the guard of a conditional or a paper loop.
+on one side of the guard of a conditional or a paper loop.  A product of
+more than ``PAIR_BOUND`` pairs is refused before it is formed: its time
+grows with the pairs even where its members stay under the cap.
 """
 
 import enum
@@ -17,6 +19,8 @@ from .errors import IterationBudgetExceeded, QueryBlowup
 from .family import DEFAULT_EXPANSION_CAP, subsets_of
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .transformer import Transformer
+
+PAIR_BOUND = 1 << 24
 
 
 class LoopVariant(enum.Enum):
@@ -40,6 +44,14 @@ def _down(mask):
     return frozenset(subsets_of(mask))
 
 
+def _product(a, b):
+    """{ r | s : r in a, s in b }, refused above PAIR_BOUND pairs."""
+    if len(a) * len(b) > PAIR_BOUND:
+        raise QueryBlowup(f"a product of {len(a)} by {len(b)} members "
+                          f"exceeds the pair bound {PAIR_BOUND}")
+    return (r | s for r in a for s in b)
+
+
 def ref_eval(node, family, space, variant=LoopVariant.PAPER):
     """The value of a statement at a family given as a set of masks."""
     if not family:
@@ -61,7 +73,7 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
             down = _down(p)
             a = ref_eval(node.left, down, space, variant)
             b = ref_eval(node.right, down, space, variant)
-            out.update(r | s for r in a for s in b)
+            out.update(_product(a, b))
             _capped(out)
         return frozenset(out)
     if isinstance(node, If):
@@ -71,7 +83,7 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
         for p in family:
             a = ref_eval(node.then, _down(p & bmask), space, variant)
             b = ref_eval(node.orelse, _down(p & nb), space, variant)
-            out.update(r | s for r in a for s in b)
+            out.update(_product(a, b))
             _capped(out)
         return frozenset(out)
     if isinstance(node, While):
@@ -130,7 +142,7 @@ def ref_iterates(node, family, space, variant=LoopVariant.PAPER):
                 if wrap is None:
                     out |= vals[y]
                 else:
-                    out.update(r | s for r in vals[y] for s in wrap)
+                    out.update(_product(vals[y], wrap))
             nxt[q] = _capped(frozenset(out))
         vals = nxt
 

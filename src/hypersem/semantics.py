@@ -1,9 +1,18 @@
 """Program denotations at the relation and transformer levels.
 
+``sem_rel`` uses the relation algebra; ``sem_tr`` applies each construct's
+transformer rule and reads its operands only through ``apply``, so the
+two share only atom elaboration.  Atoms are direct images and every rule
+keeps a map universally disjunctive, so each value is fixed by its images
+of singletons and is stored as the image of the relation they form.
+
 Loops are least fixpoints computed by Kleene iteration from the bottom
 element; on a finite space both chains stabilize within size*size steps
 (each strict step adds at least one pair).
 """
+
+from functools import reduce
+from operator import or_
 
 from .errors import IterationBudgetExceeded
 from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
@@ -16,31 +25,24 @@ def neg_mask(mask, space):
     return space.full_mask & ~mask
 
 
-def _seq(node, space, sem):
-    """A `;` chain: its parts denoted in order, in a loop, then composed
-    from the right as the chain nests, so its length costs no depth."""
+def _seq_parts(node):
+    """A `;` chain's parts in order, collected without recursion."""
     parts = []
     while isinstance(node, Seq):
-        parts.append(sem(node.first, space))
+        parts.append(node.first)
         node = node.rest
-    out = sem(node, space)
-    for part in reversed(parts):
-        out = part.compose(out)
-    return out
+    parts.append(node)
+    return parts
 
 
-def _choice(node, space, sem, join):
-    """A `[]` chain, nested to the left by the parser: its parts denoted
-    in order, in a loop, and joined from the left, so its length costs no
-    depth."""
-    rights = []
+def _choice_parts(node):
+    """A `[]` chain's parts in order; the parser nests it to the left."""
+    parts = []
     while isinstance(node, Choice):
-        rights.append(node.right)
+        parts.append(node.right)
         node = node.left
-    out = sem(node, space)
-    for right in reversed(rights):
-        out = join(out, sem(right, space))
-    return out
+    parts.append(node)
+    return parts[::-1]
 
 
 def sem_rel(node, space):
@@ -50,9 +52,11 @@ def sem_rel(node, space):
     if isinstance(node, Atom):
         return elaborate_atom(node.atom, space)
     if isinstance(node, Seq):
-        return _seq(node, space, sem_rel)
+        rels = [sem_rel(part, space) for part in _seq_parts(node)]
+        return reduce(lambda out, rel: rel.compose(out), reversed(rels))
     if isinstance(node, Choice):
-        return _choice(node, space, sem_rel, Rel.union)
+        return reduce(Rel.union, [sem_rel(part, space)
+                                  for part in _choice_parts(node)])
     if isinstance(node, If):
         b = eval_bool(node.cond, space)
         then = Rel.coreflexive(space, b).compose(sem_rel(node.then, space))
@@ -76,6 +80,13 @@ def sem_rel(node, space):
     raise TypeError(f"not a statement: {node!r}")
 
 
+def _pointwise(space, rule):
+    """The universally disjunctive transformer that maps each singleton
+    {s} to rule({s})."""
+    return Transformer.image(
+        Rel(space, [rule(1 << s) for s in space.states()]))
+
+
 def sem_tr(node, space):
     """Transformer denotation; extensionally the direct image of sem_rel."""
     if isinstance(node, Skip):
@@ -83,26 +94,29 @@ def sem_tr(node, space):
     if isinstance(node, Atom):
         return Transformer.image(elaborate_atom(node.atom, space))
     if isinstance(node, Seq):
-        return _seq(node, space, sem_tr)
+        parts = [sem_tr(part, space) for part in _seq_parts(node)]
+        return _pointwise(space, lambda x: reduce(
+            lambda y, tr: tr.apply(y), parts, x))
     if isinstance(node, Choice):
-        return _choice(node, space, sem_tr, Transformer.join)
+        parts = [sem_tr(part, space) for part in _choice_parts(node)]
+        return _pointwise(space, lambda x: reduce(
+            or_, [tr.apply(x) for tr in parts]))
     if isinstance(node, If):
-        b = eval_bool(node.cond, space)
-        tb = Transformer.image(Rel.coreflexive(space, b))
-        tnb = Transformer.image(Rel.coreflexive(space, neg_mask(b, space)))
-        return tb.compose(sem_tr(node.then, space)).join(
-            tnb.compose(sem_tr(node.orelse, space)))
+        g = eval_bool(node.cond, space)
+        ng = neg_mask(g, space)
+        a = sem_tr(node.then, space)
+        b = sem_tr(node.orelse, space)
+        return _pointwise(space, lambda x: a.apply(x & g) | b.apply(x & ng))
     if isinstance(node, While):
-        b = eval_bool(node.cond, space)
-        tb = Transformer.image(Rel.coreflexive(space, b))
-        tnb = Transformer.image(Rel.coreflexive(space, neg_mask(b, space)))
-        tbody = sem_tr(node.body, space)
-        step = tb.compose(tbody)
-        cur = Transformer.bottom(space)
+        g = eval_bool(node.cond, space)
+        ng = neg_mask(g, space)
+        body = sem_tr(node.body, space)
+        cur = Transformer.image(Rel.empty(space))
         budget = space.size * space.size + 2
         for _ in range(budget):
-            nxt = step.compose(cur).join(tnb)
-            if nxt.extensionally_equal(cur):
+            nxt = _pointwise(space, lambda x, cur=cur: (
+                (x & ng) | cur.apply(body.apply(x & g))))
+            if nxt.rel == cur.rel:
                 return cur
             cur = nxt
         raise IterationBudgetExceeded("transformer loop fixpoint")

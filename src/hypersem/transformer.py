@@ -1,17 +1,17 @@
 """Forward predicate transformers on state-set masks.
 
-A transformer is backed either by a relation (its direct image — exact
-for everything the language denotes) or by an explicit table over all
-subsets, which is how adversarial transformers for the lemma tests are
-hosted.  Tables are limited to spaces of at most 16 states; they can be
-applied, tabulated and scanned, while composition, join and equality are
-defined on relation-backed transformers only.
+A transformer is backed either by a relation (its direct image, which is
+what every program denotes: see ``semantics.sem_tr``) or by an explicit
+table over all subsets, which is how adversarial transformers for the
+lemma tests are hosted.  Tables are limited to spaces of at most 16
+states.  Either kind can be applied, tabulated and scanned; a transformer
+is combined with others only through its ``apply``.
 """
 
 from collections import namedtuple
 
 from . import _kernels
-from .errors import SpaceMismatch, SpaceTooLarge
+from .errors import SpaceTooLarge
 from .relation import Rel
 
 TABLE_MAX_STATES = 16
@@ -60,34 +60,10 @@ class Transformer:
     def identity(cls, space):
         return cls.image(Rel.identity(space))
 
-    @classmethod
-    def bottom(cls, space):
-        """The constantly-empty transformer (image of the empty relation)."""
-        return cls.image(Rel.empty(space))
-
-    def _rels(self, other):
-        """Both operands' relations, for the relation-only operations."""
-        if self.space != other.space:
-            raise SpaceMismatch("transformers over different spaces")
-        if self.rel is None or other.rel is None:
-            raise TypeError("table-backed transformers cannot be "
-                            "composed, joined or compared")
-        return self.rel, other.rel
-
     def apply(self, p):
         if self.rel is not None:
             return self.rel.dirimg(p)
         return self.table[p]
-
-    def compose(self, other):
-        """Forward composition: apply self, then other."""
-        a, b = self._rels(other)
-        return Transformer.image(a.compose(b))
-
-    def join(self, other):
-        """Pointwise union."""
-        a, b = self._rels(other)
-        return Transformer.image(a.union(b))
 
     def tabulate(self):
         if self.table is not None:
@@ -95,10 +71,6 @@ class Transformer:
         if self.space.size > TABLE_MAX_STATES:
             raise SpaceTooLarge("space too large to tabulate")
         return [self.apply(p) for p in range(1 << self.space.size)]
-
-    def extensionally_equal(self, other):
-        a, b = self._rels(other)
-        return a == b  # direct image is injective on relations
 
     def __repr__(self):
         kind = "image" if self.rel is not None else "table"

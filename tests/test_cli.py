@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 
 import pytest
@@ -104,6 +105,19 @@ def test_eval_json_format(capsys, loop_file):
     assert json.loads(out) == [{"x": 4}, {"x": 5}]
 
 
+@pytest.mark.parametrize("flags, want", [
+    ((), '[[], [{"x": 4}], [{"x": 5}], [{"x": 4}, {"x": 5}]]'),
+    (("--antichain",), '[[{"x": 4}, {"x": 5}]]'),
+], ids=["members", "antichain"])
+def test_eval_hyper_json_format(capsys, flags, want):
+    # the README's hyper query on the shipped example program
+    loop = pathlib.Path(__file__).parent.parent / "programs" / "loop.imp"
+    code, out, err = run(capsys, "eval", str(loop), "--level", "hyper",
+                         "--input", "[[],[{x=2}],[{x=5}],[{x=2},{x=5}]]",
+                         "--format", "json-like", *flags)
+    assert (code, out, err) == (0, want + "\n", "")
+
+
 def test_iterates_naive_table(capsys, loop_file):
     code, out, _ = run(capsys, "iterates", loop_file,
                        "--query", "[[{x=2},{x=5}]]",
@@ -165,6 +179,20 @@ def test_anomalous_variants_refuse_wide_member_sets(capsys, tmp_path,
                          "--variant", variant, "--input", wide)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["naive", "otimes"])
+def test_anomalous_variants_refuse_large_products(capsys, tmp_path, variant):
+    # each branch of the choice has the 2^13 subsets of the member set as
+    # its value; their 2^26 pairs are refused before any is formed
+    p = tmp_path / "choice.imp"
+    p.write_text("var x: 0..15;\nx := x [] x := x\n")
+    wide = "[[" + ",".join(f"{{x={i}}}" for i in range(13)) + "]]"
+    code, out, err = run(capsys, "eval", str(p), "--level", "hyper",
+                         "--variant", variant, "--input", wide)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "pair bound" in err
+    assert "Traceback" not in err
 
 
 def test_check_ni_leak_all_forms(capsys, tmp_path):

@@ -2,7 +2,7 @@ import ast
 import inspect
 
 import hypersem
-from hypersem import reference
+from hypersem import reference, semantics
 
 
 def test_every_export_resolves_once():
@@ -21,3 +21,26 @@ def test_reference_does_not_import_the_engine():
               if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert names
     assert not [n for n in names if "hyper" in n.split(".")], names
+
+
+def test_sem_tr_uses_no_relation_algebra():
+    # the transformer denotation builds each construct by its own rule, so
+    # the prop1 differential does not compare the relation algebra with
+    # itself: sem_tr and the module functions it reaches use no compose,
+    # union or coreflexive
+    tree = ast.parse(inspect.getsource(semantics))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    seen, pending = set(), ["sem_tr"]
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        pending += [node.id for node in ast.walk(defs[name])
+                    if isinstance(node, ast.Name) and node.id in defs]
+    assert {"sem_tr", "_pointwise"} <= seen
+    used = {node.attr for name in seen for node in ast.walk(defs[name])
+            if isinstance(node, ast.Attribute)}
+    assert "apply" in used
+    assert not used & {"compose", "union", "coreflexive"}, used

@@ -173,6 +173,10 @@ def test_word_connectives_parse():
     "var x: 0..3; rel { {x=0} -> {x=3} } ; havoc x",
     "var x: -2..2; x := -1 * x",
     "var hi: 0..1; var lo: 0..1; low lo; lo := hi",
+    # a parenthesized factor, a comparison that the parser first tries as
+    # a parenthesized boolean, a negated constant, a double `!`
+    "var x: -8..8; x := (x + 1) * 2 - -1 ; assume (x + 1) < 7 || !!true",
+    "var a: 0..1; var b: 0..1; low a, b; lowin a; lowout a, b; a := b",
 ])
 def test_pretty_roundtrip(text):
     pf = parse(text)
@@ -190,6 +194,8 @@ def test_eval_bool_examples(x8, bits):
     assert eval_bool(BoolConst(True), x8) == x8.full_mask
     b = parse("var hi: 0..1; var lo: 0..1; assume hi = 1 && lo = 0").body.atom.cond
     assert eval_bool(b, bits) == mask_of([2])
+    neg = parse("var x: 0..7; assume -x < -3").body.atom.cond
+    assert eval_bool(neg, x8) == mask_of([4, 5, 6, 7])
 
 
 def test_eval_bool_total(x8):
