@@ -98,8 +98,10 @@ def _cmd_eval(args):
     if args.level == "hyper":
         fam = parse_family(space, args.input)
         variant = _VARIANTS[args.variant]
-        out = happly(pf.body, fam, space, variant,
-                     strict=not args.no_strict_ssc)
+        problem = strict_gate(fam, variant, strict=not args.no_strict_ssc)
+        if problem:
+            print(f"warning: {problem}; evaluating anyway", file=sys.stderr)
+        out = happly(pf.body, fam, space, variant, strict=False)
         if args.format == "json-like":
             print(to_json_text(family_json(space, out,
                                            antichain=args.antichain)))

@@ -7,7 +7,6 @@ reproducible from its seed.
 """
 
 import random
-import warnings
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -394,9 +393,7 @@ def search_ssc_necessity(seed=0, trials=200, size=4):
         q = FamilySet.explicit(members)
         if q.is_subset_closed():
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = happly(pf.body, q, space, strict=False)
+        got = happly(pf.body, q, space, strict=False)
         want = lift_family(sem_tr(pf.body, space), q)
         if got != want:
             mismatches += 1

@@ -33,7 +33,6 @@ closure; evaluation then falls back to explicit expansion within the cap.
 ``otimes`` variants to the definitional evaluator in ``reference``.
 """
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -313,18 +312,18 @@ class HEval:
 # ---------------------------------------------------------------- entry points
 
 def strict_gate(fam, variant, strict):
-    """Refuse (or, unless strict, warn about) an empty or non subset closed
-    query under the paper variant, whose loops read maximal members only."""
+    """Refuse an empty or non subset closed query under the paper variant,
+    whose loops read maximal members only; unless strict, return what is
+    wrong with it instead (None for a query the variant accepts)."""
     if variant is not LoopVariant.PAPER:
-        return
-    ok = not fam.is_empty and fam.is_subset_closed()
-    if ok:
-        return
+        return None
+    if not fam.is_empty and fam.is_subset_closed():
+        return None
     msg = ("query is empty" if fam.is_empty
            else "query is not subset closed")
     if strict:
         raise NonSubsetClosedQuery(msg)
-    warnings.warn(f"{msg}; evaluating anyway", stacklevel=3)
+    return msg
 
 
 def happly(node, fam, space, variant=LoopVariant.PAPER, *, strict=True):

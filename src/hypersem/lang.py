@@ -11,8 +11,12 @@ Statements: ``skip``, ``x := e``, ``assume b``, ``x :in e1..e2``,
 ``havoc x``, ``rel { {x=0} -> {x=4}, ... }``, ``c ; d``, ``c [] d``
 (nondeterministic choice, binding looser than ``;``),
 ``if b { c } else { d }``, ``while b { c }``.  Line comments ``//``.
+
+Expressions denote columns: an expression's value at every state of the
+space at once, and a guard's mask of the states where it holds.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -520,6 +524,32 @@ def parse_stmt(text, decls):
 
 # ---------------------------------------------------------------- pretty
 
+_PREC = {"||": 1, "&&": 2, "+": 1, "-": 1, "*": 2}
+
+
+def _left_spine(node, kind):
+    """A left-nested chain of kind nodes as its leftmost operand and its
+    (op, right operand) steps in order, collected without recursion."""
+    steps = []
+    while isinstance(node, kind):
+        steps.append((node.op, node.right))
+        node = node.left
+    return node, steps[::-1]
+
+
+def _pp_chain(node, level, pp):
+    """A binary node printed along its left spine in a loop, so a long
+    left-nested chain costs no depth."""
+    node, steps = _left_spine(node, type(node))
+    s, prec = pp(node), 3
+    for op, right in steps:
+        if prec < _PREC[op]:
+            s = f"({s})"
+        prec = _PREC[op]
+        s = f"{s} {op} {pp(right, prec + 1)}"
+    return f"({s})" if prec < level else s
+
+
 def pp_int(e, level=0):
     if isinstance(e, IntConst):
         return str(e.value)
@@ -527,9 +557,7 @@ def pp_int(e, level=0):
         return e.name
     if isinstance(e, IntNeg):
         return "-" + pp_int(e.expr, 3)
-    prec = 2 if e.op == "*" else 1
-    s = f"{pp_int(e.left, prec)} {e.op} {pp_int(e.right, prec + 1)}"
-    return f"({s})" if prec < level else s
+    return _pp_chain(e, level, pp_int)
 
 
 def pp_bool(b, level=0):
@@ -542,9 +570,7 @@ def pp_bool(b, level=0):
         if isinstance(b.expr, (BoolConst, Not)):
             return "!" + inner
         return f"!({inner})"
-    prec = 2 if b.op == "&&" else 1
-    s = f"{pp_bool(b.left, prec)} {b.op} {pp_bool(b.right, prec + 1)}"
-    return f"({s})" if prec < level else s
+    return _pp_chain(b, level, pp_bool)
 
 
 def _pp_state_literal(items):
@@ -603,44 +629,45 @@ def pp_program(pf):
 
 # ---------------------------------------------------------------- evaluation
 
-def eval_int(e, env):
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "&&": operator.and_, "||": operator.or_, "=": operator.eq,
+        "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+
+
+def eval_int(e, space):
+    """Value of e at every state, as a tuple by state id."""
+    e, steps = _left_spine(e, IntBin)
     if isinstance(e, IntConst):
-        return e.value
-    if isinstance(e, IntVar):
-        return env[e.name]
-    if isinstance(e, IntNeg):
-        return -eval_int(e.expr, env)
-    a = eval_int(e.left, env)
-    b = eval_int(e.right, env)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    return a * b
+        col = (e.value,) * space.size
+    elif isinstance(e, IntVar):
+        col = space.column(e.name)
+    else:
+        col = tuple(map(operator.neg, eval_int(e.expr, space)))
+    for op, right in steps:
+        col = tuple(map(_OPS[op], col, eval_int(right, space)))
+    return col
 
 
-def eval_bool_at(b, env):
+def _guard_mask(b, space):
+    b, steps = _left_spine(b, BoolBin)
     if isinstance(b, BoolConst):
-        return b.value
-    if isinstance(b, Cmp):
-        x = eval_int(b.left, env)
-        y = eval_int(b.right, env)
-        return {"=": x == y, "!=": x != y, "<": x < y,
-                "<=": x <= y, ">": x > y, ">=": x >= y}[b.op]
-    if isinstance(b, Not):
-        return not eval_bool_at(b.expr, env)
-    if b.op == "&&":
-        return eval_bool_at(b.left, env) and eval_bool_at(b.right, env)
-    return eval_bool_at(b.left, env) or eval_bool_at(b.right, env)
+        mask = space.full_mask if b.value else 0
+    elif isinstance(b, Cmp):
+        holds = map(_OPS[b.op], eval_int(b.left, space),
+                    eval_int(b.right, space))
+        mask = sum(h << s for s, h in enumerate(holds))
+    else:
+        mask = space.full_mask & ~_guard_mask(b.expr, space)
+    for op, right in steps:
+        mask = _OPS[op](mask, _guard_mask(right, space))
+    return mask
 
 
 def eval_bool(b, space):
-    """Mask of the states satisfying b (guards are total)."""
-    out = 0
-    for s in space.states():
-        if eval_bool_at(b, space.decode(s)):
-            out |= 1 << s
-    return out
+    """Mask of the states satisfying b (guards are total), built from the
+    columns of its comparisons with &, | and ~."""
+    return _guard_mask(b, space)
 
 
 # ---------------------------------------------------------------- elaboration
@@ -651,42 +678,22 @@ def elaborate_atom(a, space):
     Assignments whose result falls outside the declared range yield no
     transition from that state (partial atoms, not wrapping).
     """
-    if isinstance(a, Assign):
-        lo, hi = space.var_range(a.var)
-        rows = []
-        for s in space.states():
-            env = space.decode(s)
-            v = eval_int(a.expr, env)
-            if lo <= v <= hi:
-                env[a.var] = v
-                rows.append(1 << space.encode(env))
-            else:
-                rows.append(0)
-        return Rel(space, rows)
     if isinstance(a, Assume):
         return Rel.coreflexive(space, eval_bool(a.cond, space))
-    if isinstance(a, Havoc):
-        lo, hi = space.var_range(a.var)
-        a = NondetAssign(a.var, IntConst(lo), IntConst(hi))
-    if isinstance(a, NondetAssign):
-        lo, hi = space.var_range(a.var)
-        rows = []
-        for s in space.states():
-            env = space.decode(s)
-            vlo = max(lo, eval_int(a.lo, env))
-            vhi = min(hi, eval_int(a.hi, env))
-            row = 0
-            for v in range(vlo, vhi + 1):
-                env2 = dict(env)
-                env2[a.var] = v
-                row |= 1 << space.encode(env2)
-            rows.append(row)
-        return Rel(space, rows)
     if isinstance(a, RelAtom):
         return Rel.from_pairs(space, ((space.encode(dict(src)),
                                        space.encode(dict(dst)))
                                       for src, dst in a.pairs))
-    raise TypeError(f"not an atom: {a!r}")
+    if isinstance(a, Assign):
+        lows = highs = eval_int(a.expr, space)
+    elif isinstance(a, NondetAssign):
+        lows, highs = eval_int(a.lo, space), eval_int(a.hi, space)
+    elif isinstance(a, Havoc):
+        lo, hi = space.var_range(a.var)
+        lows, highs = (lo,) * space.size, (hi,) * space.size
+    else:
+        raise TypeError(f"not an atom: {a!r}")
+    return Rel(space, space.assign_rows(a.var, lows, highs))
 
 
 def _statements(node):

@@ -28,15 +28,11 @@ class LowView:
 
     def __init__(self, space, low_vars):
         low = tuple(low_vars)
-        for v in low:
-            if not space.has_var(v):
-                raise ValueError(f"undeclared low variable {v!r}")
+        cols = [space.column(v) for v in low]
         buckets = {}
         for s in space.states():
-            env = space.decode(s)
-            key = tuple(env[v] for v in low)
-            buckets.setdefault(key, 0)
-            buckets[key] |= 1 << s
+            key = tuple(col[s] for col in cols)
+            buckets[key] = buckets.get(key, 0) | 1 << s
         classes = tuple(sorted(buckets.values()))
         class_of = [0] * space.size
         for mask in classes:

@@ -5,6 +5,9 @@ is identified with an integer in ``[0, size)``: the mixed-radix encoding
 of its variable values, declaration order most significant.  A set of
 states is an int bitmask with bit ``s`` set for state ``s``; the cap on
 the space size keeps every such mask inside one machine word.
+
+The space alone does the mixed-radix arithmetic: expressions read whole
+``column``s, and ``assign_rows`` builds every assignment atom's rows.
 """
 
 from .errors import (BadDeclaration, MissingVariable, UnknownVariable,
@@ -51,14 +54,32 @@ class StateSpace:
     def states(self):
         return range(self.size)
 
-    def has_var(self, name):
-        return name in self._index
-
     def var_range(self, name):
         if name not in self._index:
             raise UnknownVariable(name)
         _, lo, hi = self.vars[self._index[name]]
         return lo, hi
+
+    def column(self, name):
+        """The value of a variable at every state, as a tuple by state id."""
+        lo, hi = self.var_range(name)
+        w = self._weights[self._index[name]]
+        n = hi - lo + 1
+        return tuple(lo + s // w % n for s in range(self.size))
+
+    def assign_rows(self, name, lows, highs):
+        """Relation rows that move each state s to every in-range value of a
+        variable from lows[s] to highs[s], keeping the other variables."""
+        lo, hi = self.var_range(name)
+        w = self._weights[self._index[name]]
+        rows = []
+        for s, v, a, b in zip(self.states(), self.column(name), lows, highs):
+            a = max(a, lo)
+            k = min(b, hi) - a + 1
+            # k values from a: k bits w apart, the first at s + (a - v) * w
+            rows.append(((1 << k * w) - 1) // ((1 << w) - 1) << s + (a - v) * w
+                        if k > 0 else 0)
+        return rows
 
     def encode(self, assignment):
         """Mixed-radix id of a complete in-range assignment."""

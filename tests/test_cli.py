@@ -8,7 +8,7 @@ from hypersem import cli
 from hypersem.cli import main
 from hypersem.family import FamilySet
 from hypersem.harness import GenConfig, gen_program
-from hypersem.lang import ProgramFile, pp_program
+from hypersem.lang import ProgramFile, parse, pp_program
 from hypersem.notation import format_family, format_state, format_state_set
 
 LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
@@ -59,12 +59,30 @@ def test_eval_hyper_strict_rejects_open_query(capsys, loop_file):
 
 
 def test_eval_hyper_with_flag(capsys, loop_file):
-    with pytest.warns(UserWarning, match="subset closed"):
-        code, out, _ = run(capsys, "eval", loop_file, "--level", "hyper",
-                           "--input", "[[{x=2},{x=5}]]", "--no-strict-ssc",
-                           "--antichain")
-    assert code == 0
-    assert out.strip() == "[[{x=4},{x=5}]]"
+    # one warning line per call, also when the process calls main again
+    for _ in range(2):
+        code, out, err = run(capsys, "eval", loop_file, "--level", "hyper",
+                             "--input", "[[{x=2},{x=5}]]", "--no-strict-ssc",
+                             "--antichain")
+        assert code == 0
+        assert out.strip() == "[[{x=4},{x=5}]]"
+        assert err == ("warning: query is not subset closed; "
+                       "evaluating anyway\n")
+
+
+@pytest.mark.parametrize("body", [
+    "if " + " && ".join(["x < 2"] * 2000) + " { x := 1 - x } else { skip }",
+    "x := " + " + ".join(["x - x"] * 1000),
+], ids=["and_chain", "sum_chain"])
+def test_long_expression_chains_cost_no_depth(capsys, tmp_path, body):
+    text = f"var x: 0..1;\nlow x;\n{body}\n"
+    path = tmp_path / "chain.imp"
+    path.write_text(text)
+    for argv in (["parse"], ["eval", "--level", "tr", "--input", "[{x=0}]"],
+                 ["check-ni"]):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code in (0, 1), err
+    assert pp_program(parse(text)) == text
 
 
 def test_eval_hyper_closed_query(capsys, loop_file):

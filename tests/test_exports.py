@@ -2,7 +2,7 @@ import ast
 import inspect
 
 import hypersem
-from hypersem import reference, semantics
+from hypersem import lang, noninterference, reference, semantics
 
 
 def test_every_export_resolves_once():
@@ -44,3 +44,15 @@ def test_sem_tr_uses_no_relation_algebra():
             if isinstance(node, ast.Attribute)}
     assert "apply" in used
     assert not used & {"compose", "union", "coreflexive"}, used
+
+
+def test_expressions_are_evaluated_as_columns():
+    # the space does the mixed-radix arithmetic: expressions, assignment
+    # rows and low views read whole columns, never a decoded state
+    for module in (lang, noninterference):
+        tree = ast.parse(inspect.getsource(module))
+        called = {node.func.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)}
+        assert "column" in called
+        assert "decode" not in called, module.__name__

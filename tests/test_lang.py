@@ -1,13 +1,18 @@
+import random
+
 import pytest
 
 from hypersem.errors import ParseError, UndeclaredVariable
 from hypersem.family import mask_of, powerset_family
+from hypersem.harness import GenConfig, _Gen
 from hypersem.hyper import happly
-from hypersem.lang import (Assign, Assume, Atom, BoolConst, Choice, Cmp,
-                           Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
-                           RelAtom, Seq, Skip, While, atoms_deterministic,
-                           elaborate_atom, eval_bool, is_choice_free, parse,
-                           pp_program, pp_stmt, tokenize)
+from hypersem.lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice,
+                           Cmp, Havoc, If, IntBin, IntConst, IntNeg, IntVar,
+                           NondetAssign, Not, RelAtom, Seq, Skip, While,
+                           atoms_deterministic, elaborate_atom, eval_bool,
+                           eval_int, is_choice_free, parse, pp_program,
+                           pp_stmt, tokenize)
+from hypersem.space import StateSpace
 
 
 def test_parse_while_golden():
@@ -204,7 +209,6 @@ def test_eval_bool_total(x8):
     for g in guards:
         cond = parse(f"var x: 0..7; assume {g}").body.atom.cond
         m = eval_bool(cond, x8)
-        from hypersem.lang import Not
         assert eval_bool(Not(cond), x8) == x8.full_mask & ~m
 
 
@@ -263,3 +267,81 @@ def test_predicates():
 
     pf = parse("var x: 0..7; skip")
     assert isinstance(pf.body, Skip)
+
+
+# A per-state evaluator over decoded assignments: the reference that the
+# column evaluator and the row builder are compared with.
+
+def _oracle_int(e, env):
+    if isinstance(e, IntConst):
+        return e.value
+    if isinstance(e, IntVar):
+        return env[e.name]
+    if isinstance(e, IntNeg):
+        return -_oracle_int(e.expr, env)
+    a, b = _oracle_int(e.left, env), _oracle_int(e.right, env)
+    return {"+": a + b, "-": a - b, "*": a * b}[e.op]
+
+
+def _oracle_bool(b, env):
+    if isinstance(b, BoolConst):
+        return b.value
+    if isinstance(b, Not):
+        return not _oracle_bool(b.expr, env)
+    if isinstance(b, BoolBin):
+        x, y = _oracle_bool(b.left, env), _oracle_bool(b.right, env)
+        return x and y if b.op == "&&" else x or y
+    x, y = _oracle_int(b.left, env), _oracle_int(b.right, env)
+    return {"=": x == y, "!=": x != y, "<": x < y,
+            "<=": x <= y, ">": x > y, ">=": x >= y}[b.op]
+
+
+def _oracle_rows(a, space):
+    lo, hi = space.var_range(a.var)
+    rows = []
+    for s in space.states():
+        env = space.decode(s)
+        if isinstance(a, Assign):
+            vlo = vhi = _oracle_int(a.expr, env)
+        elif isinstance(a, NondetAssign):
+            vlo, vhi = _oracle_int(a.lo, env), _oracle_int(a.hi, env)
+        else:
+            vlo, vhi = lo, hi
+        rows.append(sum(1 << space.encode({**env, a.var: v})
+                        for v in range(max(lo, vlo), min(hi, vhi) + 1)))
+    return rows
+
+
+OFFSET_DECLS = (("x", -2, 2), ("y", 3, 5), ("z", -1, 0))
+
+
+def test_columns_match_the_per_state_oracle_on_offset_ranges():
+    space = StateSpace(OFFSET_DECLS)
+    gen = _Gen(GenConfig(max_range=6), random.Random(7), OFFSET_DECLS)
+    envs = [space.decode(s) for s in space.states()]
+    for _ in range(300):
+        e = gen.iexpr(3)
+        for e in (e, IntNeg(e)):
+            assert eval_int(e, space) == tuple(_oracle_int(e, env)
+                                               for env in envs)
+        b = gen.bexpr(3)
+        for b in (b, Not(b)):
+            assert eval_bool(b, space) == sum(
+                _oracle_bool(b, env) << s for s, env in enumerate(envs))
+
+
+def test_assignment_rows_match_the_per_state_oracle_on_offset_ranges():
+    space = StateSpace(OFFSET_DECLS)
+    gen = _Gen(GenConfig(max_range=6), random.Random(11), OFFSET_DECLS)
+    atoms = [Havoc("y"),
+             # out-of-range results, an empty range and clamped ranges
+             Assign("y", IntBin("+", IntVar("y"), IntVar("x"))),
+             NondetAssign("y", IntConst(5), IntConst(3)),
+             NondetAssign("y", IntVar("x"), IntConst(9)),
+             NondetAssign("y", IntNeg(IntConst(9)), IntVar("y"))]
+    for _ in range(200):
+        atoms.append(Assign(gen.rng.choice("xyz"), gen.iexpr(2)))
+        atoms.append(NondetAssign(gen.rng.choice("xyz"), gen.iexpr(1),
+                                  gen.iexpr(1)))
+    for a in atoms:
+        assert list(elaborate_atom(a, space).rows) == _oracle_rows(a, space), a

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hypersem.errors import NotARefinement
+from hypersem.errors import NotARefinement, UnknownVariable
 from hypersem.family import family_le, mask_of
 from hypersem.hyper import HEval
 from hypersem.lang import parse
@@ -222,3 +222,8 @@ def test_refinement_preserves_trivial_and_errors(bits, view):
 def test_verdict_is_truthy_wrapper():
     assert NIVerdict(True)
     assert not NIVerdict(False, (0, 0, 0, 0))
+
+
+def test_undeclared_low_variable_is_unknown(bits):
+    with pytest.raises(UnknownVariable):
+        LowView(bits, ["zz"])
