@@ -64,12 +64,9 @@ def _ast_lines(node):
             yield pad + "skip"
         elif isinstance(node, Atom):
             yield pad + "atom " + pp_stmt(node)
-        elif isinstance(node, Seq):
-            yield pad + "seq"
-            stack += [(node.rest, indent + 1), (node.first, indent + 1)]
-        elif isinstance(node, Choice):
-            yield pad + "choice"
-            stack += [(node.right, indent + 1), (node.left, indent + 1)]
+        elif isinstance(node, (Seq, Choice)):
+            yield pad + type(node).__name__.lower()
+            stack += [(part, indent + 1) for part in reversed(node.parts)]
         elif isinstance(node, If):
             yield pad + "if " + pp_bool(node.cond)
             stack += [(node.orelse, indent + 1), ("else", indent),

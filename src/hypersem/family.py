@@ -18,9 +18,10 @@ sets), and ``key()`` is the same pair as a sorted tuple.
 
 from . import _kernels
 from ._kernels import states_of  # re-exported: the kernels own bit walks
-from .errors import ExpansionTooLarge
+from .errors import ExpansionTooLarge, QueryBlowup
 
 DEFAULT_EXPANSION_CAP = 1 << 16
+PAIR_BOUND = 1 << 24
 
 EXPLICIT = "explicit"
 DOWNSET = "downset"
@@ -34,6 +35,16 @@ def subsets_of(mask):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def bounded_product(a, b):
+    """{ r | s : r in a, s in b } over two member sets, refused before it
+    is formed above PAIR_BOUND pairs: its time grows with the pairs even
+    where its members stay under the cap."""
+    if len(a) * len(b) > PAIR_BOUND:
+        raise QueryBlowup(f"a product of {len(a)} by {len(b)} members "
+                          f"exceeds the pair bound {PAIR_BOUND}")
+    return (r | s for r in a for s in b)
 
 
 def mask_of(states):

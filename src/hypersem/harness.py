@@ -200,9 +200,11 @@ class _Gen:
         if roll < 0.30:
             return self.atom(frozen)
         if roll < 0.50:
-            return Seq(self.stmt(depth - 1, frozen), self.stmt(depth - 1, frozen))
+            return Seq((self.stmt(depth - 1, frozen),
+                        self.stmt(depth - 1, frozen)))
         if roll < 0.62 and self.cfg.allow_choice:
-            return Choice(self.stmt(depth - 1, frozen), self.stmt(depth - 1, frozen))
+            return Choice((self.stmt(depth - 1, frozen),
+                           self.stmt(depth - 1, frozen)))
         if roll < 0.80:
             return If(self.bexpr(depth), self.stmt(depth - 1, frozen),
                       self.stmt(depth - 1, frozen))
@@ -224,8 +226,8 @@ class _Gen:
         bound = r.randint(lo, hi)
         guard = Cmp("<", IntVar(v), IntConst(bound))
         inner = self.stmt(depth - 1, frozen | {v})
-        body = Seq(inner, Atom(Assign(v, IntBin("+", IntVar(v), IntConst(1)))))
-        return While(guard, body)
+        step = Atom(Assign(v, IntBin("+", IntVar(v), IntConst(1))))
+        return While(guard, Seq((inner, step)))
 
 
 def gen_program(cfg):

@@ -2,9 +2,10 @@
 sets.
 
 Programs denote maps over the double powerset.  Atoms and guards lift
-elementwise; choice uses the powerset-query inner join; conditionals use
-the guarded inner join, which splits each member set by the guard and
-unions one result from each branch.
+elementwise; a `[]` chain uses the powerset-query inner join of all its
+branches at once (at each maximal member p, the product of every branch's
+value at ↓p); conditionals use the guarded inner join, which splits each
+member set by the guard and unions one result from each branch.
 
 Every construct reads only the maximal members of its query, so values
 are memoized per node at *atomic queries*: a memo key is a mask m and
@@ -35,12 +36,13 @@ closure; evaluation then falls back to explicit expansion within the cap.
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import reference
 from .errors import (ExpansionTooLarge, IterationBudgetExceeded,
                      NonSubsetClosedQuery, QueryBlowup)
-from .family import (DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet, family_le,
-                     powerset_family)
+from .family import (DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet,
+                     bounded_product, family_le, powerset_family)
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .reference import LoopVariant
 from .transformer import Transformer
@@ -121,8 +123,8 @@ class HEval:
             return FamilySet.empty()
         if a.kind == DOWNSET and b.kind == DOWNSET:
             return FamilySet.downset(x | y for x in a.sets for y in b.sets)
-        return FamilySet.explicit(x | y for x in _members(a, self.cap)
-                                  for y in _members(b, self.cap))
+        return FamilySet.explicit(
+            bounded_product(_members(a, self.cap), _members(b, self.cap)))
 
     def _union_all(self, parts):
         """Union of families in one step: one antichain reduction when
@@ -182,38 +184,39 @@ class HEval:
         the query is the last argument.  Handing it back instead of calling
         it keeps one stack frame per nesting level."""
         if isinstance(node, Seq):
-            return self._seq, (node,)
+            return self._seq, (node.parts,)
         if isinstance(node, Choice):
-            return self.inner_join, (node.left, node.right)
+            return self.inner_join, node.parts
         if isinstance(node, If):
             return self.guarded_join, (node.cond, node.then, node.orelse)
         raise TypeError(f"not a statement: {node!r}")
 
-    def _seq(self, node, fam):
-        """A Seq spine, walked in a loop: a chain of ';' costs no depth."""
-        while isinstance(node, Seq):
-            fam = self.eval(node.first, fam)
-            node = node.rest
-        return self.eval(node, fam)
+    def _seq(self, parts, fam):
+        for part in parts:
+            fam = self.eval(part, fam)
+        return fam
 
-    def _join(self, c, d, queries):
-        """Union over the (query of c, query of d) pairs of the products
-        of the two branch values."""
-        return self._union_all([self._prod(self.eval(c, qc), self.eval(d, qd))
-                                for qc, qd in queries])
+    def _join(self, branches, queries):
+        """Union over the query tuples, one query per branch, of the
+        products of the branch values."""
+        return self._union_all(
+            [reduce(self._prod, map(self.eval, branches, qs)) for qs in queries])
 
-    def inner_join(self, c, d, fam):
-        """Powerset-query inner join of the two branch semantics."""
-        return self._join(c, d, ((powerset_family(p),) * 2
-                                 for p in fam.antichain()))
+    def inner_join(self, *args):
+        """Powerset-query inner join of the branch semantics; args are the
+        branches, then the query.  It equals the nested binary joins
+        because a join reads only its query's antichain, and ↓p's is {p}."""
+        *branches, fam = args
+        return self._join(branches, ((powerset_family(p),) * len(branches)
+                                     for p in fam.antichain()))
 
     def guarded_join(self, cond, c, d, fam):
         """Split each member by the guard, then one result from each branch."""
         bmask = self._guard(cond)
         nbmask = self.space.full_mask & ~bmask
-        return self._join(c, d, ((powerset_family(p & bmask),
-                                  powerset_family(p & nbmask))
-                                 for p in fam.antichain()))
+        return self._join((c, d), ((powerset_family(p & bmask),
+                                    powerset_family(p & nbmask))
+                                   for p in fam.antichain()))
 
     # ---- loop machinery: one unknown per atomic query
 

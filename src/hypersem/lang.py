@@ -114,14 +114,28 @@ class Skip:
 
 @dataclass(frozen=True)
 class Seq:
-    first: object
-    rest: object
+    """``parts[0] ; ... ; parts[-1]``, two or more parts.  A last part that
+    is itself a Seq is spliced in, so a `;` chain is one node however it
+    is built; a Seq elsewhere in parts stays, and prints in parentheses."""
+    parts: tuple
+
+    def __post_init__(self):
+        if isinstance(self.parts[-1], Seq):
+            object.__setattr__(self, "parts",
+                               self.parts[:-1] + self.parts[-1].parts)
 
 
 @dataclass(frozen=True)
 class Choice:
-    left: object
-    right: object
+    """``parts[0] [] ... [] parts[-1]``, two or more parts.  A first part
+    that is itself a Choice is spliced in, so a `[]` chain is one node
+    however it is built; a Choice elsewhere in parts stays."""
+    parts: tuple
+
+    def __post_init__(self):
+        if isinstance(self.parts[0], Choice):
+            object.__setattr__(self, "parts",
+                               self.parts[0].parts + self.parts[1:])
 
 
 @dataclass(frozen=True)
@@ -331,22 +345,19 @@ class _Parser:
     # ---- statements
 
     def stmt(self):
-        node = self.seq()
-        while self.at("[]"):
-            self.next()
-            node = Choice(node, self.seq())
-        return node
+        return self.chain("[]", Choice, self.seq)
 
     def seq(self):
-        """A `;` chain, read in a loop and nested to the right."""
-        units = [self.unit()]
-        while self.at(";"):
+        return self.chain(";", Seq, self.unit)
+
+    def chain(self, op, kind, item):
+        """`item op item ... op item`, read in a loop, as one kind node (or
+        the item alone)."""
+        parts = [item()]
+        while self.at(op):
             self.next()
-            units.append(self.unit())
-        node = units.pop()
-        while units:
-            node = Seq(units.pop(), node)
-        return node
+            parts.append(item())
+        return parts[0] if len(parts) == 1 else kind(tuple(parts))
 
     def unit(self):
         t = self.peek()
@@ -596,16 +607,11 @@ def pp_stmt(node, level=0):
                 for s, d in a.pairs)
             return "rel { " + body + " }" if body else "rel { }"
     if isinstance(node, Seq):
-        # the right spine in a loop, so a `;` chain's length costs no depth
-        parts = []
-        while isinstance(node, Seq):
-            parts.append(pp_stmt(node.first, 2))
-            node = node.rest
-        parts.append(pp_stmt(node, 1))
-        s = " ; ".join(parts)
+        s = " ; ".join([pp_stmt(part, 2) for part in node.parts[:-1]]
+                       + [pp_stmt(node.parts[-1], 1)])
         return f"({s})" if level > 1 else s
     if isinstance(node, Choice):
-        s = f"{pp_stmt(node.left, 1)} [] {pp_stmt(node.right, 1)}"
+        s = " [] ".join(pp_stmt(part, 1) for part in node.parts)
         return f"({s})" if level > 0 else s
     if isinstance(node, If):
         return (f"if {pp_bool(node.cond)} {{ {pp_stmt(node.then)} }} "
@@ -703,10 +709,8 @@ def _statements(node):
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Seq):
-            stack += (node.rest, node.first)
-        elif isinstance(node, Choice):
-            stack += (node.right, node.left)
+        if isinstance(node, (Seq, Choice)):
+            stack += reversed(node.parts)
         elif isinstance(node, If):
             stack += (node.orelse, node.then)
         elif isinstance(node, While):

@@ -9,18 +9,21 @@ A product or loop value of more than ``DEFAULT_EXPANSION_CAP`` members
 raises ``QueryBlowup``, and so does a subset closure ↓p of one, before
 it is enumerated: a member set of more than 16 states under a choice, or
 on one side of the guard of a conditional or a paper loop.  A product of
-more than ``PAIR_BOUND`` pairs is refused before it is formed: its time
-grows with the pairs even where its members stay under the cap.
+more than ``PAIR_BOUND`` pairs is refused before it is formed.
+
+A `[]` chain is joined two branches at a time, nested to the left, as
+the binary definition reads.  The n-ary product that ``hyper`` takes at
+each ↓p equals it when every branch is monotone in the query, as under
+the paper variant; keeping the definition keeps every variant's output
+independent of that fact.
 """
 
 import enum
 
 from .errors import IterationBudgetExceeded, QueryBlowup
-from .family import DEFAULT_EXPANSION_CAP, subsets_of
+from .family import DEFAULT_EXPANSION_CAP, bounded_product, subsets_of
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .transformer import Transformer
-
-PAIR_BOUND = 1 << 24
 
 
 class LoopVariant(enum.Enum):
@@ -44,14 +47,6 @@ def _down(mask):
     return frozenset(subsets_of(mask))
 
 
-def _product(a, b):
-    """{ r | s : r in a, s in b }, refused above PAIR_BOUND pairs."""
-    if len(a) * len(b) > PAIR_BOUND:
-        raise QueryBlowup(f"a product of {len(a)} by {len(b)} members "
-                          f"exceeds the pair bound {PAIR_BOUND}")
-    return (r | s for r in a for s in b)
-
-
 def ref_eval(node, family, space, variant=LoopVariant.PAPER):
     """The value of a statement at a family given as a set of masks."""
     if not family:
@@ -62,18 +57,18 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
         tr = Transformer.image(elaborate_atom(node.atom, space))
         return frozenset(tr.apply(p) for p in family)
     if isinstance(node, Seq):
-        # walked in a loop: a chain of ';' costs no depth
-        while isinstance(node, Seq):
-            family = ref_eval(node.first, family, space, variant)
-            node = node.rest
-        return ref_eval(node, family, space, variant)
+        for part in node.parts:
+            family = ref_eval(part, family, space, variant)
+        return family
     if isinstance(node, Choice):
+        *init, last = node.parts
+        left = init[0] if len(init) == 1 else Choice(tuple(init))
         out = set()
         for p in family:
             down = _down(p)
-            a = ref_eval(node.left, down, space, variant)
-            b = ref_eval(node.right, down, space, variant)
-            out.update(_product(a, b))
+            a = ref_eval(left, down, space, variant)
+            b = ref_eval(last, down, space, variant)
+            out.update(bounded_product(a, b))
             _capped(out)
         return frozenset(out)
     if isinstance(node, If):
@@ -83,7 +78,7 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
         for p in family:
             a = ref_eval(node.then, _down(p & bmask), space, variant)
             b = ref_eval(node.orelse, _down(p & nb), space, variant)
-            out.update(_product(a, b))
+            out.update(bounded_product(a, b))
             _capped(out)
         return frozenset(out)
     if isinstance(node, While):
@@ -142,7 +137,7 @@ def ref_iterates(node, family, space, variant=LoopVariant.PAPER):
                 if wrap is None:
                     out |= vals[y]
                 else:
-                    out.update(_product(vals[y], wrap))
+                    out.update(bounded_product(vals[y], wrap))
             nxt[q] = _capped(frozenset(out))
         vals = nxt
 

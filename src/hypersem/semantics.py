@@ -25,26 +25,6 @@ def neg_mask(mask, space):
     return space.full_mask & ~mask
 
 
-def _seq_parts(node):
-    """A `;` chain's parts in order, collected without recursion."""
-    parts = []
-    while isinstance(node, Seq):
-        parts.append(node.first)
-        node = node.rest
-    parts.append(node)
-    return parts
-
-
-def _choice_parts(node):
-    """A `[]` chain's parts in order; the parser nests it to the left."""
-    parts = []
-    while isinstance(node, Choice):
-        parts.append(node.right)
-        node = node.left
-    parts.append(node)
-    return parts[::-1]
-
-
 def sem_rel(node, space):
     """Relational denotation."""
     if isinstance(node, Skip):
@@ -52,11 +32,11 @@ def sem_rel(node, space):
     if isinstance(node, Atom):
         return elaborate_atom(node.atom, space)
     if isinstance(node, Seq):
-        rels = [sem_rel(part, space) for part in _seq_parts(node)]
+        rels = [sem_rel(part, space) for part in node.parts]
         return reduce(lambda out, rel: rel.compose(out), reversed(rels))
     if isinstance(node, Choice):
         return reduce(Rel.union, [sem_rel(part, space)
-                                  for part in _choice_parts(node)])
+                                  for part in node.parts])
     if isinstance(node, If):
         b = eval_bool(node.cond, space)
         then = Rel.coreflexive(space, b).compose(sem_rel(node.then, space))
@@ -94,11 +74,11 @@ def sem_tr(node, space):
     if isinstance(node, Atom):
         return Transformer.image(elaborate_atom(node.atom, space))
     if isinstance(node, Seq):
-        parts = [sem_tr(part, space) for part in _seq_parts(node)]
+        parts = [sem_tr(part, space) for part in node.parts]
         return _pointwise(space, lambda x: reduce(
             lambda y, tr: tr.apply(y), parts, x))
     if isinstance(node, Choice):
-        parts = [sem_tr(part, space) for part in _choice_parts(node)]
+        parts = [sem_tr(part, space) for part in node.parts]
         return _pointwise(space, lambda x: reduce(
             or_, [tr.apply(x) for tr in parts]))
     if isinstance(node, If):

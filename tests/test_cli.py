@@ -213,6 +213,27 @@ def test_anomalous_variants_refuse_large_products(capsys, tmp_path, variant):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n, refused", [(12, False), (13, True)])
+def test_engine_refuses_large_products(capsys, tmp_path, n, refused):
+    # neither atom is a partial function, so each branch's value at the
+    # one member set is explicit: 3 * 2^(n-2) images, whose pairs pass
+    # 2^24 at 13 states and are refused before any is formed
+    ident = ", ".join(f"{{x={i}}} -> {{x={i}}}" for i in range(n))
+    p = tmp_path / "choice.imp"
+    p.write_text(f"var x: 0..{n - 1};\nrel {{ {ident}, {{x=0}} -> {{x=1}} }}"
+                 f" [] rel {{ {ident}, {{x=2}} -> {{x=3}} }}\n")
+    wide = "[[" + ",".join(f"{{x={i}}}" for i in range(n)) + "]]"
+    code, out, err = run(capsys, "eval", str(p), "--level", "hyper",
+                         "--no-strict-ssc", "--input", wide, "--antichain")
+    if refused:
+        assert (code, out) == (2, "")
+        assert err.splitlines()[1] == (
+            "error: a product of 6144 by 6144 members exceeds the pair bound "
+            "16777216")
+    else:
+        assert (code, out) == (0, wide + "\n")
+
+
 def test_check_ni_leak_all_forms(capsys, tmp_path):
     p = tmp_path / "leak.imp"
     p.write_text(LEAK)
@@ -378,8 +399,8 @@ def test_long_seq_chain_answers(capsys, tmp_path):
     code, out, _ = run(capsys, "parse", str(p))
     assert code == 0
     lines = out.splitlines()
-    assert lines[:3] == ["var x: 0..1", "low x", "seq"]
-    assert lines[-1] == "  " * 1999 + "atom x := 1 - x"
+    assert lines == (["var x: 0..1", "low x", "seq"]
+                     + ["  atom x := 1 - x"] * 2000)
     code, out, _ = run(capsys, "check-ni", str(p))
     assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
     for level, literal, want in (("rel", "{x=1}", "[{x=1}]\n"),
@@ -390,15 +411,15 @@ def test_long_seq_chain_answers(capsys, tmp_path):
 
 
 def test_long_choice_chain_answers(capsys, tmp_path):
-    # the parser nests a `[]` chain to the left; sem_rel and sem_tr walk
-    # it in a loop, so check-ni and eval --level rel|tr answer
+    # a `[]` chain is one node, so every command and level answers
     p = tmp_path / "choice.imp"
     p.write_text("var x: 0..1;\nlow x;\n"
                  + " [] ".join(["x := 1 - x"] * 2000) + "\n")
     code, out, _ = run(capsys, "check-ni", str(p))
     assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
     for level, literal, want in (("rel", "{x=0}", "[{x=1}]\n"),
-                                 ("tr", "[{x=0},{x=1}]", "[{x=0},{x=1}]\n")):
+                                 ("tr", "[{x=0},{x=1}]", "[{x=0},{x=1}]\n"),
+                                 ("hyper", "[[],[{x=0}]]", "[[],[{x=1}]]\n")):
         code, out, _ = run(capsys, "eval", str(p), "--level", level,
                            "--input", literal)
         assert (code, out) == (0, want)

@@ -9,7 +9,7 @@ from hypersem.family import FamilySet, subsets_of
 from hypersem.harness import (DiffReport, GenConfig, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
                               random_downset, search_ssc_necessity)
-from hypersem.lang import parse, pp_program
+from hypersem.lang import Choice, Seq, _statements, parse, pp_program
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
@@ -47,10 +47,26 @@ def test_gen_space_bounds():
 
 
 def test_generated_programs_roundtrip():
-    for seed in range(1000):
-        cfg = GenConfig(seed=seed, max_space=8)
-        pf = gen_program(cfg)
-        assert parse(pp_program(pf)) == pf
+    # the generator builds the chains the parser builds: a `;` ending in a
+    # `;` and a `[]` beginning with a `[]` are spliced into one node.  The
+    # last three configs are the default, the prop1 workload's and the
+    # ni_cli one's.
+    configs = ((GenConfig(max_space=8), 1000),
+               (GenConfig(), 1500),
+               (GenConfig(max_vars=3, max_range=4, max_space=10,
+                          space_size=10), 1500),
+               (GenConfig(max_vars=2, max_range=1, max_space=4, space_size=4,
+                          allow_choice=False, allow_nondet_atoms=False,
+                          total_atoms=True), 1500))
+    for cfg, seeds in configs:
+        for seed in range(seeds):
+            pf = gen_program(replace(cfg, seed=seed))
+            assert parse(pp_program(pf)) == pf, pp_program(pf)
+            for node in _statements(pf.body):
+                assert not (isinstance(node, Seq)
+                            and isinstance(node.parts[-1], Seq))
+                assert not (isinstance(node, Choice)
+                            and isinstance(node.parts[0], Choice))
 
 
 def test_enumerate_downsets_small_counts():

@@ -10,7 +10,8 @@ from hypersem.harness import GenConfig, gen_program, lift_family, random_downset
 from hypersem.hyper import (HEval, happly, hrefines, hyper_bottom,
                             loop_iterates, strict_gate)
 from hypersem.lang import (Assign, Atom, BoolConst, Choice, Cmp, If, IntBin,
-                           IntConst, IntVar, RelAtom, Seq, Skip, While, parse)
+                           IntConst, IntVar, RelAtom, Seq, Skip, While,
+                           _statements, parse)
 from hypersem.reference import LoopVariant, ref_eval, ref_iterates
 from hypersem.semantics import sem_tr
 from hypersem.space import StateSpace
@@ -225,7 +226,7 @@ def test_cross_check_flag_agrees():
 def test_hrefines_reflexive_and_choice_chain(x8):
     add3 = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(3))))
     add5 = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(5))))
-    both = Choice(add3, add5)
+    both = Choice((add3, add5))
     battery = [powerset_family(mask_of([0])), ssc(Q25),
                powerset_family(x8.full_mask)]
     assert hrefines(add3, add3, battery, x8)
@@ -328,7 +329,7 @@ def test_lift_below_inner_join_with_strict_witness(x8):
     d = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(2))))
     ev = HEval(x8)
     q = fam(mask_of([0]))
-    joined = lift_family(sem_tr(Choice(c, d), x8), q)
+    joined = lift_family(sem_tr(Choice((c, d)), x8), q)
     inner = ev.inner_join(c, d, q)
     assert family_le(joined, inner)
     # the stored strict witness: the inner join has strictly more sets
@@ -405,22 +406,6 @@ def test_engine_matches_reference_evaluator():
             want = ref_eval(pf.body, members, space)
             got = ev.eval(pf.body, q)
             assert got == FamilySet.explicit(want), pf.body
-
-
-def _statements(node):
-    """Every sub-statement of a statement, itself included, outermost first."""
-    yield node
-    if isinstance(node, While):
-        yield from _statements(node.body)
-    elif isinstance(node, Seq):
-        yield from _statements(node.first)
-        yield from _statements(node.rest)
-    elif isinstance(node, Choice):
-        yield from _statements(node.left)
-        yield from _statements(node.right)
-    elif isinstance(node, If):
-        yield from _statements(node.then)
-        yield from _statements(node.orelse)
 
 
 def _loops(node):
@@ -540,8 +525,8 @@ def test_shared_evaluator_matches_fresh_ones():
         body = gen_program(cfg).body
         twin = copy.deepcopy(body)
         cond = Cmp("<", IntVar("x"), IntConst(rng.randint(0, 5)))
-        prog = rng.choice((body, Seq(body, twin), Choice(body, twin),
-                           If(cond, body, twin), Seq(body, body)))
+        prog = rng.choice((body, Seq((body, twin)), Choice((body, twin)),
+                           If(cond, body, twin), Seq((body, body))))
         queries = []
         for _ in range(3):
             queries += _random_queries(rng, space.size)
@@ -557,7 +542,7 @@ def test_long_seq_chain_is_evaluated_without_recursion():
     flip = Atom(Assign("x", IntBin("-", IntConst(1), IntVar("x"))))
     chain = flip
     for _ in range(1499):
-        chain = Seq(flip, chain)
+        chain = Seq((flip, chain))
     for q in (powerset_family(0b01), powerset_family(0b11)):
         assert happly(chain, q, space) == q
 

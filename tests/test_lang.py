@@ -26,7 +26,7 @@ def test_parse_while_golden():
 def test_parse_choice_of_assigns():
     pf = parse("var x: 0..7; x := x + 3 [] x := x + 5")
     assert isinstance(pf.body, Choice)
-    assert pf.body.left == Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(3))))
+    assert pf.body.parts[0] == Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(3))))
 
 
 def test_parse_error_position():
@@ -77,28 +77,27 @@ def test_parse_error_cases():
 def test_choice_binds_looser_than_seq():
     pf = parse("var x: 0..3; x := 1 ; x := 2 [] x := 3 ; x := 0")
     assert isinstance(pf.body, Choice)
-    assert isinstance(pf.body.left, Seq)
-    assert isinstance(pf.body.right, Seq)
+    assert isinstance(pf.body.parts[0], Seq)
+    assert isinstance(pf.body.parts[1], Seq)
 
 
 def test_seq_right_associative():
     pf = parse("var x: 0..3; x := 1 ; x := 2 ; x := 3")
     assert isinstance(pf.body, Seq)
-    assert isinstance(pf.body.rest, Seq)
-    assert isinstance(pf.body.first, Atom)
+    assert len(pf.body.parts) == 3
+    assert all(isinstance(part, Atom) for part in pf.body.parts)
 
 
 def test_parens_regroup():
     pf = parse("var x: 0..3; (x := 1 [] x := 2) ; x := 3")
     assert isinstance(pf.body, Seq)
-    assert isinstance(pf.body.first, Choice)
+    assert isinstance(pf.body.parts[0], Choice)
 
 
 def test_parse_nondet_and_havoc_and_rel():
     pf = parse("var x: 0..3; x :in 0..2 ; havoc x ; "
                "rel { {x=0} -> {x=3}, {x=1} -> {x=1} }")
-    atoms = [pf.body.first.atom, pf.body.rest.first.atom,
-             pf.body.rest.rest.atom]
+    atoms = [part.atom for part in pf.body.parts]
     assert isinstance(atoms[0], NondetAssign)
     assert isinstance(atoms[1], Havoc)
     assert atoms[2] == RelAtom((((("x", 0),), (("x", 3),)),
@@ -135,11 +134,8 @@ def test_long_seq_chain_parses_without_recursion():
     text = ("var x: 0..1;\nlow x;\n"
             + ";\n".join(["x := 1 - x"] * 2000) + "\n")
     pf = parse(text)
-    node, depth = pf.body, 0
-    while isinstance(node, Seq):
-        assert node.first == Atom(Assign("x", IntBin("-", IntConst(1), IntVar("x"))))
-        node, depth = node.rest, depth + 1
-    assert depth == 1999
+    flip = Atom(Assign("x", IntBin("-", IntConst(1), IntVar("x"))))
+    assert pf.body == Seq((flip,) * 2000)
     q = powerset_family(0b01)
     assert happly(pf.body, q, pf.space()) == q
     # the printer and the tree walks cost no depth on the chain either
@@ -148,6 +144,15 @@ def test_long_seq_chain_parses_without_recursion():
     assert pp_program(parse(pp_program(pf))) == pp_program(pf)
     assert is_choice_free(pf.body)
     assert atoms_deterministic(pf.body, pf.space())
+
+
+def test_long_choice_chain_is_one_node_and_round_trips():
+    text = "var x: 0..1;\n" + " [] ".join(["x := 1 - x"] * 2000) + "\n"
+    pf = parse(text)
+    flip = Atom(Assign("x", IntBin("-", IntConst(1), IntVar("x"))))
+    assert pf.body == Choice((flip,) * 2000)
+    assert pp_program(pf) == text
+    assert parse(pp_program(pf)) == pf
 
 
 def test_low_declarations():

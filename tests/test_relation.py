@@ -199,27 +199,13 @@ def test_order_reflection():
 
 
 def test_loop_unrolling_law():
-    from hypersem.lang import If, Seq, Skip, While
+    from hypersem.lang import If, Seq, Skip, While, _statements
     for seed in range(25):
         cfg = GenConfig(seed=seed, max_space=8)
         pf = gen_program(cfg)
         space = pf.space()
-        for node in _loops(pf.body):
-            unrolled = If(node.cond, Seq(node.body, node), Skip())
+        for node in _statements(pf.body):
+            if not isinstance(node, While):
+                continue
+            unrolled = If(node.cond, Seq((node.body, node)), Skip())
             assert sem_rel(node, space) == sem_rel(unrolled, space)
-
-
-def _loops(node):
-    from hypersem.lang import Choice, If, Seq, While
-    if isinstance(node, While):
-        yield node
-        yield from _loops(node.body)
-    elif isinstance(node, Seq):
-        yield from _loops(node.first)
-        yield from _loops(node.rest)
-    elif isinstance(node, Choice):
-        yield from _loops(node.left)
-        yield from _loops(node.right)
-    elif isinstance(node, If):
-        yield from _loops(node.then)
-        yield from _loops(node.orelse)
