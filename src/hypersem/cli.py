@@ -47,7 +47,8 @@ def _positive(text):
 
 
 def _read_program(path):
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark; one elsewhere is an error
+    with open(path, encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 
@@ -203,7 +204,7 @@ def _cmd_diff(args):
 
 
 def _cmd_psc(args):
-    with open(args.relfile, encoding="utf-8") as fh:
+    with open(args.relfile, encoding="utf-8-sig") as fh:
         space, rel = parse_rel_file(fh.read())
     result = psc_check(Transformer.image(rel))
     if result:

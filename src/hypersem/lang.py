@@ -172,92 +172,132 @@ _SYMBOLS = [":=", ":in", "..", "[]", "->", "!=", "<=", ">=", "&&", "||",
             ";", "{", "}", "(", ")", "[", "]", ",", "=", "<", ">", "+",
             "-", "*", "!", ":"]
 
-# one alternative per token class; symbols are tried in _SYMBOLS order
+# Blanks and comments, then one token.  Symbols are tried in _SYMBOLS
+# order; a keyword is a name-shaped word, so one followed by a name
+# character is part of a longer name.  `eof` and `bad` (any other
+# character) make the pattern match at every position.
 _TOKEN_RE = re.compile(
-    r"(?P<nl>\n)|(?P<skip>[ \t\r]+|//[^\n]*)"
+    r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
+    r"(?:(?P<kw>(?:" + "|".join(sorted(KEYWORDS)) + r")(?![A-Za-z0-9_]))"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
-    "|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")")
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
+    r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
+def _lex(text):
+    """Text as three parallel lists (token kinds, texts and start offsets),
+    ending with eof, whose text is "".
 
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+    One match of _TOKEN_RE per token covers the blanks and comments before
+    it, then the token; the pattern matches at every position, so the
+    scan skips no character.  No token object is built and no line or
+    column is computed: positions come from start offsets, through
+    _position, only when an error is reported.
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
+    The pattern stays linear on any input because no nested quantifier is
+    ambiguous: blanks are read as runs between comments, and a comment
+    runs to the end of its line and cannot give characters back (the
+    lookahead after it fails on any shorter match).  It needs neither
+    possessive quantifiers nor atomic groups, which Python 3.10, the
+    oldest supported version, lacks.
+    """
+    kinds, texts, starts = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        kinds.append(kind)
+        texts.append(m[kind])
+        starts.append(m.start(kind))
+        if kind == "eof":
+            return kinds, texts, starts
+        if kind == "bad":
+            raise ParseError(f"unexpected character {texts[-1]!r}",
+                             *_position(text, starts[-1]))
+
+
+def _position(text, offset):
+    """Line and column of offset in text, both counted from 1 (columns in
+    characters)."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 def tokenize(text):
-    """Tokens of text, then eof; columns count characters from 1."""
-    toks = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind != "skip":
-            word = m.group()
-            if kind == "name" and word in KEYWORDS:
-                kind = "kw"
-            toks.append(Token(kind, word, line, pos - line_start + 1))
-        pos = m.end()
-    toks.append(Token("eof", "", line, pos - line_start + 1))
-    return toks
+    """Tokens of text as (kind, text, line, col) tuples, then eof; columns
+    count characters from 1."""
+    kinds, texts, starts = _lex(text)
+    out = []
+    line, line_start, prev = 1, 0, 0
+    for kind, word, start in zip(kinds, texts, starts):
+        newline = text.rfind("\n", prev, start)
+        if newline >= 0:
+            line += text.count("\n", prev, start)
+            line_start = newline + 1
+        out.append((kind, word, line, start - line_start + 1))
+        prev = start
+    return out
 
 
 # ---------------------------------------------------------------- parser
+
+_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_UNIT_WORDS = ("skip", "assume", "havoc", "rel", "(", "while", "if")
+
+
+class _Retry(Exception):
+    """A syntax error inside a tentative parse, which the innermost
+    tentative parse catches; it carries no message or position."""
+
 
 class _Parser:
     """Recursive-descent reader for programs and for every literal form.
 
     ``declared`` is the set of variable names a reference may use; None
     reads names unchecked (literals, whose states the space encodes).
+    ``tentative`` counts the tentative parses (``batom``'s parenthesized
+    guard) in progress: inside one, every syntax error is caught, so it
+    is raised as a bare _Retry, and no position is computed for it.
     """
 
     def __init__(self, text, declared=None):
-        self.toks = tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts = _lex(text)
         self.pos = 0
         self.declared = declared
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+        self.tentative = 0
 
     def at(self, text):
-        t = self.peek()
-        return t.text == text and t.kind in ("sym", "kw")
+        """Whether the current token is the keyword or symbol text.  The
+        text alone decides: no name or int token has a keyword's or a
+        symbol's text, and eof's is empty."""
+        return self.texts[self.pos] == text
+
+    def next(self):
+        """The current token's text; moves past it."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
+
+    def found(self):
+        """The current token, as error messages name it."""
+        if self.kinds[self.pos] == "eof":
+            return "end of input"
+        return repr(self.texts[self.pos])
 
     def eat(self, text):
-        if not self.at(text):
-            t = self.peek()
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return self.next()
+        if self.texts[self.pos] != text:
+            self.fail(f"expected {text!r}, found {self.found()}")
+        self.pos += 1
 
-    def fail(self, msg):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def fail(self, msg, index=None):
+        """Raise msg at the current token, or at the token at index."""
+        if self.tentative:
+            raise _Retry
+        start = self.starts[self.pos if index is None else index]
+        raise ParseError(msg, *_position(self.text, start))
 
     def name(self):
-        t = self.peek()
-        if t.kind != "name":
-            self.fail(f"expected identifier, found {t.text!r}")
-        return self.next().text
+        if self.kinds[self.pos] != "name":
+            self.fail(f"expected identifier, found {self.found()}")
+        return self.next()
 
     def ref(self):
         """A variable reference: a name that must be declared."""
@@ -267,36 +307,33 @@ class _Parser:
         return nm
 
     def int_lit(self):
-        neg = False
-        if self.at("-"):
-            self.next()
-            neg = True
-        t = self.peek()
-        if t.kind != "int":
-            self.fail(f"expected integer, found {t.text!r}")
-        v = int(self.next().text)
+        neg = self.at("-")
+        if neg:
+            self.pos += 1
+        if self.kinds[self.pos] != "int":
+            self.fail(f"expected integer, found {self.found()}")
+        v = int(self.next())
         return -v if neg else v
 
     def items(self, open_, close, item):
         """`open item, ..., item close` as a list of item() results; the
         list may be empty, and `[]` is one token to the lexer."""
         if self.at(open_ + close):
-            self.next()
+            self.pos += 1
             return []
         self.eat(open_)
         out = []
         if not self.at(close):
             out.append(item())
             while self.at(","):
-                self.next()
+                self.pos += 1
                 out.append(item())
         self.eat(close)
         return out
 
     def end(self):
-        t = self.peek()
-        if t.kind != "eof":
-            self.fail(f"unexpected trailing input {t.text!r}")
+        if self.kinds[self.pos] != "eof":
+            self.fail(f"unexpected trailing input {self.texts[self.pos]!r}")
 
     # ---- program
 
@@ -316,22 +353,23 @@ class _Parser:
         low = ()
         low_in = ()
         low_out = ()
-        while self.at("var") or self.at("low") or self.at("lowin") or self.at("lowout"):
-            if self.at("var"):
+        while (which := self.texts[self.pos]) in ("var", "low", "lowin",
+                                                  "lowout"):
+            if which == "var":
                 decls.append(self.var_decl())
+                continue
+            self.pos += 1
+            names = [self.name()]
+            while self.at(","):
+                self.pos += 1
+                names.append(self.name())
+            self.eat(";")
+            if which == "low":
+                low += tuple(names)
+            elif which == "lowin":
+                low_in += tuple(names)
             else:
-                which = self.next().text
-                names = [self.name()]
-                while self.at(","):
-                    self.next()
-                    names.append(self.name())
-                self.eat(";")
-                if which == "low":
-                    low += tuple(names)
-                elif which == "lowin":
-                    low_in += tuple(names)
-                else:
-                    low_out += tuple(names)
+                low_out += tuple(names)
         if not decls:
             self.fail("program must declare at least one variable")
         self.declared = {n for n, _, _ in decls}
@@ -354,63 +392,57 @@ class _Parser:
         """`item op item ... op item`, read in a loop, as one kind node (or
         the item alone)."""
         parts = [item()]
-        while self.at(op):
-            self.next()
+        while self.texts[self.pos] == op:
+            self.pos += 1
             parts.append(item())
         return parts[0] if len(parts) == 1 else kind(tuple(parts))
 
     def unit(self):
-        t = self.peek()
-        if self.at("skip"):
-            self.next()
-            return Skip()
-        if self.at("assume"):
-            self.next()
-            return Atom(Assume(self.bexpr()))
-        if self.at("havoc"):
-            self.next()
-            return Atom(Havoc(self.ref()))
-        if self.at("rel"):
-            self.next()
-            return Atom(RelAtom(tuple(self.items("{", "}", self.rel_pair))))
-        if self.at("if"):
-            self.next()
-            cond = self.bexpr()
-            self.eat("{")
-            then = self.stmt()
-            self.eat("}")
-            self.eat("else")
-            self.eat("{")
-            orelse = self.stmt()
-            self.eat("}")
-            return If(cond, then, orelse)
-        if self.at("while"):
-            self.next()
-            cond = self.bexpr()
-            self.eat("{")
-            body = self.stmt()
-            self.eat("}")
-            return While(cond, body)
-        if self.at("("):
-            self.next()
-            node = self.stmt()
-            self.eat(")")
-            return node
-        if t.kind == "name":
+        pos = self.pos
+        t = self.texts[pos]
+        if self.kinds[pos] == "name":
             # check the target only once this is an assignment, so a
             # misspelled keyword keeps its syntax error
-            op = self.toks[self.pos + 1].text
-            if op not in (":=", ":in"):
-                self.next()
-                self.fail(f"expected ':=' or ':in' after {t.text!r}")
+            op = self.texts[pos + 1]
+            if op != ":=" and op != ":in":
+                self.fail(f"expected ':=' or ':in' after {t!r}", pos + 1)
             nm = self.ref()
-            self.next()
+            self.pos += 1
             if op == ":=":
                 return Atom(Assign(nm, self.iexpr()))
             lo = self.iexpr()
             self.eat("..")
             return Atom(NondetAssign(nm, lo, self.iexpr()))
-        self.fail(f"expected statement, found {t.text!r}")
+        if t not in _UNIT_WORDS:
+            self.fail(f"expected statement, found {self.found()}")
+        self.pos += 1
+        if t == "skip":
+            return Skip()
+        if t == "assume":
+            return Atom(Assume(self.bexpr()))
+        if t == "havoc":
+            return Atom(Havoc(self.ref()))
+        if t == "rel":
+            return Atom(RelAtom(tuple(self.items("{", "}", self.rel_pair))))
+        if t == "(":
+            node = self.stmt()
+            self.eat(")")
+            return node
+        if t == "while":
+            cond = self.bexpr()
+            self.eat("{")
+            body = self.stmt()
+            self.eat("}")
+            return While(cond, body)
+        cond = self.bexpr()
+        self.eat("{")
+        then = self.stmt()
+        self.eat("}")
+        self.eat("else")
+        self.eat("{")
+        orelse = self.stmt()
+        self.eat("}")
+        return If(cond, then, orelse)
 
     def rel_pair(self):
         src = self.state_literal()
@@ -422,10 +454,10 @@ class _Parser:
         values = {}
 
         def item():
-            t = self.peek()
+            index = self.pos
             nm = self.ref()
             if nm in values:
-                raise ParseError(f"repeated variable {nm!r}", t.line, t.col)
+                self.fail(f"repeated variable {nm!r}", index)
             self.eat("=")
             values[nm] = self.int_lit()
 
@@ -436,79 +468,85 @@ class _Parser:
 
     def bexpr(self):
         node = self.band()
-        while self.at("||") or self.at("or"):
-            self.next()
+        while self.texts[self.pos] in ("||", "or"):
+            self.pos += 1
             node = BoolBin("||", node, self.band())
         return node
 
     def band(self):
         node = self.bnot()
-        while self.at("&&") or self.at("and"):
-            self.next()
+        while self.texts[self.pos] in ("&&", "and"):
+            self.pos += 1
             node = BoolBin("&&", node, self.bnot())
         return node
 
     def bnot(self):
-        if self.at("!") or self.at("not"):
-            self.next()
+        if self.texts[self.pos] in ("!", "not"):
+            self.pos += 1
             return Not(self.bnot())
         return self.batom()
 
     def batom(self):
-        if self.at("true"):
-            self.next()
+        t = self.texts[self.pos]
+        if t == "true":
+            self.pos += 1
             return BoolConst(True)
-        if self.at("false"):
-            self.next()
+        if t == "false":
+            self.pos += 1
             return BoolConst(False)
-        if self.at("("):
+        if t == "(":
             # either a parenthesized bexpr or an iexpr inside a comparison
             save = self.pos
+            self.tentative += 1
             try:
-                self.next()
+                self.pos += 1
                 node = self.bexpr()
                 self.eat(")")
                 return node
-            except ParseError:
+            except _Retry:
                 self.pos = save
+            finally:
+                self.tentative -= 1
         left = self.iexpr()
-        t = self.peek()
-        if t.text in ("=", "!=", "<", "<=", ">", ">=") and t.kind == "sym":
-            op = self.next().text
+        if self.texts[self.pos] in _CMP_OPS:
+            op = self.next()
             return Cmp(op, left, self.iexpr())
-        self.fail(f"expected comparison operator, found {t.text!r}")
+        self.fail(f"expected comparison operator, found {self.found()}")
 
     # ---- integer expressions
 
     def iexpr(self):
         node = self.term()
-        while self.at("+") or self.at("-"):
-            op = self.next().text
+        while self.texts[self.pos] in ("+", "-"):
+            op = self.next()
             node = IntBin(op, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.at("*"):
-            self.next()
+        while self.texts[self.pos] == "*":
+            self.pos += 1
             node = IntBin("*", node, self.factor())
         return node
 
     def factor(self):
-        t = self.peek()
-        if self.at("-"):
-            self.next()
-            return IntNeg(self.factor())
-        if t.kind == "int":
-            return IntConst(int(self.next().text))
-        if t.kind == "name":
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "int":
+            self.pos += 1
+            return IntConst(int(self.texts[pos]))
+        if kind == "name":
             return IntVar(self.ref())
-        if self.at("("):
-            self.next()
+        t = self.texts[pos]
+        if t == "-":
+            self.pos += 1
+            return IntNeg(self.factor())
+        if t == "(":
+            self.pos += 1
             node = self.iexpr()
             self.eat(")")
             return node
-        self.fail(f"expected integer expression, found {t.text!r}")
+        self.fail(f"expected integer expression, found {self.found()}")
 
 
 def parse(text):

@@ -14,6 +14,7 @@ from hypersem.notation import format_family, format_state, format_state_set
 LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
 LEAK = "var hi: 0..1;\nvar lo: 0..1;\nlow lo;\nlo := hi\n"
 SAFE = "var hi: 0..1;\nvar lo: 0..1;\nlow lo;\nhi := lo\n"
+PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
 
 @pytest.fixture
@@ -350,6 +351,37 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "parse", str(p))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("var x: 0..1; x := 1 []", ["parse"], "1:23: expected statement"),
+    (LOOP, ["eval", "--level", "tr", "--input", "[{x=0}"],
+     "1:7: expected ']'"),
+], ids=["program", "literal"])
+def test_end_of_input_is_named(capsys, tmp_path, text, argv, message):
+    p = tmp_path / "prog.imp"
+    p.write_text(text)
+    code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, found end of input\n"
+
+
+@pytest.mark.parametrize("name, argvs", [
+    ("leak.imp", [["parse"], ["check-ni"]]),
+    ("function.rel", [["psc"]]),
+], ids=["imp", "rel"])
+def test_leading_byte_order_mark_is_accepted(capsys, tmp_path, name, argvs):
+    original = PROGRAMS / name
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    for argv in argvs:
+        want = run(capsys, argv[0], str(original), *argv[1:])
+        assert run(capsys, argv[0], str(marked), *argv[1:]) == want
+    # a byte-order mark anywhere else is still an unexpected character
+    marked.write_bytes(original.read_bytes() + b"\xef\xbb\xbf")
+    code, out, err = run(capsys, argvs[0][0], str(marked))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "unexpected character '\\ufeff'" in err
 
 
 def test_missing_file_exit_code(capsys):

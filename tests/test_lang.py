@@ -1,7 +1,10 @@
+import pathlib
 import random
+import time
 
 import pytest
 
+from hypersem import lang
 from hypersem.errors import ParseError, UndeclaredVariable
 from hypersem.family import mask_of, powerset_family
 from hypersem.harness import GenConfig, _Gen
@@ -12,7 +15,10 @@ from hypersem.lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice,
                            atoms_deterministic, elaborate_atom, eval_bool,
                            eval_int, is_choice_free, parse, pp_program,
                            pp_stmt, tokenize)
+from hypersem.notation import parse_family, parse_rel_file
 from hypersem.space import StateSpace
+
+PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
 
 def test_parse_while_golden():
@@ -39,8 +45,7 @@ def test_token_positions():
     text = ("var\tab1 :in 0..42; // comment := here\r\n"
             "\t:= .. [] -> != <= >= && || ; { } ( ) [ ] , = < > + - * ! :\r\n"
             "if_ else 007 x// tail")
-    got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
-    assert got == [
+    assert tokenize(text) == [
         ("kw", "var", 1, 1), ("name", "ab1", 1, 5), ("sym", ":in", 1, 9),
         ("int", "0", 1, 13), ("sym", "..", 1, 14), ("int", "42", 1, 16),
         ("sym", ";", 1, 18),
@@ -72,6 +77,80 @@ def test_parse_error_cases():
                  "var x: 0..7; while x<1 { }", "var x: 0..7; x := 1 }"):
         with pytest.raises(ParseError):
             parse(text)
+
+
+X01 = StateSpace((("x", 0, 1),))
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (parse, "var x: 0..1;\nif x < 1 { skip } skip",
+     "2:19: expected 'else', found 'skip'"),
+    (parse, "var 1: 0..1; skip", "1:5: expected identifier, found '1'"),
+    (parse, "var x: 0..y; skip", "1:11: expected integer, found 'y'"),
+    (parse, "var x: 0..1; x := *",
+     "1:19: expected integer expression, found '*'"),
+    (parse, "var x: 0..1; assume x ; skip",
+     "1:23: expected comparison operator, found ';'"),
+    (parse, "var x: 0..1; x := 1 ; ;", "1:23: expected statement, found ';'"),
+    (parse, "var x: 0..1;\n  x = 1", "2:5: expected ':=' or ':in' after 'x'"),
+    (parse, "var x: 0..1; skip skip", "1:19: unexpected trailing input 'skip'"),
+    (parse, "var x: 0..1; rel { {x=0,x=1} -> {x=0} }",
+     "1:25: repeated variable 'x'"),
+    (parse, "skip", "1:1: program must declare at least one variable"),
+    (parse, "var x: 0..1; assume (x < 1 { skip }",
+     "1:24: expected ')', found '<'"),
+    (parse, "var x: 0..1;\r\n\t@", "2:2: unexpected character '@'"),
+    (parse, "var x: 0..1; // note",
+     "1:21: expected statement, found end of input"),
+    (parse, "var", "1:4: expected identifier, found end of input"),
+    (parse_rel_file, "var x: 0..1;\n{x=0} -> {x=}\n",
+     "1:13: expected integer, found '}'"),
+    (lambda text: parse_family(X01, text), "[[{x=0}] [{x=1}]]",
+     "1:10: expected ']', found '['"),
+    (lambda text: parse_family(X01, text), "[[{x=0}],[{x=1}]",
+     "1:17: expected ']', found end of input"),
+], ids=["expected-symbol", "identifier", "integer", "integer-expression",
+        "comparison", "statement", "assignment", "trailing", "repeated",
+        "no-declaration", "guard-backtrack", "character-after-crlf-tab",
+        "eof-after-comment", "eof-identifier", "rel-pair-line",
+        "family-literal", "eof-family-literal"])
+def test_parse_error_messages_and_positions(read, text, message):
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert str(exc.value) == message
+
+
+def test_successful_parse_computes_no_position(monkeypatch):
+    # positions come from token offsets only when an error is reported;
+    # the failed first reading of `(x + 1)` as a guard reports none
+    def no_position(text, offset):
+        raise AssertionError("a successful parse computed a position")
+
+    monkeypatch.setattr(lang, "_position", no_position)
+    texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.imp"))]
+    texts.append("var x: 0..1;\nassume "
+                 + " && ".join(["(x + 1) = 1"] * 2000) + "\n")
+    assert len(texts) == 5
+    for text in texts:
+        parse(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (" " * 200_000 + "@", "1:200001: unexpected character '@'"),
+    ("// note\n" * 50_000,
+     "50001:1: program must declare at least one variable"),
+    ("var x: 0..1; skip " + "/" * 100_000, None),
+    ("x" * 100_000 + "@", "1:100001: unexpected character '@'"),
+], ids=["blanks", "comment-lines", "slashes", "long-name"])
+def test_hostile_inputs_parse_in_linear_time(text, message):
+    start = time.perf_counter()
+    if message is None:
+        parse(text)
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+    assert time.perf_counter() - start < 2.0
 
 
 def test_choice_binds_looser_than_seq():
