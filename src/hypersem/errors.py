@@ -57,10 +57,6 @@ class IterationBudgetExceeded(WorkbenchError):
     cycle."""
 
 
-class NotARefinement(WorkbenchError):
-    """refinement check called with R not a subset of S."""
-
-
 class ElaborationError(WorkbenchError):
     """An atom or guard could not be elaborated over the given space."""
 

@@ -273,17 +273,17 @@ def random_downset(rng, n):
 def lift_family(tr, fam):
     """Elementwise image { phi p | p in fam }, in its one stored form.
 
-    A relation-backed transformer images a down-set's members without a
-    call per member: for each antichain element m, the images of all
-    subsets of m come from the subset-image recurrence over m's states
-    (as in ``relation._subset_images``).  Every member is still imaged,
-    with no monotonicity shortcut.  Table-backed transformers, explicit
+    A down-set's members are imaged without a call per member: for each
+    antichain element m, the images of all subsets of m come from the
+    subset-image recurrence over m's states and the rows of the relation
+    whose direct image tr is (as in ``relation._subset_images``).  Every
+    member is still imaged, with no monotonicity shortcut.  Explicit
     families, and down-sets whose antichain spans more subsets than the
-    expansion cap go member by member, so ``ExpansionTooLarge`` is raised
+    expansion cap, go member by member, so ``ExpansionTooLarge`` is raised
     exactly where ``members`` raises it.
     """
-    if (tr.rel is None or fam.kind != DOWNSET or sum(
-            1 << m.bit_count() for m in fam.sets) > DEFAULT_EXPANSION_CAP):
+    if fam.kind != DOWNSET or sum(
+            1 << m.bit_count() for m in fam.sets) > DEFAULT_EXPANSION_CAP:
         return FamilySet.explicit(map(tr.apply, fam.members()))
     rows = tr.rel.rows
     out = set()

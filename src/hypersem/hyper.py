@@ -42,17 +42,12 @@ from . import reference
 from .errors import (ExpansionTooLarge, IterationBudgetExceeded,
                      NonSubsetClosedQuery, QueryBlowup)
 from .family import (DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet,
-                     bounded_product, family_le, powerset_family)
+                     bounded_product, powerset_family)
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .reference import LoopVariant
 from .transformer import Transformer
 
 _BOTTOM = FamilySet.downset((0,))
-
-
-def hyper_bottom(fam):
-    """Bottom of the hyper level: empty to empty, else the family {{}}."""
-    return FamilySet.empty() if fam.is_empty else _BOTTOM
 
 
 def _members(fam, cap=DEFAULT_EXPANSION_CAP):
@@ -350,15 +345,3 @@ def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
     system = ev._discover(While(cond, body), basis, {})
     return [ev._union_all(cur[m] for m in basis)
             for _, cur in zip(range(steps + 1), ev._kleene(system, {}))]
-
-
-def hrefines(c, d, queries, space):
-    """Pointwise containment of hyper denotations on the given queries."""
-    ev_c = HEval(space)
-    ev_d = HEval(space)
-    for q in queries:
-        if not q.is_subset_closed():
-            raise NonSubsetClosedQuery("refinement queries must be subset closed")
-        if not family_le(ev_c.eval(c, q), ev_d.eval(d, q)):
-            return False
-    return True

@@ -184,9 +184,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
 
 
-def _lex(text):
-    """Text as three parallel lists (token kinds, texts and start offsets),
-    ending with eof, whose text is "".
+def _lex(text, start=0, end=None):
+    """Text (or its slice from start to end) as three parallel lists: token
+    kinds, texts and start offsets in text.  They end with eof, whose text
+    is "".
 
     One match of _TOKEN_RE per token covers the blanks and comments before
     it, then the token; the pattern matches at every position, so the
@@ -202,7 +203,8 @@ def _lex(text):
     oldest supported version, lacks.
     """
     kinds, texts, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start,
+                                len(text) if end is None else end):
         kind = m.lastgroup
         kinds.append(kind)
         texts.append(m[kind])
@@ -221,22 +223,6 @@ def _position(text, offset):
             offset - text.rfind("\n", 0, offset))
 
 
-def tokenize(text):
-    """Tokens of text as (kind, text, line, col) tuples, then eof; columns
-    count characters from 1."""
-    kinds, texts, starts = _lex(text)
-    out = []
-    line, line_start, prev = 1, 0, 0
-    for kind, word, start in zip(kinds, texts, starts):
-        newline = text.rfind("\n", prev, start)
-        if newline >= 0:
-            line += text.count("\n", prev, start)
-            line_start = newline + 1
-        out.append((kind, word, line, start - line_start + 1))
-        prev = start
-    return out
-
-
 # ---------------------------------------------------------------- parser
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -253,14 +239,16 @@ class _Parser:
 
     ``declared`` is the set of variable names a reference may use; None
     reads names unchecked (literals, whose states the space encodes).
+    ``start`` and ``end`` bound the slice of text that is read; positions
+    in errors are those in the whole text.
     ``tentative`` counts the tentative parses (``batom``'s parenthesized
     guard) in progress: inside one, every syntax error is caught, so it
     is raised as a bare _Retry, and no position is computed for it.
     """
 
-    def __init__(self, text, declared=None):
+    def __init__(self, text, declared=None, start=0, end=None):
         self.text = text
-        self.kinds, self.texts, self.starts = _lex(text)
+        self.kinds, self.texts, self.starts = _lex(text, start, end)
         self.pos = 0
         self.declared = declared
         self.tentative = 0
@@ -383,19 +371,21 @@ class _Parser:
     # ---- statements
 
     def stmt(self):
-        return self.chain("[]", Choice, self.seq)
-
-    def seq(self):
-        return self.chain(";", Seq, self.unit)
-
-    def chain(self, op, kind, item):
-        """`item op item ... op item`, read in a loop, as one kind node (or
-        the item alone)."""
-        parts = [item()]
-        while self.texts[self.pos] == op:
+        """A `[]` chain of `;` chains of units, read in two nested loops, as
+        one Choice of Seq nodes (or a lone chain or unit).  Reading it in
+        one frame keeps each level of `if`, `while` and `( )` nesting to
+        two frames, this one and ``unit``."""
+        branches = []
+        while True:
+            parts = [self.unit()]
+            while self.texts[self.pos] == ";":
+                self.pos += 1
+                parts.append(self.unit())
+            branches.append(parts[0] if len(parts) == 1 else Seq(tuple(parts)))
+            if self.texts[self.pos] != "[]":
+                break
             self.pos += 1
-            parts.append(item())
-        return parts[0] if len(parts) == 1 else kind(tuple(parts))
+        return branches[0] if len(branches) == 1 else Choice(tuple(branches))
 
     def unit(self):
         pos = self.pos
@@ -552,23 +542,6 @@ class _Parser:
 def parse(text):
     """Parse program text into a ProgramFile."""
     return _Parser(text).program()
-
-
-def parse_var_decl(text):
-    """Parse one `var name: lo..hi;` declaration and nothing after it."""
-    p = _Parser(text)
-    decl = p.var_decl()
-    p.end()
-    return decl
-
-
-def parse_stmt(text, decls):
-    """Parse a bare statement against existing declarations (for tests)."""
-    decls = tuple(decls)
-    p = _Parser(text, {n for n, _, _ in decls})
-    body = p.stmt()
-    p.end()
-    return ProgramFile(decls, (), (), (), body)
 
 
 # ---------------------------------------------------------------- pretty
@@ -738,28 +711,3 @@ def elaborate_atom(a, space):
     else:
         raise TypeError(f"not an atom: {a!r}")
     return Rel(space, space.assign_rows(a.var, lows, highs))
-
-
-def _statements(node):
-    """Every statement node under node, in pre-order from the left; the
-    stack makes no nesting depth reach the recursion limit."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (Seq, Choice)):
-            stack += reversed(node.parts)
-        elif isinstance(node, If):
-            stack += (node.orelse, node.then)
-        elif isinstance(node, While):
-            stack.append(node.body)
-
-
-def is_choice_free(node):
-    return not any(isinstance(n, Choice) for n in _statements(node))
-
-
-def atoms_deterministic(node, space):
-    """True iff every elaborated atom is a partial function."""
-    return all(elaborate_atom(n.atom, space).is_partial_function()
-               for n in _statements(node) if isinstance(n, Atom))

@@ -1,4 +1,4 @@
-"""Noninterference checks in three formulations, plus refinement reports.
+"""Noninterference checks in three formulations.
 
 A LowView partitions the states by agreement on the low variables.  The
 relational and hyper checks agree on every relation; the possibilistic
@@ -10,13 +10,16 @@ deterministic programs and are cross-tested against one another:
 * possibilistic — the simulation inequality sim;R <= R;sim;
 * hyper — agreement classes stay agreement classes under the forward
   transformer (only the maximal sets, i.e. the classes, need checking).
+
+The relational form is subset closed: every subrelation of a secure
+relation is secure, so refinement preserves it (Clarkson & Schneider,
+"Hyperproperties", JCS 2010).  The possibilistic form is not; removing
+pairs can break it.
 """
 
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import NotARefinement
-from .family import FamilySet
 from .relation import Rel
 from .semantics import sem_tr
 
@@ -49,11 +52,6 @@ class LowView:
     def sim_relation(self):
         """The agreement relation as a Rel (s related to its whole class)."""
         return Rel(self.space, self.class_of)
-
-    def agreement_family(self):
-        """All sets lying inside one class, as a down-set (never expanded)."""
-        return FamilySet.downset(self.classes)
-
 
 def agr(mask, view):
     """True iff the set lies inside a single agreement class."""
@@ -111,45 +109,3 @@ def ni_hyper(node, view, view_out=None):
         if not agr(img, out):
             return NIVerdict(False, (cls, img))
     return NIVerdict(True)
-
-
-@dataclass
-class HyperpropertyOracle:
-    """Membership predicate over relations with a claimed closure flag."""
-
-    member: object  # Rel -> bool
-    subset_closed: bool
-    name: str = ""
-
-
-def relational_ni_oracle(view):
-    return HyperpropertyOracle(
-        lambda rel: bool(ni_relational(rel, view)), True, "relational-ni")
-
-
-def possibilistic_ni_oracle(view):
-    return HyperpropertyOracle(
-        lambda rel: bool(ni_possibilistic(rel, view)), False, "possibilistic-ni")
-
-
-@dataclass
-class RefinementReport:
-    spec_member: bool
-    impl_member: bool
-    preserved: bool
-    closure_falsified: bool
-
-
-def refinement_preserves(oracle, spec, impl):
-    """Check membership transport along impl <= spec.
-
-    For an oracle claiming subset closure, spec in H must force impl in
-    H; a violation falsifies the closure claim.
-    """
-    if not impl.is_subrelation(spec):
-        raise NotARefinement("impl is not a subrelation of spec")
-    s_in = bool(oracle.member(spec))
-    r_in = bool(oracle.member(impl))
-    falsified = oracle.subset_closed and s_in and not r_in
-    preserved = (not s_in) or r_in
-    return RefinementReport(s_in, r_in, preserved, falsified)

@@ -6,14 +6,15 @@ States print as ``{x=2,hi=1}`` (declaration order), state sets as
 declarations, one per line, followed by one ``{x=0} -> {x=4}`` line per
 pair.  Every literal is read by the program parser (``lang._Parser``):
 a state is the state-literal grammar of ``rel { ... }`` atoms, and
-declarations are those of program files.
+declarations are those of program files.  Errors give positions in the
+text that was read: a relation file's line and column.
 """
 
 import json
 
 from .errors import ParseError
 from .family import FamilySet, mask_of, states_of
-from .lang import _Parser, parse_var_decl
+from .lang import _Parser
 from .relation import Rel
 from .space import StateSpace
 
@@ -49,9 +50,10 @@ def to_json_text(data):
     return json.dumps(data, sort_keys=True)
 
 
-def _read(text, literal):
-    """One literal read by the program parser, and nothing after it."""
-    p = _Parser(text)
+def _read(text, literal, start=0, end=None):
+    """One literal read by the program parser, and nothing after it; from
+    the slice of text from start to end when they are given."""
+    p = _Parser(text, start=start, end=end)
     out = literal(p)
     p.end()
     return out
@@ -79,29 +81,30 @@ def parse_family(space, text):
 
 
 def parse_rel_file(text):
-    """Relation literal file: var declarations then `{..} -> {..}` lines."""
+    """Relation literal file: var declarations then `{..} -> {..}` lines.
+
+    Each line holds one declaration or one pair, read from the line's span
+    of the text without its comment and its surrounding blanks.
+    """
     decls = []
-    pair_lines = []
-    for raw in text.splitlines():
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
-        if line.split(None, 1)[0] == "var":
-            decls.append(parse_var_decl(line))
-        else:
-            pair_lines.append(line)
+    pair_spans = []
+    start = 0
+    for line in text.splitlines(keepends=True):
+        body = line.split("//", 1)[0]
+        item = body.strip()
+        if item:
+            begin = start + len(body) - len(body.lstrip())
+            span = (begin, begin + len(item))
+            if item.split(None, 1)[0] == "var":
+                decls.append(_read(text, _Parser.var_decl, *span))
+            else:
+                pair_spans.append(span)
+        start += len(line)
     if not decls:
         raise ParseError("relation file needs var declarations", 1, 1)
     space = StateSpace(decls)
     rows = [0] * space.size
-    for line in pair_lines:
-        src, dst = _read(line, _Parser.rel_pair)
+    for span in pair_spans:
+        src, dst = _read(text, _Parser.rel_pair, *span)
         rows[space.encode(dict(src))] |= 1 << space.encode(dict(dst))
     return space, Rel(space, rows)
-
-
-def format_rel_file(space, rel):
-    lines = [f"var {n}: {lo}..{hi};" for n, lo, hi in space.vars]
-    for s, t in rel.pairs():
-        lines.append(f"{format_state(space, s)} -> {format_state(space, t)}")
-    return "\n".join(lines) + "\n"

@@ -74,14 +74,6 @@ class Rel:
         self._check(other)
         return Rel(self.space, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
-    def intersect(self, other):
-        # not in the surface language; used by checks and tests
-        self._check(other)
-        return Rel(self.space, tuple(a & b for a, b in zip(self.rows, other.rows)))
-
-    def converse(self):
-        return Rel(self.space, _kernels.converse_rows(self.rows, self.space.size))
-
     def dirimg(self, p):
         """Direct image of mask p."""
         images = self._images
@@ -99,18 +91,8 @@ class Rel:
             return low[p & low_mask] | high[p >> half]
         return _kernels.dirimg_rows(self.rows, p)
 
-    def domain(self):
-        out = 0
-        for s, row in enumerate(self.rows):
-            if row:
-                out |= 1 << s
-        return out
-
     def is_partial_function(self):
         return all(row.bit_count() <= 1 for row in self.rows)
-
-    def is_coreflexive(self):
-        return all(row & ~(1 << s) == 0 for s, row in enumerate(self.rows))
 
     def is_subrelation(self, other):
         self._check(other)
@@ -125,9 +107,3 @@ class Rel:
 
     def __repr__(self):
         return f"Rel({self.space!r}, pairs={sorted(self.pairs())})"
-
-
-def rel_recover(transformer):
-    """Relation whose direct image the transformer is: s R t iff t in phi{s}."""
-    space = transformer.space
-    return Rel(space, tuple(transformer.apply(1 << s) for s in space.states()))

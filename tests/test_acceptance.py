@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+from hypersem._kernels import psc_scan_table
 from hypersem.family import FamilySet, mask_of, powerset_family, ssc, subsets_of
 from hypersem.harness import (GenConfig, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
@@ -22,8 +23,8 @@ from hypersem.noninterference import LowView, ni_possibilistic, ni_relational
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
-from hypersem.transformer import (Transformer, dom, is_monotone,
-                                  is_univ_disjunctive, psc_check)
+from hypersem.transformer import Transformer, psc_check
+from support import domain, is_disjunctive, is_monotone
 
 LOOP_TEXT = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
 
@@ -250,12 +251,11 @@ def test_criterion_7_lemma_suite():
         for rows in product(options, repeat=n):
             assert psc_check(Transformer.image(Rel(space, rows)))
 
-    # a PSC non-function exists at size 3: search monotone tables for one
-    # that cannot be the image of any relation (non-disjunctive)
-    s3 = StateSpace((("s", 0, 2),))
+    # a PSC non-function exists at size 3: search monotone subset tables
+    # for one that cannot be the image of any relation (non-disjunctive)
     rng = random.Random(7)
     found = None
-    while found is None:
+    for _ in range(10_000):
         tab = [0] * 8
         for p in range(8):
             base = 0
@@ -263,10 +263,12 @@ def test_criterion_7_lemma_suite():
                 if p >> b & 1:
                     base |= tab[p & ~(1 << b)]
             tab[p] = base | (rng.randrange(8) if rng.random() < 0.3 else 0)
-        tr = Transformer(s3, table=tuple(tab))
-        if is_monotone(tr) and not is_univ_disjunctive(tr) and psc_check(tr):
-            found = tr
-    assert psc_check(found) and not is_univ_disjunctive(found)
+        if (is_monotone(tab, 3) and not is_disjunctive(tab, 3)
+                and psc_scan_table(tab, 3)[0]):
+            found = tab
+            break
+    assert found is not None
+    assert psc_scan_table(found, 3)[0] and not is_disjunctive(found, 3)
 
     # the crossing relation fails PSC with a genuine witness
     s4 = StateSpace((("s", 0, 3),))
@@ -315,7 +317,7 @@ def test_criterion_7_lemma_suite():
             (rows_b if split >> s & 1 else rows_a).append(0)
         phi = Transformer.image(Rel(s4b, rows_a))
         psi = Transformer.image(Rel(s4b, rows_b))
-        assert dom(phi) & dom(psi) == 0
+        assert domain(phi) & domain(psi) == 0
         assert psc_check(phi) and psc_check(psi)
         assert psc_check(Transformer.image(phi.rel.union(psi.rel)))
 
@@ -336,7 +338,7 @@ def test_criterion_7_lemma_suite():
 
 def test_criterion_8_cross_oracle_ni():
     t0 = time.perf_counter()
-    from hypersem.lang import parse_stmt, pp_stmt
+    from hypersem.lang import pp_stmt
     from hypersem.noninterference import ni_hyper
     space = StateSpace((("hi", 0, 1), ("lo", 0, 1)))
     view = LowView(space, ("lo",))
@@ -347,7 +349,7 @@ def test_criterion_8_cross_oracle_ni():
     for seed in range(500):
         pf = gen_program(replace(base, seed=seed))
         text = pp_stmt(pf.body).replace("x", "hi").replace("y", "lo")
-        body = parse_stmt(text, (("hi", 0, 1), ("lo", 0, 1))).body
+        body = parse("var hi: 0..1; var lo: 0..1;\n" + text).body
         rel = sem_rel(body, space)
         a = bool(ni_relational(rel, view))
         b = bool(ni_possibilistic(rel, view))

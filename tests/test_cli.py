@@ -423,6 +423,30 @@ def test_deep_program_is_an_error_not_a_verdict(capsys, tmp_path):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_nested_program_answers(capsys, tmp_path):
+    # an `if` level costs the parser two frames (a statement and a unit),
+    # so a 400-level nest answers below the interpreter's recursion limit
+    def nest(n):
+        p = tmp_path / f"nest{n}.imp"
+        p.write_text("var x: 0..1;\nlow x;\n" + "if x = 0 { " * n
+                     + "x := 1 - x" + " } else { skip }" * n + "\n")
+        return str(p)
+
+    deep = nest(400)
+    code, out, _ = run(capsys, "parse", deep)
+    assert code == 0 and out.count("if x = 0") == 400
+    code, out, _ = run(capsys, "check-ni", deep)
+    assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
+    # the hyper engine's own frames bind first, so its nest is shallower
+    for path, level, literal, want in (
+            (deep, "rel", "{x=0}", "[{x=1}]\n"),
+            (deep, "tr", "[{x=0},{x=1}]", "[{x=1}]\n"),
+            (nest(150), "hyper", "[[],[{x=0}]]", "[[],[{x=1}]]\n")):
+        code, out, _ = run(capsys, "eval", path, "--level", level,
+                           "--input", literal)
+        assert (code, out) == (0, want), level
+
+
 def test_long_seq_chain_answers(capsys, tmp_path):
     # a `;` chain costs no recursion depth in any command
     p = tmp_path / "chain.imp"

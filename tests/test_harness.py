@@ -9,11 +9,12 @@ from hypersem.family import FamilySet, subsets_of
 from hypersem.harness import (DiffReport, GenConfig, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
                               random_downset, search_ssc_necessity)
-from hypersem.lang import Choice, Seq, _statements, parse, pp_program
+from hypersem.lang import Choice, Seq, parse, pp_program
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer
+from support import atoms_deterministic, is_choice_free, statements
 
 
 def test_gen_reproducible():
@@ -26,7 +27,6 @@ def test_gen_reproducible():
 
 
 def test_gen_respects_flags():
-    from hypersem.lang import atoms_deterministic, is_choice_free
     for seed in range(30):
         cfg = GenConfig(seed=seed, allow_choice=False,
                         allow_nondet_atoms=False)
@@ -62,7 +62,7 @@ def test_generated_programs_roundtrip():
         for seed in range(seeds):
             pf = gen_program(replace(cfg, seed=seed))
             assert parse(pp_program(pf)) == pf, pp_program(pf)
-            for node in _statements(pf.body):
+            for node in statements(pf.body):
                 assert not (isinstance(node, Seq)
                             and isinstance(node.parts[-1], Seq))
                 assert not (isinstance(node, Choice)
@@ -242,19 +242,17 @@ def test_lift_family_matches_member_wise_lift():
     for n in range(1, 9):
         space = StateSpace((("s", 0, n - 1),))
         for functional in (True, False):
-            image = Transformer.image(_rnd_rel(rng, space, functional))
-            table = Transformer.from_table(space, image.tabulate())
+            tr = Transformer.image(_rnd_rel(rng, space, functional))
             for _ in range(8):
                 members = [rng.randrange(1 << n)
                            for _ in range(rng.randint(0, 4))]
                 for q in (random_downset(rng, n),
                           FamilySet.downset(members),
                           FamilySet.explicit(members)):
-                    for tr in (image, table):
-                        got = lift_family(tr, q)
-                        want = _member_wise_lift(tr, q)
-                        assert got.kind == want.kind
-                        assert got.sets == want.sets, (tr, q)
+                    got = lift_family(tr, q)
+                    want = _member_wise_lift(tr, q)
+                    assert got.kind == want.kind
+                    assert got.sets == want.sets, (tr, q)
 
 
 def test_lift_family_expansion_cap():

@@ -2,7 +2,7 @@ import pytest
 
 from hypersem.errors import ParseError
 from hypersem.family import FamilySet, mask_of, powerset_family
-from hypersem.notation import (family_json, format_family, format_rel_file,
+from hypersem.notation import (family_json, format_family,
                                format_state, format_state_set, parse_family,
                                parse_rel_file, parse_state, parse_state_set,
                                state_set_json)
@@ -63,7 +63,10 @@ var x: 0..7;
     space, rel = parse_rel_file(text)
     assert space.size == 8
     assert sorted(rel.pairs()) == [(0, 4), (2, 4), (2, 5)]
-    text2 = format_rel_file(space, rel)
+    lines = [f"var {n}: {lo}..{hi};" for n, lo, hi in space.vars]
+    lines += [f"{format_state(space, s)} -> {format_state(space, t)}"
+              for s, t in rel.pairs()]
+    text2 = "\n".join(lines) + "\n"
     space2, rel2 = parse_rel_file(text2)
     assert space2 == space and rel2 == rel
 

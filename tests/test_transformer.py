@@ -1,18 +1,15 @@
 import random
 from itertools import product
 
-import pytest
-
-from hypersem import _kernels
-from hypersem.errors import SpaceTooLarge
+from hypersem._kernels import psc_scan_table
 from hypersem.family import mask_of, states_of, subsets_of
 from hypersem.harness import GenConfig, gen_program
 from hypersem.lang import parse
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
-from hypersem.transformer import (Transformer, dom, is_monotone,
-                                  is_univ_disjunctive, psc_check)
+from hypersem.transformer import Transformer, psc_check
+from support import domain, is_disjunctive, is_monotone, table_of
 
 
 def rnd_rel(rng, space, density=None):
@@ -27,11 +24,9 @@ def tr_of(text):
     return sem_tr(pf.body, pf.space()), pf.space()
 
 
-# a monotone, non-disjunctive transformer: emits {2} only once both 0 and 1
-# are present in the query
-def coupled_table(space):
-    return Transformer.from_function(
-        space, lambda p: 0b100 if p & 0b011 == 0b011 else 0)
+# the subset table of a monotone, non-disjunctive transformer on 3 states:
+# it emits {2} only once both 0 and 1 are present in the query
+COUPLED = [0b100 if p & 0b011 == 0b011 else 0 for p in range(8)]
 
 
 def test_bottom_is_constant_empty(x8):
@@ -97,7 +92,7 @@ def test_sem_tr_monotone():
         cfg = GenConfig(seed=seed, max_space=6)
         pf = gen_program(cfg)
         space = pf.space()
-        assert is_monotone(sem_tr(pf.body, space))
+        assert is_monotone(table_of(sem_tr(pf.body, space)), space.size)
 
 
 def test_psc_partial_functions_exhaustive(s3):
@@ -125,8 +120,7 @@ def test_psc_image_iff_partial_function_exhaustive(s3):
         tr = Transformer.image(rel)
         res = psc_check(tr)
         assert bool(res) == rel.is_partial_function()
-        assert tuple(res) == _kernels.psc_scan_table(tr.tabulate(),
-                                                     rel.space.size)
+        assert tuple(res) == psc_scan_table(table_of(tr), rel.space.size)
 
 
 def test_psc_crossing_relation_fails_with_witness(s4):
@@ -141,46 +135,19 @@ def test_psc_crossing_relation_fails_with_witness(s4):
     assert all(tr.apply(s) != res.r for s in subsets_of(res.q))
 
 
-def test_psc_nonfunction_exists_among_monotone_tables(s3):
-    t = coupled_table(s3)
-    assert is_monotone(t)
-    assert not is_univ_disjunctive(t)
-    assert psc_check(t)
+def test_psc_nonfunction_exists_among_monotone_tables():
+    assert is_monotone(COUPLED, 3)
+    assert not is_disjunctive(COUPLED, 3)
+    assert psc_scan_table(COUPLED, 3)[0]
 
 
 def test_psc_size_cap():
-    # images are answered from their rows at any size; only table scans
-    # are capped
+    # images are answered from their rows at any size
     space = StateSpace((("a", 0, 3), ("b", 0, 3), ("c", 0, 3)))
     assert psc_check(Transformer.image(Rel.identity(space)))
     crossing = Rel.from_pairs(space, [(63, 5), (63, 9)])
     assert tuple(psc_check(Transformer.image(crossing))) == (
         False, 1 << 63, 1 << 9)
-    s11 = StateSpace((("s", 0, 10),))
-    table = Transformer.from_function(s11, lambda p: p,
-                                      check_monotone=False)
-    with pytest.raises(SpaceTooLarge):
-        psc_check(table)
-
-
-def test_table_size_cap():
-    space = StateSpace((("a", 0, 3), ("b", 0, 3), ("c", 0, 3)))
-    with pytest.raises(SpaceTooLarge):
-        Transformer.from_function(space, lambda p: 0)
-
-
-def test_table_monotonicity_enforced(s3):
-    with pytest.raises(ValueError):
-        Transformer.from_function(s3, lambda p: 0b111 & ~p)
-    Transformer.from_function(s3, lambda p: 0b111 & ~p, check_monotone=False)
-
-
-def test_dom_examples(x8):
-    assert dom(Transformer.image(Rel.empty(x8))) == 0
-    rng = random.Random(3)
-    for _ in range(20):
-        r = rnd_rel(rng, x8)
-        assert dom(Transformer.image(r)) == r.domain()
 
 
 def test_disjunctive_restricts_to_domain():
@@ -188,7 +155,7 @@ def test_disjunctive_restricts_to_domain():
     rng = random.Random(4)
     for _ in range(25):
         phi = Transformer.image(rnd_rel(rng, space))
-        d = dom(phi)
+        d = domain(phi)
         for r in range(1 << space.size):
             assert phi.apply(r) == phi.apply(r & d)
 
@@ -196,8 +163,9 @@ def test_disjunctive_restricts_to_domain():
 def test_is_univ_disjunctive(s3):
     rng = random.Random(5)
     for _ in range(20):
-        assert is_univ_disjunctive(Transformer.image(rnd_rel(rng, s3)))
-    assert not is_univ_disjunctive(coupled_table(s3))
+        assert is_disjunctive(
+            table_of(Transformer.image(rnd_rel(rng, s3))), 3)
+    assert not is_disjunctive(COUPLED, 3)
 
 
 def test_psc_join_disjoint_domains(s4):
@@ -218,7 +186,7 @@ def test_psc_join_disjoint_domains(s4):
                 rows_b.append(succ)
         phi = Transformer.image(Rel(s4, rows_a))
         psi = Transformer.image(Rel(s4, rows_b))
-        assert dom(phi) & dom(psi) == 0
+        assert domain(phi) & domain(psi) == 0
         assert psc_check(phi) and psc_check(psi)
         assert psc_check(Transformer.image(phi.rel.union(psi.rel)))
 
@@ -233,7 +201,7 @@ def test_psc_join_of_partial_functions_exhaustive(s3):
     for a, b in product(funcs, repeat=2):
         joined = Transformer.image(a.union(b))
         res = psc_check(joined)
-        assert tuple(res) == _kernels.psc_scan_table(joined.tabulate(), 3)
+        assert tuple(res) == psc_scan_table(table_of(joined), 3)
         agree = all(x == y or not (x and y) for x, y in zip(a.rows, b.rows))
         assert bool(res) == agree
         kept += agree
