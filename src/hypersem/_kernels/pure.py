@@ -77,6 +77,29 @@ def expand_downset(antichain, cap):
     return sorted(out)
 
 
+def closed_antichain(members):
+    """The sorted antichain of a down-closed member set, or None when the
+    set is not down-closed.
+
+    One pass over the members: each member's subsets one state smaller
+    must be members, and are then not maximal.  In a down-closed set a
+    member strictly inside another has a member one state larger, so the
+    members that are never one state smaller are exactly the maximal ones.
+    """
+    ms = members if isinstance(members, (set, frozenset)) else set(members)
+    below = set()
+    for m in ms:
+        t = m
+        while t:
+            low = t & -t
+            sub = m ^ low
+            if sub not in ms:
+                return None
+            below.add(sub)
+            t ^= low
+    return sorted(ms.difference(below))
+
+
 def is_downclosed(members):
     """True iff the member set is closed under removing one element."""
     ms = members if isinstance(members, (set, frozenset)) else set(members)

@@ -11,7 +11,12 @@ is built:
   as the finite set of its member masks.
 
 Down-sets are how subset-closed families stay small: the antichain is
-linear where the expansion is exponential.  Since each family has one
+linear where the expansion is exponential.  ``explicit`` picks the form
+in one pass over the members (``_kernels.closed_antichain``): a nonempty
+set closed under removing one state is a down-set, and its antichain is
+the members that no member one state larger sits above; any other set is
+kept as it is.  ``downset`` reduces its masks to their antichain, and
+one mask is its own antichain.  Since each family has one
 stored form, ``==`` and ``hash`` compare that form (kind and stored
 sets), and ``key()`` is the same pair as a sorted tuple.
 """
@@ -73,14 +78,18 @@ class FamilySet:
         """The family of exactly these masks: a down-set when nonempty and
         subset closed, else explicit."""
         sets = frozenset(members)
-        if sets and _kernels.is_downclosed(sets):
-            return cls.downset(sets)
+        anti = _kernels.closed_antichain(sets)
+        if anti:
+            return cls(DOWNSET, frozenset(anti))
         return cls(EXPLICIT, sets)
 
     @classmethod
     def downset(cls, sets):
         """Down-closure of the given masks, stored as their antichain."""
-        anti = _kernels.maximal_sets(list(sets))
+        sets = list(sets)
+        if len(sets) == 1:
+            return cls(DOWNSET, frozenset(sets))
+        anti = _kernels.maximal_sets(sets)
         if not anti:
             return cls.empty()
         return cls(DOWNSET, frozenset(anti))

@@ -13,10 +13,14 @@ stands for ↓{m}, the family of all subsets of m, and a node's value at a
 family is the union of its values at the down-sets of the family's
 antichain.  Loops answer every query from the memo.  Sequences, choices
 and conditionals answer down-set queries from it and explicit ones
-structurally; atoms map elementwise.  The memo and the atom and guard
-caches are keyed by node identity and hold their node, so no AST node is
-hashed; each atom's transformer and partial-function flag, and each
-guard's mask, are computed once.
+structurally; atoms map elementwise.  Each node is compiled once per
+evaluator into one entry, keyed by node identity: the node itself (so no
+AST node is hashed, and its id is not reused while the entry lives), its
+rule with the rule's arguments (an atom's image function and
+partial-function flag, a guard's mask and its complement, the children)
+and its memo.  Evaluation looks the entry up and calls its rule, with no
+dispatch on the node's type; a down-set query whose antichain is one mask
+is answered by one memo value, with no union.
 
 Loops are least fixpoints of the guarded-join functional.  The equation
 of atomic query m depends on the antichain of the body's value at
@@ -50,6 +54,10 @@ from .transformer import Transformer
 _BOTTOM = FamilySet.downset((0,))
 
 
+def _same(fam):
+    return fam
+
+
 def _members(fam, cap=DEFAULT_EXPANSION_CAP):
     try:
         return fam.members(cap)
@@ -67,8 +75,8 @@ class HyperStats:
 
 
 class HEval:
-    """One paper-variant evaluation context: space, atom/guard caches, and
-    the per-node memo of values at atomic queries."""
+    """One paper-variant evaluation context: the space, and one compiled
+    entry per statement node with the node's rule and memo."""
 
     def __init__(self, space, variant=LoopVariant.PAPER, *,
                  expansion_cap=DEFAULT_EXPANSION_CAP, cross_check=False):
@@ -79,42 +87,49 @@ class HEval:
         self.cap = expansion_cap
         self.cross_check = cross_check
         self.stats = HyperStats()
-        self._atom_tr = {}
-        self._guard_mask = {}
-        self._memo = {}
+        self._entries = {}
 
-    # ---- caches, keyed by node identity; each entry holds its node, so
-    # its id is not reused while we live
-
-    def _atom(self, node):
-        """An Atom node's transformer and whether it is a partial function."""
-        entry = self._atom_tr.get(id(node))
-        if entry is None:
+    def _compile(self, node):
+        """The node's entry (node, rule, args, memo), built once and keyed
+        by identity; holding the node keeps its id from being reused while
+        we live.  The rule is called as rule(*args, query).  Atoms and skip
+        map a whole query and keep no memo; a loop has no rule, and its
+        args are the guard's mask, its complement and the body."""
+        if isinstance(node, Atom):
             rel = elaborate_atom(node.atom, self.space)
-            entry = self._atom_tr[id(node)] = (
-                node, Transformer.image(rel), rel.is_partial_function())
-        return entry[1], entry[2]
-
-    def _guard(self, cond):
-        entry = self._guard_mask.get(id(cond))
-        if entry is None:
-            entry = self._guard_mask[id(cond)] = (
-                cond, eval_bool(cond, self.space))
-        return entry[1]
+            entry = (node, self._map_family,
+                     (Transformer.image(rel).apply,
+                      rel.is_partial_function()), None)
+        elif isinstance(node, Skip):
+            entry = (node, _same, (), None)
+        elif isinstance(node, Seq):
+            entry = (node, self._seq, (node.parts,), {})
+        elif isinstance(node, Choice):
+            entry = (node, self.inner_join, node.parts, {})
+        elif isinstance(node, (If, While)):
+            bmask = eval_bool(node.cond, self.space)
+            masks = (bmask, self.space.full_mask & ~bmask)
+            if isinstance(node, If):
+                entry = (node, self._split_join,
+                         masks + (node.then, node.orelse), {})
+            else:
+                entry = (node, None, masks + (node.body,), {})
+        else:
+            raise TypeError(f"not a statement: {node!r}")
+        self._entries[id(node)] = entry
+        return entry
 
     # ---- family helpers
 
-    def _map_family(self, fam, fn, preserves_closure):
-        """Elementwise image { fn(p) | p in fam }."""
-        if fam.is_empty:
-            return FamilySet.empty()
+    def _map_family(self, fn, preserves_closure, fam):
+        """Elementwise image { fn(p) | p in fam } of a nonempty family."""
         if fam.kind == DOWNSET and preserves_closure:
-            return FamilySet.downset(fn(m) for m in fam.sets)
-        return FamilySet.explicit(fn(p) for p in _members(fam, self.cap))
+            return FamilySet.downset(map(fn, fam.sets))
+        return FamilySet.explicit(map(fn, _members(fam, self.cap)))
 
     def _prod(self, a, b):
         """{ r | s : r in a, s in b } on families."""
-        if a.is_empty or b.is_empty:
+        if not a.sets or not b.sets:
             return FamilySet.empty()
         if a.kind == DOWNSET and b.kind == DOWNSET:
             return FamilySet.downset(x | y for x in a.sets for y in b.sets)
@@ -125,7 +140,7 @@ class HEval:
         """Union of families in one step: one antichain reduction when
         every part is a down-set, else one member union (expanded within
         the cap)."""
-        parts = [part for part in parts if not part.is_empty]
+        parts = [part for part in parts if part.sets]
         if not parts:
             return FamilySet.empty()
         if len(parts) == 1:
@@ -137,54 +152,33 @@ class HEval:
 
     # ---- evaluation
 
-    def _table(self, node):
-        """The memo of one node: {mask m: value at the subsets of m}.  Keyed
-        by identity; the entry holds the node, so its id is not reused
-        while we live."""
-        entry = self._memo.get(id(node))
-        if entry is None:
-            entry = self._memo[id(node)] = (node, {})
-        return entry[1]
-
     def eval(self, node, fam):
-        if fam.is_empty:
+        if not fam.sets:
             return FamilySet.empty()
-        if isinstance(node, Skip):
-            return fam
-        if isinstance(node, Atom):
-            tr, partial = self._atom(node)
-            return self._map_family(fam, tr.apply, partial)
-        # loops answer every query from the memo; the other constructs
-        # answer down-set queries from it, being additive over maximal
-        # members, and explicit queries structurally
-        if isinstance(node, While):
-            rule = None
-        else:
-            rule, args = self._rule(node)
-            if fam.kind != DOWNSET:
-                return rule(*args, fam)
-        memo = self._table(node)
+        _, rule, args, memo = (self._entries.get(id(node))
+                               or self._compile(node))
+        # atoms and skip map the whole query; loops answer every query from
+        # the memo; the other constructs answer down-set queries from it,
+        # being additive over maximal members, and explicit ones
+        # structurally.  Calling the rule from here keeps one stack frame
+        # per nesting level.
+        if memo is None or (rule is not None and fam.kind != DOWNSET):
+            return rule(*args, fam)
         basis = fam.antichain()
-        missing = [m for m in basis if m not in memo]
-        if rule is None:
-            if missing:
-                self._solve_demand(node, memo, missing)
-        else:
-            for m in missing:
-                memo[m] = rule(*args, powerset_family(m))
-        return self._union_all([memo[m] for m in basis])
-
-    def _rule(self, node):
-        """A construct's structural rule as (function, leading arguments);
-        the query is the last argument.  Handing it back instead of calling
-        it keeps one stack frame per nesting level."""
-        if isinstance(node, Seq):
-            return self._seq, (node.parts,)
-        if isinstance(node, Choice):
-            return self.inner_join, node.parts
-        if isinstance(node, If):
-            return self.guarded_join, (node.cond, node.then, node.orelse)
-        raise TypeError(f"not a statement: {node!r}")
+        vals = []
+        missing = []
+        for m in basis:
+            val = memo.get(m)
+            if val is None:
+                if rule is None:
+                    missing.append(m)
+                    continue
+                val = memo[m] = rule(*args, powerset_family(m))
+            vals.append(val)
+        if missing:
+            self._solve_demand(node, args, memo, missing)
+            vals = [memo[m] for m in basis]
+        return vals[0] if len(vals) == 1 else self._union_all(vals)
 
     def _seq(self, parts, fam):
         for part in parts:
@@ -205,33 +199,36 @@ class HEval:
         return self._join(branches, ((powerset_family(p),) * len(branches)
                                      for p in fam.antichain()))
 
-    def guarded_join(self, cond, c, d, fam):
-        """Split each member by the guard, then one result from each branch."""
-        bmask = self._guard(cond)
-        nbmask = self.space.full_mask & ~bmask
+    def _split_join(self, bmask, nbmask, c, d, fam):
+        """guarded_join with the guard's mask and its complement given."""
         return self._join((c, d), ((powerset_family(p & bmask),
                                     powerset_family(p & nbmask))
                                    for p in fam.antichain()))
 
+    def guarded_join(self, cond, c, d, fam):
+        """Split each member by the guard, then one result from each branch."""
+        bmask = eval_bool(cond, self.space)
+        return self._split_join(bmask, self.space.full_mask & ~bmask, c, d,
+                                fam)
+
     # ---- loop machinery: one unknown per atomic query
 
-    def _discover(self, node, roots, known):
+    def _discover(self, loop, roots, known):
         """Equations of the atomic queries reachable from roots, not
-        entering known.
+        entering known; loop is the args of a loop's entry.
 
         Each equation is (deps, wrap): the antichain of the body's value
         at the subsets of m & guard, and the subsets of m & ~guard.  Roots
         are always included.
         """
-        bmask = self._guard(node.cond)
-        nbmask = self.space.full_mask & ~bmask
+        bmask, nbmask, body = loop
         system = {}
         pending = list(roots)
         while pending:
             m = pending.pop()
             if m in system:
                 continue
-            deps = self.eval(node.body, powerset_family(m & bmask)).antichain()
+            deps = self.eval(body, powerset_family(m & bmask)).antichain()
             system[m] = (deps, powerset_family(m & nbmask))
             pending.extend(d for d in deps if d not in known)
         return system
@@ -263,9 +260,9 @@ class HEval:
                     f"loop iteration did not stabilize within {budget} steps")
             prev = cur
 
-    def _solve_demand(self, node, memo, roots):
+    def _solve_demand(self, node, loop, memo, roots):
         """Worklist iteration to the least solution; memoizes every atom."""
-        system = self._discover(node, roots, memo)
+        system = self._discover(loop, roots, memo)
         vals = dict.fromkeys(system, _BOTTOM)
 
         def value_of(d):
@@ -342,6 +339,7 @@ def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
                 for _, vals in zip(range(steps + 1), iters)]
     ev = HEval(space)
     basis = fam.antichain()
-    system = ev._discover(While(cond, body), basis, {})
+    _, _, loop, _ = ev._compile(While(cond, body))
+    system = ev._discover(loop, basis, {})
     return [ev._union_all(cur[m] for m in basis)
             for _, cur in zip(range(steps + 1), ev._kleene(system, {}))]

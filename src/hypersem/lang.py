@@ -172,12 +172,18 @@ _SYMBOLS = [":=", ":in", "..", "[]", "->", "!=", "<=", ">=", "&&", "||",
             ";", "{", "}", "(", ")", "[", "]", ",", "=", "<", ">", "+",
             "-", "*", "!", ":"]
 
-# Blanks and comments, then one token.  Symbols are tried in _SYMBOLS
-# order; a keyword is a name-shaped word, so one followed by a name
-# character is part of a longer name.  `eof` and `bad` (any other
-# character) make the pattern match at every position.
+# A line break is \r\n, \r or \n, in the lexer, in positions and in
+# relation files alike.  _LINE_RE reads one line with its break; it
+# matches no empty line at the end of the text.
+_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+# Blanks and comments, then one token.  A comment runs to the next line
+# break.  Symbols are tried in _SYMBOLS order; a keyword is a name-shaped
+# word, so one followed by a name character is part of a longer name.
+# `eof` and `bad` (any other character) make the pattern match at every
+# position.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
+    r"[ \t\r\n]*(?://[^\r\n]*(?![^\r\n])[ \t\r\n]*)*"
     r"(?:(?P<kw>(?:" + "|".join(sorted(KEYWORDS)) + r")(?![A-Za-z0-9_]))"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
     r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
@@ -218,9 +224,12 @@ def _lex(text, start=0, end=None):
 
 def _position(text, offset):
     """Line and column of offset in text, both counted from 1 (columns in
-    characters)."""
-    return (text.count("\n", 0, offset) + 1,
-            offset - text.rfind("\n", 0, offset))
+    characters); a \r\n pair is one line break."""
+    breaks = (text.count("\n", 0, offset) + text.count("\r", 0, offset)
+              - text.count("\r\n", 0, offset))
+    return (breaks + 1,
+            offset - max(text.rfind("\n", 0, offset),
+                         text.rfind("\r", 0, offset)))
 
 
 # ---------------------------------------------------------------- parser

@@ -14,9 +14,11 @@ import json
 
 from .errors import ParseError
 from .family import FamilySet, mask_of, states_of
-from .lang import _Parser
+from .lang import _LINE_RE, _Parser
 from .relation import Rel
 from .space import StateSpace
+
+_BLANKS = " \t\r\n"  # the program lexer's
 
 
 def format_state(space, sid):
@@ -84,16 +86,17 @@ def parse_rel_file(text):
     """Relation literal file: var declarations then `{..} -> {..}` lines.
 
     Each line holds one declaration or one pair, read from the line's span
-    of the text without its comment and its surrounding blanks.
+    of the text without its comment and its surrounding blanks.  Lines and
+    blanks are the program lexer's.
     """
     decls = []
     pair_spans = []
     start = 0
-    for line in text.splitlines(keepends=True):
+    for line in _LINE_RE.findall(text):
         body = line.split("//", 1)[0]
-        item = body.strip()
+        item = body.strip(_BLANKS)
         if item:
-            begin = start + len(body) - len(body.lstrip())
+            begin = start + len(body) - len(body.lstrip(_BLANKS))
             span = (begin, begin + len(item))
             if item.split(None, 1)[0] == "var":
                 decls.append(_read(text, _Parser.var_decl, *span))

@@ -441,7 +441,7 @@ def test_nested_program_answers(capsys, tmp_path):
     for path, level, literal, want in (
             (deep, "rel", "{x=0}", "[{x=1}]\n"),
             (deep, "tr", "[{x=0},{x=1}]", "[{x=1}]\n"),
-            (nest(150), "hyper", "[[],[{x=0}]]", "[[],[{x=1}]]\n")):
+            (nest(180), "hyper", "[[],[{x=0}]]", "[[],[{x=1}]]\n")):
         code, out, _ = run(capsys, "eval", path, "--level", level,
                            "--input", literal)
         assert (code, out) == (0, want), level

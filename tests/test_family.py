@@ -150,7 +150,7 @@ def test_union_across_representations():
 
 
 def _closed(members):
-    return all((m & ~(1 << b)) in members for m in members for b in range(5))
+    return all((m & ~(1 << b)) in members for m in members for b in range(8))
 
 
 def _closure_minus_one(tops):
@@ -165,11 +165,11 @@ _MEMBER_SETS = st.one_of(
         _closure_minus_one))
 
 
-@given(_MEMBER_SETS)
-def test_explicit_stores_one_canonical_form(members):
+def _assert_canonical(members):
     fam = FamilySet.explicit(members)
     closed = bool(members) and _closed(members)
     assert (fam.kind == DOWNSET) == closed
+    assert fam.sets == (set(_brute_maximal(members)) if closed else members)
     assert fam.members() == members
     assert sorted(fam.antichain()) == _brute_maximal(members)
     # the semantic key: a subset-closed family keys as its down-set
@@ -178,10 +178,29 @@ def test_explicit_stores_one_canonical_form(members):
     assert fam.key() == want
 
 
+@given(_MEMBER_SETS)
+def test_explicit_stores_one_canonical_form(members):
+    _assert_canonical(members)
+
+
+def test_explicit_form_of_every_member_set_over_three_states():
+    families = list(all_families(3))
+    assert len(families) == 256
+    for members in families:
+        _assert_canonical(members)
+
+
 def test_downset_constructor_prunes_to_maximals():
     fam = FamilySet.downset([0b001, 0b011, 0b100])
     assert fam.sets == {0b011, 0b100}
-    assert FamilySet.downset([]).is_empty
+    for masks in ([0b101], iter([0b101]), [0b101, 0b101]):
+        fam = FamilySet.downset(masks)
+        assert (fam.kind, fam.sets) == (DOWNSET, {0b101})
+        assert fam == powerset_family(0b101)
+    assert FamilySet.downset([0]) == powerset_family(0)
+    for masks in ([], iter([])):
+        fam = FamilySet.downset(masks)
+        assert fam.is_empty and fam == FamilySet.empty()
 
 
 @given(st.sets(st.integers(0, 31), max_size=8))
@@ -248,10 +267,32 @@ def _brute_maximal(masks):
                   if not any(m != k and m & ~k == 0 for k in uniq))
 
 
-def test_maximal_sets_matches_brute_force():
+def _kernel_cases():
+    """Mask lists over up to 8 states, the empty list included."""
     cases = [[], [0], [5], [3, 3], [1, 3, 3, 1], [0, 0, 7], [6, 5, 3]]
     rng = random.Random(4)
     cases += [[rng.randrange(256) for _ in range(rng.randint(0, 40))]
               for _ in range(500)]
-    for masks in cases:
+    return cases
+
+
+def test_maximal_sets_matches_brute_force():
+    for masks in _kernel_cases():
         assert _kernels.maximal_sets(list(masks)) == _brute_maximal(masks)
+
+
+def test_closed_antichain_matches_brute_force():
+    # each case as given (rarely closed), the closure of its first masks
+    # (closed), and that closure less one random member (closed only if
+    # that member was maximal)
+    rng = random.Random(5)
+    seen = set()
+    for masks in _kernel_cases():
+        closure = brute_ssc(masks[:3])
+        less = closure - {rng.choice(sorted(closure))} if closure else closure
+        for members in (set(masks), closure, less):
+            want = _brute_maximal(members) if _closed(members) else None
+            assert _kernels.closed_antichain(members) == want, members
+            assert _kernels.closed_antichain(list(members)) == want
+            seen.add((bool(members), want is None))
+    assert seen == {(False, False), (True, False), (True, True)}

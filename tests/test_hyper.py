@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from hypersem import hyper
 from hypersem._kernels import psc_scan_table
 from hypersem.errors import NonSubsetClosedQuery, QueryBlowup
 from hypersem.family import (FamilySet, family_le, mask_of, powerset_family,
                              ssc)
-from hypersem.harness import GenConfig, gen_program, lift_family, random_downset
+from hypersem.harness import (GenConfig, enumerate_downsets, gen_program,
+                              lift_family, random_downset)
 from hypersem.hyper import HEval, happly, loop_iterates, strict_gate
 from hypersem.lang import (Assign, Atom, BoolConst, Choice, Cmp, If, IntBin,
                            IntConst, IntVar, RelAtom, Seq, Skip, While, parse)
@@ -526,6 +528,42 @@ def test_shared_evaluator_matches_fresh_ones():
             got = shared.eval(prog, q)
             assert got == HEval(space).eval(prog, q), prog
         del body, twin, prog
+
+
+def test_each_atom_and_guard_is_compiled_once(monkeypatch):
+    # one evaluator answers every down-set at 4 states of a thm1-style
+    # program: each atom is elaborated, and each guard computed, once
+    for seed in range(100):
+        pf = gen_program(GenConfig(seed=seed, space_size=4, max_range=3,
+                                   allow_choice=False,
+                                   allow_nondet_atoms=False))
+        nodes = list(statements(pf.body))
+        if (any(isinstance(n, If) for n in nodes)
+                and any(isinstance(n, While) for n in nodes)):
+            break
+    else:
+        pytest.fail("no generated program has both an if and a while")
+    calls = {"atom": [], "guard": []}
+
+    def counted(key, fn):
+        def wrapper(node, space):
+            calls[key].append(node)
+            return fn(node, space)
+        return wrapper
+
+    monkeypatch.setattr(hyper, "elaborate_atom",
+                        counted("atom", hyper.elaborate_atom))
+    monkeypatch.setattr(hyper, "eval_bool", counted("guard", hyper.eval_bool))
+    space = pf.space()
+    ev = HEval(space)
+    downsets = list(enumerate_downsets(space.size))
+    assert len(downsets) == 167
+    for q in downsets:
+        ev.eval(pf.body, q)
+    atoms = [n.atom for n in nodes if isinstance(n, Atom)]
+    guards = [n.cond for n in nodes if isinstance(n, (If, While))]
+    assert sorted(map(id, calls["atom"])) == sorted(map(id, atoms))
+    assert sorted(map(id, calls["guard"])) == sorted(map(id, guards))
 
 
 def test_long_seq_chain_is_evaluated_without_recursion():

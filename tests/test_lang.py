@@ -110,11 +110,19 @@ X01 = StateSpace((("x", 0, 1),))
     (parse, "var x: 0..1; // note",
      "1:21: expected statement, found end of input"),
     (parse, "var", "1:4: expected identifier, found end of input"),
+    (parse, "var x: 0..1;\rx := ;\r",
+     "2:6: expected integer expression, found ';'"),
+    (parse, "var x: 0..1; // c\rx := ;\r\n",
+     "2:6: expected integer expression, found ';'"),
     (parse_rel_file, "var x: 0..1;\n{x=0} -> {x=}\n",
      "2:13: expected integer, found '}'"),
     (parse_rel_file,
      "var x: 0..1;\n\t  {x=0} -> {x=1} // ok\n  {x=0} -> {x}\n",
      "3:14: expected '=', found '}'"),
+    (parse_rel_file, "var x: 0..1; // c\r{x=0} -> {x=}\r",
+     "2:13: expected integer, found '}'"),
+    (parse_rel_file, "var x: 0..1;\f{x=0} -> {x=1}\n",
+     "1:13: unexpected character '\\x0c'"),
     (lambda text: parse_family(X01, text), "[[{x=0}] [{x=1}]]",
      "1:10: expected ']', found '['"),
     (lambda text: parse_family(X01, text), "[[{x=0}],[{x=1}]",
@@ -122,8 +130,9 @@ X01 = StateSpace((("x", 0, 1),))
 ], ids=["expected-symbol", "identifier", "integer", "integer-expression",
         "comparison", "statement", "assignment", "trailing", "repeated",
         "no-declaration", "guard-backtrack", "character-after-crlf-tab",
-        "eof-after-comment", "eof-identifier", "rel-pair-line",
-        "rel-indented-line",
+        "eof-after-comment", "eof-identifier", "bare-cr", "comment-to-cr",
+        "rel-pair-line", "rel-indented-line", "rel-bare-cr",
+        "rel-form-feed-is-no-line-break",
         "family-literal", "eof-family-literal"])
 def test_parse_error_messages_and_positions(read, text, message):
     with pytest.raises(ParseError) as exc:
@@ -150,9 +159,12 @@ def test_successful_parse_computes_no_position(monkeypatch):
     (" " * 200_000 + "@", "1:200001: unexpected character '@'"),
     ("// note\n" * 50_000,
      "50001:1: program must declare at least one variable"),
+    ("// note\r" * 50_000,
+     "50001:1: program must declare at least one variable"),
     ("var x: 0..1; skip " + "/" * 100_000, None),
     ("x" * 100_000 + "@", "1:100001: unexpected character '@'"),
-], ids=["blanks", "comment-lines", "slashes", "long-name"])
+], ids=["blanks", "comment-lines", "comment-lines-cr", "slashes",
+        "long-name"])
 def test_hostile_inputs_parse_in_linear_time(text, message):
     start = time.perf_counter()
     if message is None:
