@@ -38,12 +38,9 @@ class SpaceTooLarge(WorkbenchError):
     """The requested brute-force check exceeds its size precondition."""
 
 
-class ExpansionTooLarge(WorkbenchError):
-    """Explicit expansion of a down-set would exceed the configured cap."""
-
-
 class QueryBlowup(WorkbenchError):
-    """A hyper-level query needed an explicit expansion beyond the cap."""
+    """A family needed an explicit expansion beyond the member cap, or a
+    product beyond the pair bound."""
 
 
 class NonSubsetClosedQuery(WorkbenchError):

@@ -19,11 +19,18 @@ kept as it is.  ``downset`` reduces its masks to their antichain, and
 one mask is its own antichain.  Since each family has one
 stored form, ``==`` and ``hash`` compare that form (kind and stored
 sets), and ``key()`` is the same pair as a sorted tuple.
+
+The hyper semantics is built from two operations on families, and both
+live here: ``family_union`` and ``family_product`` (the inner-join
+product { r | s }).  Each works on antichains when every operand is a
+down-set, and otherwise on member sets, expanded within
+``DEFAULT_EXPANSION_CAP`` members and ``PAIR_BOUND`` pairs; past either
+bound it raises ``QueryBlowup`` before the result is formed.
 """
 
 from . import _kernels
 from ._kernels import states_of  # re-exported: the kernels own bit walks
-from .errors import ExpansionTooLarge, QueryBlowup
+from .errors import QueryBlowup
 
 DEFAULT_EXPANSION_CAP = 1 << 16
 PAIR_BOUND = 1 << 24
@@ -104,14 +111,15 @@ class FamilySet:
             return self.sets
         return frozenset(_kernels.maximal_sets(list(self.sets)))
 
-    def members(self, cap=DEFAULT_EXPANSION_CAP):
-        """Every member mask; expands a down-set, capped."""
+    def members(self):
+        """Every member mask; expands a down-set of at most
+        DEFAULT_EXPANSION_CAP members, and refuses a larger one."""
         if self.kind == EXPLICIT:
             return self.sets
-        out = _kernels.expand_downset(list(self.sets), cap)
+        out = _kernels.expand_downset(list(self.sets), DEFAULT_EXPANSION_CAP)
         if out is None:
-            raise ExpansionTooLarge(
-                f"down-set expansion exceeds cap {cap} "
+            raise QueryBlowup(
+                f"down-set expansion exceeds cap {DEFAULT_EXPANSION_CAP} "
                 f"(antichain {sorted(self.sets)})")
         return frozenset(out)
 
@@ -153,14 +161,26 @@ def powerset_family(mask):
     return FamilySet(DOWNSET, frozenset((mask,)))
 
 
-def family_union(a, b):
-    if a.is_empty:
-        return b
-    if b.is_empty:
-        return a
+def family_union(*parts):
+    """Union of families in one step: one antichain reduction when every
+    nonempty part is a down-set, else one member union."""
+    parts = [part for part in parts if part.sets]
+    if not parts:
+        return FamilySet.empty()
+    if len(parts) == 1:
+        return parts[0]
+    if all(part.kind == DOWNSET for part in parts):
+        return FamilySet.downset({m for part in parts for m in part.sets})
+    return FamilySet.explicit(m for part in parts for m in part.members())
+
+
+def family_product(a, b):
+    """{ r | s : r in a, s in b } on families."""
+    if not a.sets or not b.sets:
+        return FamilySet.empty()
     if a.kind == DOWNSET and b.kind == DOWNSET:
-        return FamilySet.downset(a.sets | b.sets)
-    return FamilySet.explicit(a.members() | b.members())
+        return FamilySet.downset(x | y for x in a.sets for y in b.sets)
+    return FamilySet.explicit(bounded_product(a.members(), b.members()))
 
 
 def family_le(a, b):

@@ -279,7 +279,7 @@ def lift_family(tr, fam):
     whose direct image tr is (as in ``relation._subset_images``).  Every
     member is still imaged, with no monotonicity shortcut.  Explicit
     families, and down-sets whose antichain spans more subsets than the
-    expansion cap, go member by member, so ``ExpansionTooLarge`` is raised
+    expansion cap, go member by member, so ``QueryBlowup`` is raised
     exactly where ``members`` raises it.
     """
     if fam.kind != DOWNSET or sum(

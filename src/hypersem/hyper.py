@@ -29,10 +29,13 @@ misses are solved together by a demand-driven worklist from the bottom
 {{}}; the optional cross-check and ``loop_iterates`` use synchronized
 (Kleene) iteration of the same equations.
 
-Down-sets are the fast path: when every value in sight is subset closed,
-products and unions happen on antichains.  An atom whose relation is not
-a partial function lacks the subset-image property (PSC) and breaks
-closure; evaluation then falls back to explicit expansion within the cap.
+Unions and products of values are ``family.family_union`` and
+``family.family_product``.  Down-sets are their fast path: when every
+value in sight is subset closed, they work on antichains.  An atom whose
+relation is not a partial function lacks the subset-image property (PSC)
+and breaks closure; evaluation then falls back to explicit members,
+within the family module's cap and pair bound (``QueryBlowup`` past
+them).
 
 ``happly`` and ``loop_iterates`` hand the anomalous ``naive`` and
 ``otimes`` variants to the definitional evaluator in ``reference``.
@@ -43,10 +46,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import reference
-from .errors import (ExpansionTooLarge, IterationBudgetExceeded,
-                     NonSubsetClosedQuery, QueryBlowup)
-from .family import (DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet,
-                     bounded_product, powerset_family)
+from .errors import IterationBudgetExceeded, NonSubsetClosedQuery
+from .family import (DOWNSET, FamilySet, family_product, family_union,
+                     powerset_family)
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .reference import LoopVariant
 from .transformer import Transformer
@@ -58,11 +60,11 @@ def _same(fam):
     return fam
 
 
-def _members(fam, cap=DEFAULT_EXPANSION_CAP):
-    try:
-        return fam.members(cap)
-    except ExpansionTooLarge as exc:
-        raise QueryBlowup(str(exc)) from exc
+def _map_family(fn, preserves_closure, fam):
+    """Elementwise image { fn(p) | p in fam } of a nonempty family."""
+    if fam.kind == DOWNSET and preserves_closure:
+        return FamilySet.downset(map(fn, fam.sets))
+    return FamilySet.explicit(map(fn, fam.members()))
 
 
 @dataclass
@@ -79,12 +81,11 @@ class HEval:
     entry per statement node with the node's rule and memo."""
 
     def __init__(self, space, variant=LoopVariant.PAPER, *,
-                 expansion_cap=DEFAULT_EXPANSION_CAP, cross_check=False):
+                 cross_check=False):
         if variant is not LoopVariant.PAPER:
             raise ValueError(f"HEval computes the paper variant only, not "
                              f"{variant!r}; see hypersem.reference")
         self.space = space
-        self.cap = expansion_cap
         self.cross_check = cross_check
         self.stats = HyperStats()
         self._entries = {}
@@ -97,7 +98,7 @@ class HEval:
         args are the guard's mask, its complement and the body."""
         if isinstance(node, Atom):
             rel = elaborate_atom(node.atom, self.space)
-            entry = (node, self._map_family,
+            entry = (node, _map_family,
                      (Transformer.image(rel).apply,
                       rel.is_partial_function()), None)
         elif isinstance(node, Skip):
@@ -118,37 +119,6 @@ class HEval:
             raise TypeError(f"not a statement: {node!r}")
         self._entries[id(node)] = entry
         return entry
-
-    # ---- family helpers
-
-    def _map_family(self, fn, preserves_closure, fam):
-        """Elementwise image { fn(p) | p in fam } of a nonempty family."""
-        if fam.kind == DOWNSET and preserves_closure:
-            return FamilySet.downset(map(fn, fam.sets))
-        return FamilySet.explicit(map(fn, _members(fam, self.cap)))
-
-    def _prod(self, a, b):
-        """{ r | s : r in a, s in b } on families."""
-        if not a.sets or not b.sets:
-            return FamilySet.empty()
-        if a.kind == DOWNSET and b.kind == DOWNSET:
-            return FamilySet.downset(x | y for x in a.sets for y in b.sets)
-        return FamilySet.explicit(
-            bounded_product(_members(a, self.cap), _members(b, self.cap)))
-
-    def _union_all(self, parts):
-        """Union of families in one step: one antichain reduction when
-        every part is a down-set, else one member union (expanded within
-        the cap)."""
-        parts = [part for part in parts if part.sets]
-        if not parts:
-            return FamilySet.empty()
-        if len(parts) == 1:
-            return parts[0]
-        if all(part.kind == DOWNSET for part in parts):
-            return FamilySet.downset({m for part in parts for m in part.sets})
-        return FamilySet.explicit(
-            m for part in parts for m in _members(part, self.cap))
 
     # ---- evaluation
 
@@ -178,7 +148,7 @@ class HEval:
         if missing:
             self._solve_demand(node, args, memo, missing)
             vals = [memo[m] for m in basis]
-        return vals[0] if len(vals) == 1 else self._union_all(vals)
+        return vals[0] if len(vals) == 1 else family_union(*vals)
 
     def _seq(self, parts, fam):
         for part in parts:
@@ -188,8 +158,9 @@ class HEval:
     def _join(self, branches, queries):
         """Union over the query tuples, one query per branch, of the
         products of the branch values."""
-        return self._union_all(
-            [reduce(self._prod, map(self.eval, branches, qs)) for qs in queries])
+        return family_union(
+            *[reduce(family_product, map(self.eval, branches, qs))
+              for qs in queries])
 
     def inner_join(self, *args):
         """Powerset-query inner join of the branch semantics; args are the
@@ -200,16 +171,11 @@ class HEval:
                                      for p in fam.antichain()))
 
     def _split_join(self, bmask, nbmask, c, d, fam):
-        """guarded_join with the guard's mask and its complement given."""
+        """Guarded inner join: split each maximal member by the guard's mask
+        bmask and its complement nbmask, then one result from each branch."""
         return self._join((c, d), ((powerset_family(p & bmask),
                                     powerset_family(p & nbmask))
                                    for p in fam.antichain()))
-
-    def guarded_join(self, cond, c, d, fam):
-        """Split each member by the guard, then one result from each branch."""
-        bmask = eval_bool(cond, self.space)
-        return self._split_join(bmask, self.space.full_mask & ~bmask, c, d,
-                                fam)
 
     # ---- loop machinery: one unknown per atomic query
 
@@ -235,7 +201,7 @@ class HEval:
 
     def _rhs(self, equation, value_of):
         deps, wrap = equation
-        return self._prod(self._union_all(value_of(d) for d in deps), wrap)
+        return family_product(family_union(*map(value_of, deps)), wrap)
 
     def _budget(self, nqueries):
         return (1 << min(self.space.size, 20)) * max(nqueries, 1) + 8
@@ -326,14 +292,14 @@ def happly(node, fam, space, variant=LoopVariant.PAPER, *, strict=True):
     strict_gate(fam, variant, strict)
     if variant is not LoopVariant.PAPER:
         return FamilySet.explicit(
-            reference.ref_eval(node, _members(fam), space, variant))
+            reference.ref_eval(node, fam.members(), space, variant))
     return HEval(space).eval(node, fam)
 
 
 def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
     """Values of the i-th loop-functional iterate at fam, i = 0..steps."""
     if variant is not LoopVariant.PAPER:
-        q = _members(fam)
+        q = fam.members()
         iters = reference.ref_iterates(While(cond, body), q, space, variant)
         return [FamilySet.explicit(vals[q])
                 for _, vals in zip(range(steps + 1), iters)]
@@ -341,5 +307,5 @@ def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
     basis = fam.antichain()
     _, _, loop, _ = ev._compile(While(cond, body))
     system = ev._discover(loop, basis, {})
-    return [ev._union_all(cur[m] for m in basis)
+    return [family_union(*(cur[m] for m in basis))
             for _, cur in zip(range(steps + 1), ev._kleene(system, {}))]

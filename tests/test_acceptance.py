@@ -290,7 +290,7 @@ def test_criterion_7_lemma_suite():
         d = _rel_to_atom(_rnd_partial_fn(rng, space5), space5)
         b = _mask_guard(space5, rng.randrange(32))
         members = {rng.randrange(32) for _ in range(rng.randint(1, 3))}
-        out = ev5.guarded_join(b, c, d, FamilySet.explicit(members))
+        out = ev5.eval(If(b, c, d), FamilySet.explicit(members))
         assert out.is_subset_closed()
 
     # lifted guarded transformer equals the guarded join of the lifts on

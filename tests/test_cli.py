@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import shlex
 
 import pytest
 
@@ -15,6 +16,7 @@ LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
 LEAK = "var hi: 0..1;\nvar lo: 0..1;\nlow lo;\nlo := hi\n"
 SAFE = "var hi: 0..1;\nvar lo: 0..1;\nlow lo;\nhi := lo\n"
 PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
+README = PROGRAMS.parent / "README.md"
 
 
 @pytest.fixture
@@ -674,3 +676,38 @@ def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert outcomes() == shared
     assert {code for _, code, _, _ in shared} == {0, 1, 2}
+
+
+def _readme_sessions():
+    """(argv, stdout) of every `$ hypersem ...` command shown in README.md,
+    with its `\\` continuations joined; the output runs to the next blank
+    line or the end of the code block."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    sessions = []
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        i += 1
+        if not line.startswith("$ hypersem "):
+            continue
+        while line.endswith("\\"):
+            line = line[:-1] + lines[i]
+            i += 1
+        out = ""
+        while i < len(lines) and lines[i] not in ("", "```"):
+            out += lines[i] + "\n"
+            i += 1
+        sessions.append((shlex.split(line[2:])[1:], out))
+    return sessions
+
+
+def test_readme_examples(capsys, monkeypatch):
+    # the quick tour and the check-ni example, run from the repository
+    # root: stdout byte for byte, and the exit code (1 for a leak)
+    sessions = _readme_sessions()
+    assert [argv[0] for argv, _ in sessions] == [
+        "eval", "eval", "iterates", "check-ni"]
+    monkeypatch.chdir(README.parent)
+    for argv, want in sessions:
+        code = 1 if argv[0] == "check-ni" else 0
+        assert run(capsys, *argv) == (code, want, ""), argv

@@ -1,13 +1,14 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hypersem import _kernels
-from hypersem.errors import ExpansionTooLarge
+from hypersem.errors import QueryBlowup
 from hypersem.family import (DOWNSET, EXPLICIT, FamilySet, family_le,
-                             family_union, mask_of, powerset_family, ssc,
-                             states_of, subsets_of)
+                             family_product, family_union, mask_of,
+                             powerset_family, ssc, states_of, subsets_of)
 
 
 def brute_ssc(members):
@@ -47,9 +48,10 @@ def test_powerset_family_explicit_expansion():
 
 
 def test_powerset_family_cap():
-    fam = powerset_family((1 << 30) - 1)
-    with pytest.raises(ExpansionTooLarge):
-        fam.members(cap=1024)
+    assert len(powerset_family((1 << 16) - 1).members()) == 1 << 16
+    fam = powerset_family((1 << 17) - 1)
+    with pytest.raises(QueryBlowup, match=r"exceeds cap 65536 "):
+        fam.members()
 
 
 def test_ssc_examples():
@@ -139,7 +141,7 @@ def test_powerset_is_ssc_of_singleton():
         assert powerset_family(m) == ssc(FamilySet.explicit([m]))
 
 
-def test_union_across_representations():
+def test_union_across_representations(monkeypatch):
     a = powerset_family(0b011)
     b = FamilySet.explicit([0b100])
     u = family_union(a, b)
@@ -147,6 +149,52 @@ def test_union_across_representations():
     d = family_union(a, powerset_family(0b110))
     assert d.kind == DOWNSET
     assert d.members() == brute_ssc([0b011, 0b110])
+
+    # n-ary union and the product against member sets over 4 states, at
+    # every mix of forms, with empty parts among them
+    rng = random.Random(31)
+    forms = ("empty", DOWNSET, EXPLICIT)
+    assert family_union() == FamilySet.empty()
+    for _ in range(25):
+        for kinds in itertools.chain.from_iterable(
+                itertools.product(forms, repeat=n) for n in (1, 2, 3)):
+            parts = [_random_family(rng, kind) for kind in kinds]
+            got = family_union(*parts)
+            want = set().union(*(part.members() for part in parts))
+            assert got.members() == want, parts
+            assert got == FamilySet.explicit(want)
+            if len(parts) == 1 and parts[0].sets:
+                assert got is parts[0]
+            if len(parts) == 2:
+                a, b = parts
+                got = family_product(a, b)
+                want = {r | s for r in a.members() for s in b.members()}
+                assert got.members() == want, parts
+                assert got == FamilySet.explicit(want)
+
+    # an explicit product of 4,097 × 4,097 pairs exceeds the pair bound
+    # 2^24, and is refused before it is formed
+    a = FamilySet.explicit(range(1, 4098))
+    b = FamilySet.explicit(range(1 << 12, (1 << 12) + 4097))
+    assert (a.kind, b.kind) == (EXPLICIT, EXPLICIT)
+    monkeypatch.setattr(FamilySet, "explicit", classmethod(
+        lambda cls, members: pytest.fail("the product was formed")))
+    with pytest.raises(QueryBlowup, match=r"^a product of 4097 by 4097 "
+                       r"members exceeds the pair bound 16777216$"):
+        family_product(a, b)
+
+
+def _random_family(rng, kind):
+    # a family over 4 states: empty, a down-set, or explicit and nonempty
+    if kind == "empty":
+        return FamilySet.empty()
+    if kind == DOWNSET:
+        return FamilySet.downset(
+            rng.randrange(16) for _ in range(rng.randint(1, 3)))
+    while True:
+        fam = FamilySet.explicit(rng.sample(range(16), rng.randint(1, 6)))
+        if fam.kind == EXPLICIT:
+            return fam
 
 
 def _closed(members):

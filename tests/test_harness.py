@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from hypersem.errors import ExpansionTooLarge, SpaceTooLarge
+from hypersem.errors import QueryBlowup, SpaceTooLarge
 from hypersem.family import FamilySet, subsets_of
 from hypersem.harness import (DiffReport, GenConfig, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
@@ -266,7 +266,7 @@ def test_lift_family_expansion_cap():
     space17 = StateSpace((("s", 0, 16),))
     tr17 = Transformer.identity(space17)
     past = FamilySet.downset(((1 << 17) - 1,))
-    with pytest.raises(ExpansionTooLarge):
+    with pytest.raises(QueryBlowup):
         lift_family(tr17, past)
-    with pytest.raises(ExpansionTooLarge):
+    with pytest.raises(QueryBlowup):
         _member_wise_lift(tr17, past)

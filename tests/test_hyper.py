@@ -1,13 +1,14 @@
 import copy
 import random
+import re
 
 import pytest
 
 from hypersem import hyper
 from hypersem._kernels import psc_scan_table
 from hypersem.errors import NonSubsetClosedQuery, QueryBlowup
-from hypersem.family import (FamilySet, family_le, mask_of, powerset_family,
-                             ssc)
+from hypersem.family import (FamilySet, family_le, family_union, mask_of,
+                             powerset_family, ssc)
 from hypersem.harness import (GenConfig, enumerate_downsets, gen_program,
                               lift_family, random_downset)
 from hypersem.hyper import HEval, happly, loop_iterates, strict_gate
@@ -71,7 +72,7 @@ def test_guarded_join_example(x8):
     c = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(1))))
     b = Cmp("<", IntVar("x"), IntConst(4))
     ev = HEval(x8)
-    out = ev.guarded_join(b, c, Skip(), Q25)
+    out = ev.eval(If(b, c, Skip()), Q25)
     assert out.members() == {0, mask_of([3]), mask_of([5]), mask_of([3, 5])}
     assert out.is_subset_closed()  # closed although Q25 is not
 
@@ -86,7 +87,7 @@ def test_guarded_join_true_reduces_to_branch(x8):
         ev = HEval(space)
         for _ in range(4):
             q = random_downset(rng, space.size)
-            out = ev.guarded_join(BoolConst(True), pf.body, Skip(), q)
+            out = ev.eval(If(BoolConst(True), pf.body, Skip()), q)
             assert out == ev.eval(pf.body, q)
 
 
@@ -99,8 +100,8 @@ def test_guarded_join_monotone_in_query(x8):
     for _ in range(40):
         small = {rng.randrange(256) for _ in range(rng.randint(0, 3))}
         big = small | {rng.randrange(256) for _ in range(2)}
-        out_small = ev.guarded_join(b, c, d, FamilySet.explicit(small))
-        out_big = ev.guarded_join(b, c, d, FamilySet.explicit(big))
+        out_small = ev.eval(If(b, c, d), FamilySet.explicit(small))
+        out_big = ev.eval(If(b, c, d), FamilySet.explicit(big))
         assert family_le(out_small, out_big)
 
 
@@ -272,7 +273,7 @@ def test_guarded_join_output_always_closed():
         b = Cmp("<", IntVar("s"), IntConst(rng.randint(0, 4)))
         q = FamilySet.explicit(
             {rng.randrange(32) for _ in range(rng.randint(1, 3))})
-        out = ev.guarded_join(b, c, d, q)
+        out = ev.eval(If(b, c, d), q)
         assert out.is_subset_closed()
 
 
@@ -454,8 +455,8 @@ def test_loop_value_is_additive_over_its_basis():
     cases = 0
     for loop, space, q in _loop_cases(rng):
         ev = HEval(space)
-        parts = ev._union_all(
-            ev.eval(loop, powerset_family(m)) for m in q.antichain())
+        parts = family_union(
+            *(ev.eval(loop, powerset_family(m)) for m in q.antichain()))
         assert HEval(space).eval(loop, q) == parts, loop
         cases += 1
     assert cases > 100
@@ -492,8 +493,8 @@ def test_every_construct_is_additive_over_maximal_members():
             q = random_downset(rng, space.size)
             whole = HEval(space).eval(stmt, q)
             ev = HEval(space)
-            parts = ev._union_all(
-                ev.eval(stmt, powerset_family(p)) for p in q.antichain())
+            parts = family_union(
+                *(ev.eval(stmt, powerset_family(p)) for p in q.antichain()))
             assert whole == parts, stmt
             structural = HEval(space).eval(
                 stmt, FamilySet.explicit(q.members()))
@@ -578,9 +579,14 @@ def test_long_seq_chain_is_evaluated_without_recursion():
 
 def test_expansion_cap_bounds_unions():
     # the union of a down-set part and an explicit part expands the
-    # down-set; the evaluator's cap must bound that expansion too
+    # down-set; the member cap must bound that expansion too
     pf = parse("var x: 0..7; if x < 4 { skip } else { havoc x }")
     q = FamilySet.downset((0b1111, 0b10000000))
-    with pytest.raises(QueryBlowup):
-        HEval(pf.space(), expansion_cap=4).eval(pf.body, q)
     assert len(HEval(pf.space()).eval(pf.body, q).members()) == 17
+    # ↓{x<17} from skip, {[], every state} from havoc x: the union
+    # expands 2^17 members
+    pf = parse("var x: 0..31; if x < 17 { skip } else { havoc x }")
+    q = FamilySet.downset(((1 << 17) - 1, 1 << 31))
+    with pytest.raises(QueryBlowup, match=re.escape(
+            "down-set expansion exceeds cap 65536 (antichain [131071])")):
+        HEval(pf.space()).eval(pf.body, q)
