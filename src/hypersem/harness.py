@@ -273,28 +273,27 @@ def random_downset(rng, n):
 def lift_family(tr, fam):
     """Elementwise image { phi p | p in fam }, in its one stored form.
 
-    A down-set's members are imaged without a call per member: for each
-    antichain element m, the images of all subsets of m come from the
-    subset-image recurrence over m's states and the rows of the relation
-    whose direct image tr is (as in ``relation._subset_images``).  Every
-    member is still imaged, with no monotonicity shortcut.  Explicit
-    families, and down-sets whose antichain spans more subsets than the
-    expansion cap, go member by member, so ``QueryBlowup`` is raised
-    exactly where ``members`` raises it.
+    A down-set is the union of the principal down-sets of its antichain
+    elements, so its members are imaged one antichain element m at a time:
+    ``tr.subset_images(m)`` gives the images of all subsets of m, from the
+    transformer's own memo or, on a miss, from the subset-image recurrence.
+    Every member is still imaged, with no monotonicity shortcut.
+
+    Explicit families, and down-sets whose antichain spans more subsets
+    than the expansion cap, go member by member, so ``QueryBlowup`` is
+    raised exactly where ``members`` raises it.  The span sum(2^|m|) is
+    summed only when the coarser bound len(antichain) * 2^(highest state
+    + 1) exceeds the cap; below the cap that bound alone decides.
     """
-    if fam.kind != DOWNSET or sum(
-            1 << m.bit_count() for m in fam.sets) > DEFAULT_EXPANSION_CAP:
+    sets = fam.sets
+    if fam.kind != DOWNSET or (
+            len(sets) << max(sets).bit_length() > DEFAULT_EXPANSION_CAP
+            and sum(1 << m.bit_count() for m in sets)
+            > DEFAULT_EXPANSION_CAP):
         return FamilySet.explicit(map(tr.apply, fam.members()))
-    rows = tr.rel.rows
     out = set()
-    for m in fam.sets:
-        t = [0]
-        while m:
-            low = m & -m
-            row = rows[low.bit_length() - 1]
-            t += [x | row for x in t]
-            m ^= low
-        out.update(t)
+    for m in sets:
+        out.update(tr.subset_images(m))
     return FamilySet.explicit(out)
 
 

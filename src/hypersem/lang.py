@@ -309,8 +309,27 @@ class _Parser:
             self.pos += 1
         if self.kinds[self.pos] != "int":
             self.fail(f"expected integer, found {self.found()}")
-        v = int(self.next())
+        v = self.int_token()
         return -v if neg else v
+
+    def int_token(self):
+        """The current int token's value; moves past it.
+
+        A literal with more digits than int() converts
+        (sys.get_int_max_str_digits()) is a syntax error at the literal.
+        No reading of the text can take that literal, so the error is
+        raised even inside a tentative parse.
+        """
+        text = self.texts[self.pos]
+        try:
+            v = int(text)
+        except ValueError:
+            start = self.starts[self.pos]
+            raise ParseError(
+                f"integer literal of {len(text)} digits is too long",
+                *_position(self.text, start)) from None
+        self.pos += 1
+        return v
 
     def items(self, open_, close, item):
         """`open item, ..., item close` as a list of item() results; the
@@ -529,14 +548,12 @@ class _Parser:
         return node
 
     def factor(self):
-        pos = self.pos
-        kind = self.kinds[pos]
+        kind = self.kinds[self.pos]
         if kind == "int":
-            self.pos += 1
-            return IntConst(int(self.texts[pos]))
+            return IntConst(self.int_token())
         if kind == "name":
             return IntVar(self.ref())
-        t = self.texts[pos]
+        t = self.texts[self.pos]
         if t == "-":
             self.pos += 1
             return IntNeg(self.factor())

@@ -17,9 +17,17 @@ PscResult.__bool__ = lambda self: self.ok
 
 class Transformer:
     """Monotone map from state masks to state masks: the direct image of
-    the relation rel."""
+    the relation rel.
 
-    __slots__ = ("space", "rel")
+    ``subset_images`` (the lift oracle's principal parts, see
+    ``harness.lift_family``) keeps its answers in the ``_lift_parts``
+    slot.  The slot is set on the first call, so the many transformers
+    that are never lifted carry no memo, and the memo lives and dies with
+    its transformer: the answers depend on rel, so no two transformers
+    share one.
+    """
+
+    __slots__ = ("space", "rel", "_lift_parts")
 
     def __init__(self, space, rel):
         self.space = space
@@ -36,6 +44,31 @@ class Transformer:
 
     def apply(self, p):
         return self.rel.dirimg(p)
+
+    def subset_images(self, mask):
+        """Frozenset of the images of every subset of mask, memoized.
+
+        The images come from the subset-image recurrence of
+        ``relation._subset_images``, walked over mask's bits in place and
+        without a call to ``apply`` per subset.  Building a row list per
+        part for that function made the thm1 benchmark about 3% slower.
+        """
+        try:
+            memo = self._lift_parts
+        except AttributeError:
+            memo = self._lift_parts = {}
+        part = memo.get(mask)
+        if part is None:
+            rows = self.rel.rows
+            images = [0]
+            m = mask
+            while m:
+                low = m & -m
+                row = rows[low.bit_length() - 1]
+                images += [x | row for x in images]
+                m ^= low
+            part = memo[mask] = frozenset(images)
+        return part
 
     def __repr__(self):
         return f"Transformer(image, {self.space!r})"

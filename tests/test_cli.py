@@ -386,6 +386,25 @@ def test_leading_byte_order_mark_is_accepted(capsys, tmp_path, name, argvs):
     assert err.startswith("error: ") and "unexpected character '\\ufeff'" in err
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("prog.imp", "var x: 0..1;\nx := BIG\n", ["parse"]),
+    ("prog.imp", "var x: 0..1;\nlow x;\nx := BIG\n", ["check-ni"]),
+    ("prog.imp", "var x: 0..BIG;\nskip\n", ["parse"]),
+    ("prog.imp", LOOP, ["eval", "--level", "tr", "--input", "[{x=BIG}]"]),
+    ("prog.rel", "var x: 0..BIG;\n{x=0} -> {x=1}\n", ["psc"]),
+], ids=["assign", "check-ni", "bound", "input", "rel-bound"])
+def test_oversized_integer_literal_exit_code(capsys, tmp_path, name, text,
+                                             argv):
+    big = "9" * 5000  # more digits than int() converts by default
+    p = tmp_path / name
+    p.write_text(text.replace("BIG", big))
+    argv = [arg.replace("BIG", big) for arg in argv]
+    code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("integer literal of 5000 digits is too long\n")
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "parse", "/nonexistent/prog.imp")
     assert code == 2

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from hypersem.errors import QueryBlowup, SpaceTooLarge
-from hypersem.family import FamilySet, subsets_of
+from hypersem.family import DOWNSET, EXPLICIT, FamilySet, subsets_of
 from hypersem.harness import (DiffReport, GenConfig, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
                               random_downset, search_ssc_necessity)
@@ -253,6 +253,74 @@ def test_lift_family_matches_member_wise_lift():
                     want = _member_wise_lift(tr, q)
                     assert got.kind == want.kind
                     assert got.sets == want.sets, (tr, q)
+
+
+def test_lift_family_memo_answers_every_downset_in_any_order():
+    # one transformer answers all 167 down-sets at 4 states, ascending
+    # and then in reverse, so every answer after the first pass comes
+    # from its memo; a fresh transformer answers them in reverse from an
+    # empty memo
+    downsets = list(enumerate_downsets(4))
+    assert len(downsets) == 167
+    space = StateSpace((("s", 0, 3),))
+    rng = random.Random(29)
+    for functional in (True, False):
+        rel = _rnd_rel(rng, space, functional)
+        tr = Transformer.image(rel)
+        for order, lifted in ((downsets, tr), (downsets[::-1], tr),
+                              (downsets[::-1], Transformer.image(rel))):
+            for q in order:
+                got = lift_family(lifted, q)
+                want = _member_wise_lift(lifted, q)
+                assert got.kind == want.kind
+                assert got.sets == want.sets, (functional, q)
+
+
+def test_lift_family_unions_parts_that_are_not_downsets():
+    # s0 goes to {t0, t1}, s1 to {t0}, s2 to {t1}: the part of {s0} alone
+    # is {{}, {t0, t1}}, which is not subset closed; with the parts of
+    # {s1} and {s2} the union is every subset of {t0, t1}
+    space = StateSpace((("s", 0, 2),))
+    tr = Transformer.image(Rel(space, [0b011, 0b001, 0b010]))
+    part = lift_family(tr, FamilySet.downset([0b001]))
+    assert (part.kind, part.sets) == (EXPLICIT, frozenset({0, 0b011}))
+    q = FamilySet.downset([0b001, 0b010, 0b100])
+    got = lift_family(tr, q)
+    assert (got.kind, got.sets) == (DOWNSET, frozenset({0b011}))
+    assert got == _member_wise_lift(tr, q)
+
+
+def test_lift_family_memo_belongs_to_its_transformer():
+    # two relations over one space lift the same query differently; a
+    # memo shared by mask alone would answer the second from the first
+    space = StateSpace((("s", 0, 2),))
+    q = FamilySet.downset([0b111])
+    lifts = []
+    for rows in ([0b001, 0b010, 0b100], [0b001, 0b001, 0b001]):
+        tr = Transformer.image(Rel(space, rows))
+        got = lift_family(tr, q)
+        assert got == _member_wise_lift(tr, q)
+        assert lift_family(tr, q) == got
+        lifts.append(got)
+    assert lifts == [FamilySet.downset([0b111]), FamilySet.downset([0b001])]
+
+
+def test_lift_family_guard_bound_past_cap_exact_span_within(monkeypatch):
+    # the antichain {s16}, {s0..s7} has 2 << 17 as its coarse bound,
+    # past the cap, but spans 2 + 256 subsets: the recurrence answers,
+    # without a call to apply
+    space = StateSpace((("s", 0, 16),))
+    tr = Transformer.image(_rnd_rel(random.Random(7), space, False))
+    q = FamilySet.downset([1 << 16, (1 << 8) - 1])
+    want = _member_wise_lift(tr, q)
+
+    def refuse(self, p):
+        raise AssertionError("the member path imaged a member")
+
+    monkeypatch.setattr(Transformer, "apply", refuse)
+    got = lift_family(tr, q)
+    assert got.kind == want.kind
+    assert got.sets == want.sets
 
 
 def test_lift_family_expansion_cap():

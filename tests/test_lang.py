@@ -14,7 +14,7 @@ from hypersem.lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice,
                            NondetAssign, Not, RelAtom, Seq, Skip, While,
                            elaborate_atom, eval_bool, eval_int, parse,
                            pp_program, pp_stmt)
-from hypersem.notation import parse_family, parse_rel_file
+from hypersem.notation import parse_family, parse_rel_file, parse_state
 from hypersem.space import StateSpace
 from support import atoms_deterministic, is_choice_free
 
@@ -87,6 +87,8 @@ def test_parse_error_cases():
 
 
 X01 = StateSpace((("x", 0, 1),))
+BIG = "9" * 5000  # more digits than int() converts by default
+TOO_LONG = "integer literal of 5000 digits is too long"
 
 
 @pytest.mark.parametrize("read, text, message", [
@@ -127,13 +129,21 @@ X01 = StateSpace((("x", 0, 1),))
      "1:10: expected ']', found '['"),
     (lambda text: parse_family(X01, text), "[[{x=0}],[{x=1}]",
      "1:17: expected ']', found end of input"),
+    (parse, f"var x: 0..1;\nx := {BIG}", f"2:6: {TOO_LONG}"),
+    (parse, f"var x: 0..-{BIG}; skip", f"1:12: {TOO_LONG}"),
+    (parse, f"var x: 0..1; assume (x < {BIG}) ; skip", f"1:26: {TOO_LONG}"),
+    (lambda text: parse_state(X01, text), f"{{x={BIG}}}", f"1:4: {TOO_LONG}"),
+    (parse_rel_file, f"var x: 0..1;\n{{x=0}} -> {{x={BIG}}}\n",
+     f"2:13: {TOO_LONG}"),
 ], ids=["expected-symbol", "identifier", "integer", "integer-expression",
         "comparison", "statement", "assignment", "trailing", "repeated",
         "no-declaration", "guard-backtrack", "character-after-crlf-tab",
         "eof-after-comment", "eof-identifier", "bare-cr", "comment-to-cr",
         "rel-pair-line", "rel-indented-line", "rel-bare-cr",
         "rel-form-feed-is-no-line-break",
-        "family-literal", "eof-family-literal"])
+        "family-literal", "eof-family-literal", "long-literal",
+        "long-bound", "long-literal-in-guard", "long-state-literal",
+        "long-rel-literal"])
 def test_parse_error_messages_and_positions(read, text, message):
     with pytest.raises(ParseError) as exc:
         read(text)
