@@ -141,7 +141,7 @@ def _cmd_check_ni(args):
     if not low_in:
         raise WorkbenchError("program declares no low variables")
     view_in = LowView(space, low_in)
-    view_out = LowView(space, low_out)
+    view_out = view_in if low_out == low_in else LowView(space, low_out)
     rel = sem_rel(pf.body, space)
     forms = ("rel", "poss", "hyper") if args.form == "all" else (args.form,)
     ok = True

@@ -42,7 +42,6 @@ them).
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import reference
@@ -67,13 +66,16 @@ def _map_family(fn, preserves_closure, fam):
     return FamilySet.explicit(map(fn, fam.members()))
 
 
-@dataclass
 class HyperStats:
-    demand_loops_solved: int = 0
-    queries_solved: int = 0
-    value_updates: int = 0
-    cross_checks: int = 0
-    cross_mismatches: list = field(default_factory=list)
+    """Counters of one evaluator's loop solves, and the cross-check's
+    mismatches as (node, system, values, limit)."""
+
+    def __init__(self):
+        self.demand_loops_solved = 0
+        self.queries_solved = 0
+        self.value_updates = 0
+        self.cross_checks = 0
+        self.cross_mismatches = []
 
 
 class HEval:

@@ -12,13 +12,17 @@ Statements: ``skip``, ``x := e``, ``assume b``, ``x :in e1..e2``,
 (nondeterministic choice, binding looser than ``;``),
 ``if b { c } else { d }``, ``while b { c }``.  Line comments ``//``.
 
+AST nodes are immutable: assigning or deleting a field raises
+AttributeError.  A node equals only a node of the same class with equal
+fields, and equal nodes hash equal; its repr is ``Name(field=value,
+...)``, and it copies and pickles by calling its class on its fields.
+
 Expressions denote columns: an expression's value at every state of the
 space at once, and a guard's mask of the states where it holds.
 """
 
 import operator
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, UndeclaredVariable
 from .relation import Rel
@@ -27,137 +31,213 @@ from .space import StateSpace
 
 # ---------------------------------------------------------------- AST
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+_set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class IntVar:
-    name: str
+class _Node:
+    """Base of the AST classes, which keep the contract stated at the top
+    of this module.
+
+    Each class lists its fields in ``__slots__`` and sets them in its own
+    ``__init__``, which takes them in that order; a copy or an unpickled
+    node is built by calling the class on the fields again.  Plain
+    classes import much faster than dataclasses, whose methods are
+    generated and compiled at import.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an "
+                             f"immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an "
+                             f"immutable {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class IntNeg:
-    expr: object
+class IntConst(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class IntBin:
-    op: str  # + - *
-    left: object
-    right: object
+class IntVar(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BoolConst:
-    value: bool
+class IntNeg(_Node):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr):
+        _set_field(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # = != < <= > >=
-    left: object
-    right: object
+class IntBin(_Node):
+    __slots__ = ("op", "left", "right")  # op: + - *
+
+    def __init__(self, op, left, right):
+        _set_field(self, "op", op)
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class BoolBin:
-    op: str  # && ||
-    left: object
-    right: object
+class BoolConst(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Not:
-    expr: object
+class Cmp(_Node):
+    __slots__ = ("op", "left", "right")  # op: = != < <= > >=
+
+    def __init__(self, op, left, right):
+        _set_field(self, "op", op)
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: object
+class BoolBin(_Node):
+    __slots__ = ("op", "left", "right")  # op: && ||
+
+    def __init__(self, op, left, right):
+        _set_field(self, "op", op)
+        _set_field(self, "left", left)
+        _set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Assume:
-    cond: object
+class Not(_Node):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr):
+        _set_field(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class NondetAssign:
-    var: str
-    lo: object
-    hi: object
+class Assign(_Node):
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var, expr):
+        _set_field(self, "var", var)
+        _set_field(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class Havoc:
-    var: str
+class Assume(_Node):
+    __slots__ = ("cond",)
+
+    def __init__(self, cond):
+        _set_field(self, "cond", cond)
 
 
-@dataclass(frozen=True)
-class RelAtom:
+class NondetAssign(_Node):
+    __slots__ = ("var", "lo", "hi")
+
+    def __init__(self, var, lo, hi):
+        _set_field(self, "var", var)
+        _set_field(self, "lo", lo)
+        _set_field(self, "hi", hi)
+
+
+class Havoc(_Node):
+    __slots__ = ("var",)
+
+    def __init__(self, var):
+        _set_field(self, "var", var)
+
+
+class RelAtom(_Node):
     # pairs of state literals, each a sorted tuple of (name, value)
-    pairs: tuple
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        _set_field(self, "pairs", pairs)
 
 
-@dataclass(frozen=True)
-class Atom:
-    atom: object
+class Atom(_Node):
+    __slots__ = ("atom",)
+
+    def __init__(self, atom):
+        _set_field(self, "atom", atom)
 
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(_Node):
     """``parts[0] ; ... ; parts[-1]``, two or more parts.  A last part that
     is itself a Seq is spliced in, so a `;` chain is one node however it
     is built; a Seq elsewhere in parts stays, and prints in parentheses."""
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if isinstance(self.parts[-1], Seq):
-            object.__setattr__(self, "parts",
-                               self.parts[:-1] + self.parts[-1].parts)
+    def __init__(self, parts):
+        if isinstance(parts[-1], Seq):
+            parts = parts[:-1] + parts[-1].parts
+        _set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(_Node):
     """``parts[0] [] ... [] parts[-1]``, two or more parts.  A first part
     that is itself a Choice is spliced in, so a `[]` chain is one node
     however it is built; a Choice elsewhere in parts stays."""
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if isinstance(self.parts[0], Choice):
-            object.__setattr__(self, "parts",
-                               self.parts[0].parts + self.parts[1:])
-
-
-@dataclass(frozen=True)
-class If:
-    cond: object
-    then: object
-    orelse: object
+    def __init__(self, parts):
+        if isinstance(parts[0], Choice):
+            parts = parts[0].parts + parts[1:]
+        _set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class While:
-    cond: object
-    body: object
+class If(_Node):
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond, then, orelse):
+        _set_field(self, "cond", cond)
+        _set_field(self, "then", then)
+        _set_field(self, "orelse", orelse)
 
 
-@dataclass(frozen=True)
-class ProgramFile:
-    decls: tuple  # (name, lo, hi) in declaration order
-    low: tuple
-    low_in: tuple
-    low_out: tuple
-    body: object
+class While(_Node):
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond, body):
+        _set_field(self, "cond", cond)
+        _set_field(self, "body", body)
+
+
+class ProgramFile(_Node):
+    # decls: (name, lo, hi) in declaration order
+    __slots__ = ("decls", "low", "low_in", "low_out", "body")
+
+    def __init__(self, decls, low, low_in, low_out, body):
+        _set_field(self, "decls", decls)
+        _set_field(self, "low", low)
+        _set_field(self, "low_in", low_in)
+        _set_field(self, "low_out", low_out)
+        _set_field(self, "body", body)
 
     def space(self):
         return StateSpace(self.decls)

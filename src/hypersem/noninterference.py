@@ -17,7 +17,7 @@ relation is secure, so refinement preserves it (Clarkson & Schneider,
 pairs can break it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _kernels
 from .relation import Rel
@@ -62,13 +62,8 @@ def agr(mask, view):
     return mask & ~cls == 0
 
 
-@dataclass
-class NIVerdict:
-    ok: bool
-    witness: tuple = None
-
-    def __bool__(self):
-        return self.ok
+NIVerdict = namedtuple("NIVerdict", "ok witness", defaults=(None,))
+NIVerdict.__bool__ = lambda self: self.ok
 
 
 def ni_relational(rel, view, view_out=None):

@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import random
@@ -10,6 +11,7 @@ from hypersem.cli import main
 from hypersem.family import FamilySet
 from hypersem.harness import GenConfig, gen_program
 from hypersem.lang import ProgramFile, parse, pp_program
+from hypersem.noninterference import LowView
 from hypersem.notation import format_family, format_state, format_state_set
 
 LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
@@ -269,6 +271,25 @@ def test_check_ni_needs_low(capsys, tmp_path):
     code, out, err = run(capsys, "check-ni", str(p))
     assert (code, out) == (2, "")
     assert err == "error: program declares no low variables\n"
+
+
+@pytest.mark.parametrize("policy, views", [
+    ("low lo;", 1), ("lowin lo;\nlowout lo;", 1),
+    ("low lo;\nlowout hi;", 2), ("lowin lo;\nlowout hi, lo;", 2)])
+def test_check_ni_builds_one_low_view_when_in_and_out_agree(
+        policy, views, capsys, tmp_path, monkeypatch):
+    built = []
+
+    def counted(space, low_vars):
+        built.append(tuple(low_vars))
+        return LowView(space, low_vars)
+
+    monkeypatch.setattr(cli, "LowView", counted)
+    p = tmp_path / "p.imp"
+    p.write_text(f"var hi: 0..1;\nvar lo: 0..1;\n{policy}\nhi := lo\n")
+    code, out, _ = run(capsys, "check-ni", str(p), "--form", "all")
+    assert len(built) == views
+    assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
 
 
 def test_psc_verdicts(capsys, tmp_path):
@@ -730,3 +751,26 @@ def test_readme_examples(capsys, monkeypatch):
     for argv, want in sessions:
         code = 1 if argv[0] == "check-ni" else 0
         assert run(capsys, *argv) == (code, want, ""), argv
+
+
+def test_readme_python_api_example():
+    # the Python API block runs statement by statement, and each
+    # `# -> result` comment is the value of its line's expression
+    from hypersem import FamilySet, mask_of, ssc
+
+    block = (README.read_text(encoding="utf-8").split("## Python API")[1]
+             .split("```python\n")[1].split("```")[0])
+    lines = block.splitlines()
+    env, got = {}, {}
+    for stmt in ast.parse(block).body:
+        _, arrow, comment = lines[stmt.end_lineno - 1].partition("# -> ")
+        if arrow:
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            got[comment.strip()] = eval(code, env)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), env)
+    assert got == {
+        "[4, 5]": [4, 5],
+        "ssc of {{4,5}}": ssc(FamilySet.explicit([mask_of([4, 5])])),
+        "{∅,{4},{5}}": FamilySet.explicit([0, mask_of([4]), mask_of([5])]),
+    }

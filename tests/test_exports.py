@@ -1,6 +1,9 @@
 import ast
+import dataclasses
+import importlib
 import inspect
 import pathlib
+import pkgutil
 
 import hypersem
 from hypersem import lang, noninterference, reference, semantics
@@ -49,6 +52,22 @@ def test_every_public_definition_is_used_in_src():
     assert sorted(name for name in defined - exempt if not used(name)) == []
     assert sorted(name for name in exempt
                   if name not in defined or used(name)) == []
+
+
+def test_no_dataclass_but_gen_config():
+    # a dataclass generates and compiles its methods when its module is
+    # imported, about 1 ms per class, and every CLI call and benchmark
+    # process pays that in set-up; the AST and result records are plain
+    # classes.  GenConfig stays one for dataclasses.replace.
+    found = []
+    for info in pkgutil.walk_packages(hypersem.__path__, "hypersem."):
+        module = importlib.import_module(info.name)
+        found += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and obj.__module__ == info.name
+                  and dataclasses.is_dataclass(obj)]
+    assert found == ["hypersem.harness.GenConfig"], (
+        f"dataclasses in src/ cost import time; make these plain classes: "
+        f"{sorted(set(found) - {'hypersem.harness.GenConfig'})}")
 
 
 def test_reference_does_not_import_the_engine():

@@ -1,4 +1,7 @@
+import copy
+import inspect
 import pathlib
+import pickle
 import random
 import time
 
@@ -461,3 +464,117 @@ def test_assignment_rows_match_the_per_state_oracle_on_offset_ranges():
                                   gen.iexpr(1)))
     for a in atoms:
         assert list(elaborate_atom(a, space).rows) == _oracle_rows(a, space), a
+
+
+# ---- the AST classes' contract: immutable records, equal by class and
+# fields, that copy and pickle
+
+_X, _ONE = IntVar("x"), IntConst(1)
+_GUARD = Cmp("<", _X, _ONE)
+_SET = Atom(Assign("x", _ONE))
+_NODES = [
+    _ONE, _X, IntNeg(_X), IntBin("+", _X, _ONE), BoolConst(True), _GUARD,
+    BoolBin("&&", _GUARD, BoolConst(False)), Not(_GUARD), Assign("x", _ONE),
+    Assume(_GUARD), NondetAssign("x", _ONE, _X), Havoc("x"),
+    RelAtom((((("x", 0),), (("x", 1),)),)), _SET, Skip(),
+    Seq((_SET, Skip())), Choice((_SET, Skip())), If(_GUARD, _SET, Skip()),
+    While(_GUARD, _SET),
+    lang.ProgramFile((("x", 0, 7),), ("x",), (), (), _SET),
+]
+
+
+def _fields(node):
+    """The node's field names, in the order its constructor takes them."""
+    return list(inspect.signature(type(node)).parameters)
+
+
+def _values(node):
+    return [getattr(node, name) for name in _fields(node)]
+
+
+def test_the_contract_cases_cover_every_ast_class():
+    public = {c for c in vars(lang).values() if isinstance(c, type)
+              and c.__module__ == lang.__name__
+              and not c.__name__.startswith("_")}
+    assert {type(node) for node in _NODES} == public
+    assert len(public) == 20
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_ast_nodes_are_equal_by_class_and_fields(node):
+    cls, values = type(node), _values(node)
+    twin = cls(*values)
+    assert twin is not node
+    assert twin == node and not twin != node
+    assert hash(twin) == hash(node)
+    assert cls(**dict(zip(_fields(node), values))) == node
+    for i in range(len(values)):
+        other = cls(*values[:i], (object(),), *values[i + 1:])
+        assert other != node and not other == node
+    assert node != tuple(values) and node != None  # noqa: E711
+    assert len({node, twin}) == 1
+
+
+def test_ast_nodes_of_different_classes_differ():
+    pairs = [(Seq((_SET, Skip())), Choice((_SET, Skip()))),
+             (IntConst(1), BoolConst(1)), (IntNeg(_X), Not(_X)),
+             (Assume(_GUARD), Not(_GUARD)),
+             (Cmp("+", _X, _ONE), IntBin("+", _X, _ONE)),
+             (IntVar("x"), Havoc("x"))]
+    for a, b in pairs:
+        assert a != b and b != a and not a == b
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_ast_node_repr_names_class_and_fields(node):
+    fields = ", ".join(f"{name}={value!r}"
+                       for name, value in zip(_fields(node), _values(node)))
+    assert repr(node) == f"{type(node).__name__}({fields})"
+
+
+def test_ast_node_repr_examples():
+    assert repr(Skip()) == "Skip()"
+    assert repr(_SET) == "Atom(atom=Assign(var='x', expr=IntConst(value=1)))"
+    assert repr(Seq((Skip(), Skip()))) == "Seq(parts=(Skip(), Skip()))"
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_ast_nodes_are_immutable(node):
+    for name in _fields(node):
+        before = getattr(node, name)
+        with pytest.raises(AttributeError):
+            setattr(node, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+        assert getattr(node, name) is before
+    with pytest.raises(AttributeError):
+        node.extra = 0
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_ast_nodes_copy_and_pickle(node):
+    for twin in (copy.copy(node), copy.deepcopy(node),
+                 pickle.loads(pickle.dumps(node))):
+        assert type(twin) is type(node)
+        assert twin == node and hash(twin) == hash(node)
+        assert repr(twin) == repr(node)
+
+
+def test_deep_copies_of_parsed_programs_are_equal():
+    for path in sorted(PROGRAMS.glob("*.imp")):
+        pf = parse(path.read_text(encoding="utf-8"))
+        twin = copy.deepcopy(pf)
+        assert twin == pf and twin.body is not pf.body
+        assert pp_program(pickle.loads(pickle.dumps(pf))) == pp_program(pf)
+
+
+def test_seq_and_choice_splice_their_chains():
+    a, b, c = (Atom(Havoc(v)) for v in "xyz")
+    assert Seq((a, Seq((b, c)))).parts == (a, b, c)
+    assert Seq((Seq((a, b)), c)).parts == (Seq((a, b)), c)
+    assert Choice((Choice((a, b)), c)).parts == (a, b, c)
+    assert Choice((a, Choice((b, c)))).parts == (a, Choice((b, c)))
+    assert Seq((a, Seq((b, c)))) == Seq((a, b, c))
+    kept = Seq((Seq((a, b)), c))
+    for twin in (copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
+        assert twin.parts == (Seq((a, b)), c)
