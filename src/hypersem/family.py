@@ -15,10 +15,12 @@ linear where the expansion is exponential.  ``explicit`` picks the form
 in one pass over the members (``_kernels.closed_antichain``): a nonempty
 set closed under removing one state is a down-set, and its antichain is
 the members that no member one state larger sits above; any other set is
-kept as it is.  ``downset`` reduces its masks to their antichain, and
-one mask is its own antichain.  Since each family has one
-stored form, ``==`` and ``hash`` compare that form (kind and stored
-sets), and ``key()`` is the same pair as a sorted tuple.
+kept as it is.  ``union_of_parts`` builds the union of member sets that
+come with their closure data (the lift oracle's principal parts) without
+that pass.  ``downset`` reduces its masks to their antichain, and one
+mask is its own antichain.  Since each family has one stored form, ``==``
+and ``hash`` compare that form (kind and stored sets), and ``key()`` is
+the same pair as a sorted tuple.
 
 The hyper semantics is built from two operations on families, and both
 live here: ``family_union`` and ``family_product`` (the inner-join
@@ -101,6 +103,29 @@ class FamilySet:
             return cls.empty()
         return cls(DOWNSET, frozenset(anti))
 
+    @classmethod
+    def union_of_parts(cls, parts):
+        """The family of the union of a nonempty iterable of member sets,
+        each given as a pair (members, below) of frozensets, where below
+        is ``_kernels.below_set(members)``: the members one state smaller
+        than another member, or None when members is not down-closed.
+
+        A union of down-closed sets is down-closed, and its antichain is
+        its members less every part's below set: a member x strictly
+        inside a member y of a down-closed part has, in that part, a chain
+        from y down to x, so x is one state smaller than a member of it.
+        When a part is not down-closed, ``explicit`` normalizes the union.
+        """
+        parts = iter(parts)
+        members, below = next(parts)
+        for part, part_below in parts:
+            members = members | part
+            if below is not None:
+                below = None if part_below is None else below | part_below
+        if below is None or not members:
+            return cls.explicit(members)
+        return cls(DOWNSET, members - below)
+
     @property
     def is_empty(self):
         return not self.sets
@@ -162,16 +187,30 @@ def powerset_family(mask):
 
 
 def family_union(*parts):
-    """Union of families in one step: one antichain reduction when every
-    nonempty part is a down-set, else one member union."""
-    parts = [part for part in parts if part.sets]
-    if not parts:
-        return FamilySet.empty()
-    if len(parts) == 1:
-        return parts[0]
-    if all(part.kind == DOWNSET for part in parts):
-        return FamilySet.downset({m for part in parts for m in part.sets})
-    return FamilySet.explicit(m for part in parts for m in part.members())
+    """Union of families in one step.  One pass collects the antichain
+    masks of the down-set parts, and their one antichain reduction is the
+    union; at the first nonempty explicit part the union is taken over
+    members instead.  Empty parts are skipped, and a single nonempty part
+    is returned as it is."""
+    first = masks = None
+    for part in parts:
+        if not part.sets:
+            continue
+        if part.kind != DOWNSET:
+            nonempty = [part for part in parts if part.sets]
+            if len(nonempty) == 1:
+                return nonempty[0]
+            return FamilySet.explicit(
+                m for part in nonempty for m in part.members())
+        if first is None:
+            first = part
+            continue
+        if masks is None:
+            masks = set(first.sets)
+        masks |= part.sets
+    if masks is None:
+        return first if first is not None else FamilySet.empty()
+    return FamilySet.downset(masks)
 
 
 def family_product(a, b):

@@ -277,26 +277,26 @@ def lift_family(tr, fam):
 
     A down-set is the union of the principal down-sets of its antichain
     elements, so its members are imaged one antichain element m at a time:
-    ``tr.subset_images(m)`` gives the images of all subsets of m, from the
-    transformer's own memo or, on a miss, from the subset-image recurrence.
-    Every member is still imaged, with no monotonicity shortcut.
+    ``tr.subset_images(m)`` gives the images of all subsets of m with
+    their closure data, from the transformer's own memo or, on a miss,
+    from the subset-image recurrence.  Every member is still imaged, with
+    no monotonicity shortcut.  ``FamilySet.union_of_parts`` unions the
+    parts; when every part is down-closed it reads the antichain off
+    their closure data, without a pass over the union's members.
 
     Explicit families, and down-sets whose antichain spans more subsets
     than the expansion cap, go member by member, so ``QueryBlowup`` is
     raised exactly where ``members`` raises it.  The span sum(2^|m|) is
-    summed only when the coarser bound len(antichain) * 2^(highest state
-    + 1) exceeds the cap; below the cap that bound alone decides.
+    summed only when the coarser bound len(antichain) * 2^(space size)
+    exceeds the cap; below the cap that bound alone decides.
     """
     sets = fam.sets
     if fam.kind != DOWNSET or (
-            len(sets) << max(sets).bit_length() > DEFAULT_EXPANSION_CAP
+            len(sets) << tr.space.size > DEFAULT_EXPANSION_CAP
             and sum(1 << m.bit_count() for m in sets)
             > DEFAULT_EXPANSION_CAP):
         return FamilySet.explicit(map(tr.apply, fam.members()))
-    out = set()
-    for m in sets:
-        out.update(tr.subset_images(m))
-    return FamilySet.explicit(out)
+    return FamilySet.union_of_parts(map(tr.subset_images, sets))
 
 
 # ---------------------------------------------------------------- oracles

@@ -9,6 +9,7 @@ through its ``apply``.
 
 from collections import namedtuple
 
+from . import _kernels
 from .relation import Rel
 
 PscResult = namedtuple("PscResult", "ok q r")
@@ -19,12 +20,12 @@ class Transformer:
     """Monotone map from state masks to state masks: the direct image of
     the relation rel.
 
-    ``subset_images`` (the lift oracle's principal parts, see
-    ``harness.lift_family``) keeps its answers in the ``_lift_parts``
-    slot.  The slot is set on the first call, so the many transformers
-    that are never lifted carry no memo, and the memo lives and dies with
-    its transformer: the answers depend on rel, so no two transformers
-    share one.
+    ``subset_images`` (the lift oracle's principal parts with their
+    closure data, see ``harness.lift_family``) keeps its answers in the
+    ``_lift_parts`` slot.  The slot is set on the first call, so the many
+    transformers that are never lifted carry no memo, and the memo lives
+    and dies with its transformer: the answers depend on rel, so no two
+    transformers share one.
     """
 
     __slots__ = ("space", "rel", "_lift_parts")
@@ -46,7 +47,11 @@ class Transformer:
         return self.rel.dirimg(p)
 
     def subset_images(self, mask):
-        """Frozenset of the images of every subset of mask, memoized.
+        """The principal part of mask, memoized: the pair (images, below)
+        of the frozenset of the images of every subset of mask, and
+        ``_kernels.below_set`` of those images (the images one state
+        smaller than another image) as a frozenset, or None when the
+        images are not down-closed.
 
         The images come from the subset-image recurrence of
         ``relation._subset_images``, walked over mask's bits in place and
@@ -67,7 +72,10 @@ class Transformer:
                 row = rows[low.bit_length() - 1]
                 images += [x | row for x in images]
                 m ^= low
-            part = memo[mask] = frozenset(images)
+            images = frozenset(images)
+            below = _kernels.below_set(images)
+            part = memo[mask] = (
+                images, None if below is None else frozenset(below))
         return part
 
     def __repr__(self):

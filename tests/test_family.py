@@ -163,8 +163,9 @@ def test_union_across_representations(monkeypatch):
             want = set().union(*(part.members() for part in parts))
             assert got.members() == want, parts
             assert got == FamilySet.explicit(want)
-            if len(parts) == 1 and parts[0].sets:
-                assert got is parts[0]
+            nonempty = [part for part in parts if part.sets]
+            if len(nonempty) == 1:
+                assert got is nonempty[0]
             if len(parts) == 2:
                 a, b = parts
                 got = family_product(a, b)
@@ -344,3 +345,55 @@ def test_closed_antichain_matches_brute_force():
             assert _kernels.closed_antichain(list(members)) == want
             seen.add((bool(members), want is None))
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def _brute_below(members):
+    return {x for x in members
+            if any((y ^ x).bit_count() == 1 and x & ~y == 0
+                   for y in members)}
+
+
+def test_below_set_matches_brute_force():
+    # closed, non-closed and empty member sets, as in the closed_antichain
+    # test; closed_antichain is the members less their below set
+    rng = random.Random(6)
+    seen = set()
+    for masks in _kernel_cases():
+        closure = brute_ssc(masks[:3])
+        less = closure - {rng.choice(sorted(closure))} if closure else closure
+        for members in (set(masks), closure, less):
+            below = _kernels.below_set(members)
+            want = _brute_below(members) if _closed(members) else None
+            assert below == want, members
+            assert _kernels.below_set(list(members)) == want
+            assert _kernels.is_downclosed(members) == (want is not None)
+            anti = _kernels.closed_antichain(members)
+            assert anti == (None if below is None
+                            else sorted(members - below))
+            seen.add((bool(members), want is None))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_union_of_closed_parts_is_members_less_their_below_sets():
+    # for down-closed parts, members less the union of the below sets
+    # are the maximal members of the union; union_of_parts agrees with
+    # explicit on every mix of closed and non-closed parts
+    rng = random.Random(7)
+    for _ in range(400):
+        closed = [frozenset(brute_ssc(rng.randrange(64)
+                                      for _ in range(rng.randint(1, 3))))
+                  for _ in range(rng.randint(1, 5))]
+        union = frozenset().union(*closed)
+        below = set().union(*map(_kernels.below_set, closed))
+        assert sorted(union - below) == _brute_maximal(union)
+        parts = list(closed)
+        for _ in range(rng.randint(0, 2)):
+            parts.insert(rng.randrange(len(parts) + 1), frozenset(
+                rng.randrange(64) for _ in range(rng.randint(1, 6))))
+        pairs = []
+        for members in parts:
+            below = _kernels.below_set(members)
+            pairs.append(
+                (members, None if below is None else frozenset(below)))
+        got = FamilySet.union_of_parts(pairs)
+        assert got == FamilySet.explicit(frozenset().union(*parts)), parts

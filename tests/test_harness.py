@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from hypersem import _kernels
 from hypersem.errors import QueryBlowup, SpaceTooLarge
 from hypersem.family import DOWNSET, EXPLICIT, FamilySet, subsets_of
 from hypersem.harness import (DiffReport, GenConfig, diff_prop1, diff_thm1,
@@ -174,6 +175,26 @@ def test_diff_thm1_cross_check_counts():
     assert report.cross_checks >= 1
 
 
+def test_maximal_sets_gets_a_sized_collection(monkeypatch):
+    # the traced benchmark counts maximal_sets' input with len(), so every
+    # caller passes a list, set, frozenset or tuple, never an iterator
+    real = _kernels.maximal_sets
+    sizes = []
+
+    def checked(sets):
+        assert isinstance(sets, (list, set, frozenset, tuple)), type(sets)
+        sizes.append(len(sets))
+        return real(sets)
+
+    monkeypatch.setattr(_kernels, "maximal_sets", checked)
+    for deterministic in (True, False):
+        report = diff_thm1(GenConfig(seed=13, space_size=4, max_range=3),
+                           trials=8, samples=20, cross_check=True,
+                           deterministic=deterministic)
+        assert report.failures == 0
+    assert max(sizes) > 1
+
+
 def test_search_ssc_necessity_reports_witnesses():
     mism, trials, witness = search_ssc_necessity(seed=0, trials=60, size=4)
     assert trials == 60
@@ -287,6 +308,12 @@ def test_lift_family_unions_parts_that_are_not_downsets():
     q = FamilySet.downset([0b001, 0b010, 0b100])
     got = lift_family(tr, q)
     assert (got.kind, got.sets) == (DOWNSET, frozenset({0b011}))
+    assert got == _member_wise_lift(tr, q)
+    # with the part of {s1} only, {t1} is missing: the union is not
+    # subset closed, and stays explicit
+    q = FamilySet.downset([0b001, 0b010])
+    got = lift_family(tr, q)
+    assert (got.kind, got.sets) == (EXPLICIT, frozenset({0, 0b001, 0b011}))
     assert got == _member_wise_lift(tr, q)
 
 

@@ -13,7 +13,8 @@ from hypersem.harness import (GenConfig, enumerate_downsets, gen_program,
                               lift_family, random_downset)
 from hypersem.hyper import HEval, happly, loop_iterates, strict_gate
 from hypersem.lang import (Assign, Atom, BoolConst, Choice, Cmp, If, IntBin,
-                           IntConst, IntVar, RelAtom, Seq, Skip, While, parse)
+                           IntConst, IntVar, RelAtom, Seq, Skip, While,
+                           elaborate_atom, parse)
 from hypersem.reference import LoopVariant, ref_eval, ref_iterates
 from hypersem.semantics import sem_tr
 from hypersem.space import StateSpace
@@ -439,44 +440,64 @@ def test_every_variant_matches_reference_evaluator(variant):
 # The engine splits a query into atomic queries and unions their memoized
 # values; these invariants are what make that split exact.
 
-def _loop_cases(rng, nprograms=120):
+def _construct_cases(rng, nprograms=60):
+    """Every sub-statement of generated programs over 4-6 states, with
+    choice and nondeterministic atoms, each with one explicit and one
+    subset-closed query, and named by its class: 'Atom*' for an atom that
+    is not a partial function."""
     for seed in range(nprograms):
-        cfg = GenConfig(seed=700 + seed, max_space=6, allow_choice=True,
+        cfg = GenConfig(seed=700 + seed, space_size=4 + seed % 3,
+                        max_space=6, allow_choice=True,
                         allow_nondet_atoms=True)
         pf = gen_program(cfg)
         space = pf.space()
-        for loop in _loops(pf.body):
+        for stmt in statements(pf.body):
+            kind = type(stmt).__name__
+            if isinstance(stmt, Atom) and not elaborate_atom(
+                    stmt.atom, space).is_partial_function():
+                kind = "Atom*"
             for q in _random_queries(rng, space.size):
-                yield loop, space, q
+                yield kind, stmt, space, q
 
 
-def test_loop_value_is_additive_over_its_basis():
+_CONSTRUCTS_SEEN = {"Seq", "Choice", "If", "While", "Atom", "Atom*"}
+
+
+def test_every_value_is_additive_over_its_basis():
+    # a down-set query's value is the union of the values at the down-sets
+    # of its maximal members, for every construct; a loop reads only its
+    # query's maximal members, so for loops explicit queries too.  Each
+    # side has its own evaluator, and the parts are unioned over members,
+    # not by family_union
     rng = random.Random(13)
-    cases = 0
-    for loop, space, q in _loop_cases(rng):
+    seen = set()
+    for kind, stmt, space, q in _construct_cases(rng):
+        if not q.is_subset_closed() and kind != "While":
+            continue
         ev = HEval(space)
-        parts = family_union(
-            *(ev.eval(loop, powerset_family(m)) for m in q.antichain()))
-        assert HEval(space).eval(loop, q) == parts, loop
-        cases += 1
-    assert cases > 100
+        parts = set()
+        for m in q.antichain():
+            parts |= ev.eval(stmt, powerset_family(m)).members()
+        assert HEval(space).eval(stmt, q) == FamilySet.explicit(parts), stmt
+        seen.add(kind)
+    assert seen >= _CONSTRUCTS_SEEN
 
 
-def test_paper_and_naive_loops_are_monotone_in_the_query():
+def test_every_construct_is_monotone_in_the_query():
     rng = random.Random(14)
-    cases = 0
-    for loop, space, small in _loop_cases(rng):
+    seen = set()
+    for kind, stmt, space, small in _construct_cases(rng):
         extra = {rng.randrange(1 << space.size) for _ in range(2)}
         if small.is_subset_closed():
             big = FamilySet.downset(set(small.antichain()) | extra)
         else:
             big = FamilySet.explicit(set(small.members()) | extra)
         assert family_le(small, big)
-        lo = HEval(space).eval(loop, small)
-        hi = HEval(space).eval(loop, big)
-        assert family_le(lo, hi), loop
-        cases += 1
-    assert cases > 100
+        lo = HEval(space).eval(stmt, small)
+        hi = HEval(space).eval(stmt, big)
+        assert family_le(lo, hi), stmt
+        seen.add(kind)
+    assert seen >= _CONSTRUCTS_SEEN
 
 
 def test_every_construct_is_additive_over_maximal_members():
