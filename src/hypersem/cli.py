@@ -20,9 +20,8 @@ from .lang import (Atom, Choice, If, Seq, Skip, While, parse, pp_bool,
 from .noninterference import (LowView, ni_hyper, ni_possibilistic,
                               ni_relational)
 from .notation import (family_json, format_family, format_state,
-                       format_state_set, parse_family, parse_rel_file,
-                       parse_state, parse_state_set, state_set_json,
-                       to_json_text)
+                       format_state_set, parse_family, parse_state,
+                       parse_state_set, state_set_json, to_json_text)
 from .semantics import sem_rel, sem_tr
 from .space import StateSpace
 from .transformer import Transformer, psc_check
@@ -204,9 +203,9 @@ def _cmd_diff(args):
 
 
 def _cmd_psc(args):
-    with open(args.relfile, encoding="utf-8-sig") as fh:
-        space, rel = parse_rel_file(fh.read())
-    result = psc_check(Transformer.image(rel))
+    pf = _read_program(args.file)
+    space = pf.space()
+    result = psc_check(Transformer.image(sem_rel(pf.body, space)))
     if result:
         print("psc: holds")
         return 0
@@ -275,8 +274,8 @@ def build_parser():
                         "synchronized iteration")
 
     p = sub.add_parser("psc", help="check the subset-image property of a "
-                                   "relation file")
-    p.add_argument("relfile")
+                                   "program's direct image")
+    p.add_argument("file")
 
     p = sub.add_parser("enumerate", help="enumerate subset-closed families")
     p.add_argument("--size", type=_count, required=True)

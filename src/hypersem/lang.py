@@ -252,13 +252,9 @@ _SYMBOLS = [":=", ":in", "..", "[]", "->", "!=", "<=", ">=", "&&", "||",
             ";", "{", "}", "(", ")", "[", "]", ",", "=", "<", ">", "+",
             "-", "*", "!", ":"]
 
-# A line break is \r\n, \r or \n, in the lexer, in positions and in
-# relation files alike.  _LINE_RE reads one line with its break; it
-# matches no empty line at the end of the text.
-_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-# Blanks and comments, then one token.  A comment runs to the next line
-# break.  Symbols are tried in _SYMBOLS order; a keyword is a name-shaped
+# Blanks and comments, then one token.  A line break is \r\n, \r or \n,
+# in the lexer and in positions alike, and a comment runs to the next
+# one.  Symbols are tried in _SYMBOLS order; a keyword is a name-shaped
 # word, so one followed by a name character is part of a longer name.
 # `eof` and `bad` (any other character) make the pattern match at every
 # position.
@@ -270,10 +266,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
 
 
-def _lex(text, start=0, end=None):
-    """Text (or its slice from start to end) as three parallel lists: token
-    kinds, texts and start offsets in text.  They end with eof, whose text
-    is "".
+def _lex(text):
+    """Text as three parallel lists: token kinds, texts and start offsets.
+    They end with eof, whose text is "".
 
     One match of _TOKEN_RE per token covers the blanks and comments before
     it, then the token; the pattern matches at every position, so the
@@ -289,8 +284,7 @@ def _lex(text, start=0, end=None):
     oldest supported version, lacks.
     """
     kinds, texts, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text, start,
-                                len(text) if end is None else end):
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         kinds.append(kind)
         texts.append(m[kind])
@@ -328,18 +322,16 @@ class _Parser:
 
     ``declared`` is the set of variable names a reference may use; None
     reads names unchecked (literals, whose states the space encodes).
-    ``start`` and ``end`` bound the slice of text that is read; positions
-    in errors are those in the whole text.
     ``tentative`` counts the tentative parses (``batom``'s parenthesized
     guard) in progress: inside one, every syntax error is caught, so it
     is raised as a bare _Retry, and no position is computed for it.
     """
 
-    def __init__(self, text, declared=None, start=0, end=None):
+    def __init__(self, text):
         self.text = text
-        self.kinds, self.texts, self.starts = _lex(text, start, end)
+        self.kinds, self.texts, self.starts = _lex(text)
         self.pos = 0
-        self.declared = declared
+        self.declared = None
         self.tentative = 0
 
     def at(self, text):

@@ -293,16 +293,37 @@ def test_check_ni_builds_one_low_view_when_in_and_out_agree(
 
 
 def test_psc_verdicts(capsys, tmp_path):
-    good = tmp_path / "fun.rel"
-    good.write_text("var x: 0..3;\n{x=0} -> {x=1}\n{x=1} -> {x=1}\n")
+    good = tmp_path / "fun.imp"
+    good.write_text("var x: 0..3;\nrel { {x=0} -> {x=1}, {x=1} -> {x=1} }\n")
     code, out, _ = run(capsys, "psc", str(good))
     assert code == 0 and "holds" in out
 
-    bad = tmp_path / "crossing.rel"
-    bad.write_text("var x: 0..3;\n{x=0} -> {x=2}\n{x=0} -> {x=3}\n"
-                   "{x=1} -> {x=2}\n{x=1} -> {x=3}\n")
+    bad = tmp_path / "crossing.imp"
+    bad.write_text("var x: 0..3;\nrel { {x=0} -> {x=2}, {x=0} -> {x=3},\n"
+                   "      {x=1} -> {x=2}, {x=1} -> {x=3} }\n")
     code, out, _ = run(capsys, "psc", str(bad))
     assert code == 1 and "fails" in out and "q=" in out
+
+
+@pytest.mark.parametrize("name, code, out", [
+    ("function.imp", 0, "psc: holds\n"),
+    ("crossing.imp", 1, "psc: fails  q=[{x=0}] r=[{x=3}]\n"),
+    ("choice.imp", 1, "psc: fails  q=[{x=0}] r=[{x=5}]\n"),
+    ("loop.imp", 0, "psc: holds\n"),
+])
+def test_psc_on_programs(capsys, name, code, out):
+    # psc checks the direct image of any program's relation
+    assert run(capsys, "psc", str(PROGRAMS / name)) == (code, out, "")
+
+
+def test_psc_reads_a_relation_file_as_a_program(capsys, tmp_path):
+    # a pair line of the retired relation-file format is not a statement
+    p = tmp_path / "function.rel"
+    p.write_text("// a partial function: passes the subset-image check\n"
+                 "var x: 0..3;\n{x=0} -> {x=1}\n{x=1} -> {x=2}\n"
+                 "{x=2} -> {x=2}\n")
+    assert run(capsys, "psc", str(p)) == (
+        2, "", "error: 3:1: expected statement, found '{'\n")
 
 
 def test_enumerate_counts(capsys):
@@ -357,11 +378,12 @@ def test_diff_on_one_state(capsys, argv):
 def test_psc_answers_beyond_the_scan_cap(capsys, tmp_path):
     # relation-backed psc is answered from the rows at any size
     for n, code_want in ((11, 0), (64, 1)):
-        rel = tmp_path / f"r{n}.rel"
+        rel = tmp_path / f"r{n}.imp"
         pairs = [f"{{s={t}}} -> {{s={(t + 1) % n}}}" for t in range(n)]
         if code_want:
             pairs.append(f"{{s={n - 1}}} -> {{s=1}}")
-        rel.write_text(f"var s: 0..{n - 1};\n" + "\n".join(pairs) + "\n")
+        rel.write_text(f"var s: 0..{n - 1};\nrel {{\n  "
+                       + ",\n  ".join(pairs) + "\n}\n")
         code, out, _ = run(capsys, "psc", str(rel))
         assert code == code_want
         assert out == ("psc: holds\n" if code == 0 else
@@ -391,7 +413,7 @@ def test_end_of_input_is_named(capsys, tmp_path, text, argv, message):
 
 @pytest.mark.parametrize("name, argvs", [
     ("leak.imp", [["parse"], ["check-ni"]]),
-    ("function.rel", [["psc"]]),
+    ("function.imp", [["psc"]]),
 ], ids=["imp", "rel"])
 def test_leading_byte_order_mark_is_accepted(capsys, tmp_path, name, argvs):
     original = PROGRAMS / name
@@ -412,7 +434,7 @@ def test_leading_byte_order_mark_is_accepted(capsys, tmp_path, name, argvs):
     ("prog.imp", "var x: 0..1;\nlow x;\nx := BIG\n", ["check-ni"]),
     ("prog.imp", "var x: 0..BIG;\nskip\n", ["parse"]),
     ("prog.imp", LOOP, ["eval", "--level", "tr", "--input", "[{x=BIG}]"]),
-    ("prog.rel", "var x: 0..BIG;\n{x=0} -> {x=1}\n", ["psc"]),
+    ("prog.imp", "var x: 0..BIG;\nrel { {x=0} -> {x=1} }\n", ["psc"]),
 ], ids=["assign", "check-ni", "bound", "input", "rel-bound"])
 def test_oversized_integer_literal_exit_code(capsys, tmp_path, name, text,
                                              argv):
@@ -479,6 +501,7 @@ def test_nested_program_answers(capsys, tmp_path):
     assert code == 0 and out.count("if x = 0") == 400
     code, out, _ = run(capsys, "check-ni", deep)
     assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
+    assert run(capsys, "psc", deep) == (0, "psc: holds\n", "")
     # the hyper engine's own frames bind first, so its nest is shallower
     for path, level, literal, want in (
             (deep, "rel", "{x=0}", "[{x=1}]\n"),
@@ -534,8 +557,8 @@ BAD_DECLS = {
 def test_bad_declarations_are_errors_not_verdicts(capsys, tmp_path, decls):
     imp = tmp_path / "bad.imp"
     imp.write_text(decls + "low x;\nskip\n")
-    rel = tmp_path / "bad.rel"
-    rel.write_text(decls + "{x=0} -> {x=1}\n")
+    rel = tmp_path / "bad-rel.imp"
+    rel.write_text(decls + "rel { {x=0} -> {x=1} }\n")
     for argv in (["eval", str(imp), "--input", "[{x=0}]"],
                  ["check-ni", str(imp)],
                  ["psc", str(rel)]):
@@ -579,8 +602,9 @@ def test_negative_steps_is_a_usage_error(capsys, loop_file):
     "var x: 0..3",
 ])
 def test_psc_rejects_malformed_declarations(capsys, tmp_path, line):
-    rel = tmp_path / "bad.rel"
-    rel.write_text(line + "\n{x=0} -> {x=1}\n")
+    # two declarations on one line are a program's; there {x=0} misses y
+    rel = tmp_path / "bad.imp"
+    rel.write_text(line + "\nrel { {x=0} -> {x=1} }\n")
     code, _, err = run(capsys, "psc", str(rel))
     assert code == 2
     assert err.startswith("error:")
@@ -614,8 +638,8 @@ def test_literal_variable_errors_are_named(capsys, tmp_path, text, argv,
 
 
 def test_repeated_name_in_a_literal_is_an_error(capsys, loop_file, tmp_path):
-    rel = tmp_path / "twice.rel"
-    rel.write_text("var x: 0..3;\n{x=0,x=2} -> {x=1}\n")
+    rel = tmp_path / "twice.imp"
+    rel.write_text("var x: 0..3;\nrel { {x=0,x=2} -> {x=1} }\n")
     for argv in (["eval", loop_file, "--level", "rel", "--input", "{x=2,x=1}"],
                  ["psc", str(rel)]):
         code, out, err = run(capsys, *argv)
@@ -632,7 +656,7 @@ def _mutate(rng, text):
 
 def test_front_end_fuzz(capsys, tmp_path):
     # generator programs and one-character mutations of them, through
-    # parse, check-ni and eval with (mutated) literals: the exit-code
+    # parse, check-ni, psc and eval with (mutated) literals: the exit-code
     # contract holds and nothing escapes as an exception
     rng = random.Random(7)
     path = tmp_path / "fuzz.imp"
@@ -652,6 +676,7 @@ def test_front_end_fuzz(capsys, tmp_path):
             literal = _mutate(rng, literal)
         path.write_text(text)
         for argv in (["parse", str(path)], ["check-ni", str(path)],
+                     ["psc", str(path)],
                      ["eval", str(path), "--level", level,
                       "--input", literal]):
             code, _, err = run(capsys, *argv)
@@ -668,8 +693,8 @@ def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch, tmp_path):
     prog.write_text(LOOP)
     leak = tmp_path / "leak.imp"
     leak.write_text(LEAK)
-    rel = tmp_path / "fun.rel"
-    rel.write_text("var x: 0..3;\n{x=0} -> {x=1}\n{x=1} -> {x=1}\n")
+    rel = tmp_path / "fun.imp"
+    rel.write_text("var x: 0..3;\nrel { {x=0} -> {x=1}, {x=1} -> {x=1} }\n")
     p, k = str(prog), str(leak)
     argvs = [
         ["parse", p],
@@ -742,14 +767,15 @@ def _readme_sessions():
 
 
 def test_readme_examples(capsys, monkeypatch):
-    # the quick tour and the check-ni example, run from the repository
-    # root: stdout byte for byte, and the exit code (1 for a leak)
+    # the quick tour and the check-ni and psc examples, run from the
+    # repository root: stdout byte for byte, and the exit code (1 for a
+    # leak and for a relation that is not a partial function)
     sessions = _readme_sessions()
     assert [argv[0] for argv, _ in sessions] == [
-        "eval", "eval", "iterates", "check-ni"]
+        "eval", "eval", "iterates", "check-ni", "psc"]
     monkeypatch.chdir(README.parent)
     for argv, want in sessions:
-        code = 1 if argv[0] == "check-ni" else 0
+        code = 1 if argv[0] in ("check-ni", "psc") else 0
         assert run(capsys, *argv) == (code, want, ""), argv
 
 

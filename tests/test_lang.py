@@ -17,7 +17,7 @@ from hypersem.lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice,
                            NondetAssign, Not, RelAtom, Seq, Skip, While,
                            elaborate_atom, eval_bool, eval_int, parse,
                            pp_program, pp_stmt)
-from hypersem.notation import parse_family, parse_rel_file, parse_state
+from hypersem.notation import parse_family, parse_state
 from hypersem.space import StateSpace
 from support import atoms_deterministic, is_choice_free
 
@@ -119,14 +119,14 @@ TOO_LONG = "integer literal of 5000 digits is too long"
      "2:6: expected integer expression, found ';'"),
     (parse, "var x: 0..1; // c\rx := ;\r\n",
      "2:6: expected integer expression, found ';'"),
-    (parse_rel_file, "var x: 0..1;\n{x=0} -> {x=}\n",
-     "2:13: expected integer, found '}'"),
-    (parse_rel_file,
-     "var x: 0..1;\n\t  {x=0} -> {x=1} // ok\n  {x=0} -> {x}\n",
-     "3:14: expected '=', found '}'"),
-    (parse_rel_file, "var x: 0..1; // c\r{x=0} -> {x=}\r",
-     "2:13: expected integer, found '}'"),
-    (parse_rel_file, "var x: 0..1;\f{x=0} -> {x=1}\n",
+    (parse, "var x: 0..1;\nrel { {x=0} -> {x=} }\n",
+     "2:19: expected integer, found '}'"),
+    (parse,
+     "var x: 0..1;\nrel {\n\t  {x=0} -> {x=1}, // ok\n  {x=0} -> {x}\n}\n",
+     "4:14: expected '=', found '}'"),
+    (parse, "var x: 0..1; // c\rrel { {x=0} -> {x=} }\r",
+     "2:19: expected integer, found '}'"),
+    (parse, "var x: 0..1;\frel { {x=0} -> {x=1} }\n",
      "1:13: unexpected character '\\x0c'"),
     (lambda text: parse_family(X01, text), "[[{x=0}] [{x=1}]]",
      "1:10: expected ']', found '['"),
@@ -136,8 +136,8 @@ TOO_LONG = "integer literal of 5000 digits is too long"
     (parse, f"var x: 0..-{BIG}; skip", f"1:12: {TOO_LONG}"),
     (parse, f"var x: 0..1; assume (x < {BIG}) ; skip", f"1:26: {TOO_LONG}"),
     (lambda text: parse_state(X01, text), f"{{x={BIG}}}", f"1:4: {TOO_LONG}"),
-    (parse_rel_file, f"var x: 0..1;\n{{x=0}} -> {{x={BIG}}}\n",
-     f"2:13: {TOO_LONG}"),
+    (parse, f"var x: 0..1;\nrel {{ {{x=0}} -> {{x={BIG}}} }}\n",
+     f"2:19: {TOO_LONG}"),
 ], ids=["expected-symbol", "identifier", "integer", "integer-expression",
         "comparison", "statement", "assignment", "trailing", "repeated",
         "no-declaration", "guard-backtrack", "character-after-crlf-tab",
@@ -163,7 +163,7 @@ def test_successful_parse_computes_no_position(monkeypatch):
     texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.imp"))]
     texts.append("var x: 0..1;\nassume "
                  + " && ".join(["(x + 1) = 1"] * 2000) + "\n")
-    assert len(texts) == 5
+    assert len(texts) == 7
     for text in texts:
         parse(text)
 

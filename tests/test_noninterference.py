@@ -10,6 +10,7 @@ from hypersem.noninterference import (LowView, NIVerdict, agr, ni_hyper,
                                       ni_possibilistic, ni_relational)
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel
+from hypersem.space import StateSpace
 
 EIGHT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 UNDERLINED = [(0, 1), (1, 1), (2, 2), (3, 2)]
@@ -30,6 +31,26 @@ def test_classes_partition(bits, view):
     assert sorted(view.classes) == [mask_of([0, 2]), mask_of([1, 3])]
     assert sum(view.classes) == bits.full_mask
 
+
+
+@pytest.mark.parametrize("decls, low", [
+    ((("hi", 0, 1), ("lo", 0, 2)), ("lo",)),
+    ((("lo", 0, 2), ("hi", 0, 1)), ("lo",)),
+    ((("a", 0, 2), ("b", 0, 1), ("c", 0, 2)), ("a", "c")),
+    ((("a", 0, 2), ("b", 0, 1), ("c", -1, 1)), ("c", "b")),
+], ids=["lo-three-values", "lo-first", "two-low", "two-low-reversed"])
+def test_classes_match_grouping_by_low_values(decls, low):
+    # more than two agreement classes, grouped from the decoded states
+    space = StateSpace(decls)
+    groups = {}
+    for s in range(space.size):
+        key = tuple(space.decode(s)[v] for v in low)
+        groups[key] = groups.get(key, 0) | 1 << s
+    view = LowView(space, low)
+    assert view.classes == tuple(sorted(groups.values()))
+    assert view.class_of == tuple(
+        groups[tuple(space.decode(s)[v] for v in low)]
+        for s in range(space.size))
 
 def test_agr(view):
     assert agr(0, view)
@@ -175,6 +196,34 @@ def test_ni_cross_oracle_random_deterministic_programs(bits, view):
         checked += 1
     assert checked == 150
 
+
+
+def _ni_by_definition(rel, space, low):
+    """The four-state quantifier over decoded states: related sources that
+    agree on low have targets that agree on low."""
+    def lows(s):
+        return tuple(space.decode(s)[v] for v in low)
+
+    pairs = list(rel.pairs())
+    return all(lows(s2) == lows(t2) for s, s2 in pairs for t, t2 in pairs
+               if lows(s) == lows(t))
+
+
+def test_ni_relational_matches_the_definition_on_three_low_values():
+    from dataclasses import replace
+    from hypersem.harness import GenConfig, gen_program
+    base = GenConfig(max_vars=2, max_range=2, max_space=6, space_size=6)
+    verdicts = set()
+    for seed in range(300):
+        pf = gen_program(replace(base, seed=seed))
+        # x and y, one 0..1 and one 0..2 (as hi and lo), either order
+        space = pf.space()
+        low = tuple(n for n, _, hi in pf.decls if hi == 2)
+        rel = sem_rel(pf.body, space)
+        verdict = _ni_by_definition(rel, space, low)
+        assert bool(ni_relational(rel, LowView(space, low))) == verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 def test_ni_hyper_family_route_agrees(bits, view):
     for pf in _random_programs(60, allow_choice=False,
