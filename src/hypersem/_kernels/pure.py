@@ -3,8 +3,9 @@
 Masks are plain ints (states fit in one machine word, space cap 64).
 Member sets of families are sets of masks; ``below_set`` is the one bit
 walk that tells whether such a set is down-closed, and ``closed_antichain``
-and the lift oracle's principal parts (``Transformer.subset_images``)
-build on it.
+and ``is_downclosed`` build on it.  The lift oracle's principal parts
+(``Transformer.subset_images``) do not: a part's images all lie below its
+top image, so one count against 2^|top| decides their closure.
 """
 
 

@@ -9,7 +9,6 @@ through its ``apply``.
 
 from collections import namedtuple
 
-from . import _kernels
 from .relation import Rel
 
 PscResult = namedtuple("PscResult", "ok q r")
@@ -57,6 +56,12 @@ class Transformer:
         ``relation._subset_images``, walked over mask's bits in place and
         without a call to ``apply`` per subset.  Building a row list per
         part for that function made the thm1 benchmark about 3% slower.
+
+        Closure is decided by one count.  The last image, top, is the
+        image of mask itself, and every other image is a subset of it.  So
+        the images are down-closed exactly when they are all 2^|top|
+        subsets of top, and then the images one state smaller than another
+        image are all of them but top.
         """
         try:
             memo = self._lift_parts
@@ -72,10 +77,11 @@ class Transformer:
                 row = rows[low.bit_length() - 1]
                 images += [x | row for x in images]
                 m ^= low
+            top = images[-1]
             images = frozenset(images)
-            below = _kernels.below_set(images)
             part = memo[mask] = (
-                images, None if below is None else frozenset(below))
+                images, images - {top}
+                if len(images) == 1 << top.bit_count() else None)
         return part
 
     def __repr__(self):

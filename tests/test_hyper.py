@@ -348,6 +348,27 @@ def test_lift_below_hyper_for_nondet_programs():
             assert family_le(lift_family(tr, q), ev.eval(pf.body, q))
 
 
+def test_hyper_below_closure_of_lift_for_nondet_programs():
+    # lift(Q) ⊆ hyper(Q) ⊆ ↓lift(Q), so both sides share their antichain.
+    # Both are additive over Q's antichain, so checking every principal
+    # down-set ↓{m} checks every subset-closed query of the program.
+    strict = 0
+    for seed in range(60):
+        cfg = GenConfig(seed=seed, allow_choice=True,
+                        allow_nondet_atoms=True, max_space=6)
+        pf = gen_program(cfg)
+        space = pf.space()
+        tr = sem_tr(pf.body, space)
+        ev = HEval(space)
+        for m in range(1 << space.size):
+            q = powerset_family(m)
+            hyp, lifted = ev.eval(pf.body, q), lift_family(tr, q)
+            assert family_le(lifted, hyp), (seed, m)
+            assert family_le(hyp, ssc(lifted)), (seed, m)
+            strict += hyp != lifted
+    assert strict
+
+
 def test_deterministic_programs_preserve_closure():
     rng = random.Random(7)
     for seed in range(25):

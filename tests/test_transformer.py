@@ -1,7 +1,7 @@
 import random
 from itertools import product
 
-from hypersem._kernels import psc_scan_table
+from hypersem._kernels import below_set, psc_scan_table
 from hypersem.family import mask_of, states_of, subsets_of
 from hypersem.harness import GenConfig, gen_program
 from hypersem.lang import parse
@@ -148,6 +148,35 @@ def test_psc_size_cap():
     crossing = Rel.from_pairs(space, [(63, 5), (63, 9)])
     assert tuple(psc_check(Transformer.image(crossing))) == (
         False, 1 << 63, 1 << 9)
+
+
+def test_subset_images_count_matches_the_below_set_walk():
+    # a part's closure is decided by counting its images against the
+    # subsets of the top image; the walk over every image must agree
+    rng = random.Random(23)
+    closed = open_ = 0
+    for n in range(1, 7):
+        space = StateSpace((("s", 0, n - 1),))
+        rels = [Rel.empty(space), Rel.identity(space),
+                Rel(space, [1] * n)]  # every state to state 0
+        for _ in range(6):
+            rels.append(rnd_rel(rng, space))  # mostly not functional
+            rels.append(Rel(space, [rng.choice([0, 1 << rng.randrange(n)])
+                                    for _ in range(n)]))
+            rels.append(Rel(space, [rng.choice([0, rng.randrange(1 << n)])
+                                    for _ in range(n)]))
+        for rel in rels:
+            tr = Transformer.image(rel)
+            for m in range(1 << n):
+                images = frozenset(map(tr.apply, subsets_of(m)))
+                below = below_set(images)
+                part = tr.subset_images(m)
+                assert part == (images, below), (rel.rows, m)
+                assert part[1] is None or type(part[1]) is frozenset
+                assert tr.subset_images(m) is part
+                closed += below is not None
+                open_ += below is None
+    assert closed and open_
 
 
 def test_disjunctive_restricts_to_domain():
