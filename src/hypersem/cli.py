@@ -137,8 +137,14 @@ def _cmd_check_ni(args):
     space = pf.space()
     low_in = pf.low_in or pf.low
     low_out = pf.low_out or pf.low
-    if not low_in:
+    if not low_in and not low_out:
         raise WorkbenchError("program declares no low variables")
+    if not low_out:
+        raise WorkbenchError(
+            "program declares no output low variables (low or lowout)")
+    if not low_in:
+        raise WorkbenchError(
+            "program declares no input low variables (low or lowin)")
     view_in = LowView(space, low_in)
     view_out = view_in if low_out == low_in else LowView(space, low_out)
     rel = sem_rel(pf.body, space)

@@ -2,10 +2,12 @@
 sets.
 
 Programs denote maps over the double powerset.  Atoms and guards lift
-elementwise; a `[]` chain uses the powerset-query inner join of all its
-branches at once (at each maximal member p, the product of every branch's
-value at ↓p); conditionals use the guarded inner join, which splits each
-member set by the guard and unions one result from each branch.
+elementwise.  `[]` and `if` share the inner join: at each maximal member
+p of the query, the product of every branch's value at ↓(p & mask),
+united over p.  A `[]` branch's mask is full; an `if` splits p by its
+guard, as `(assume b; c) [] (assume !b; d)` does.  An n-ary `[]` equals
+the nested binary joins because a join reads only its query's antichain,
+and ↓p's is {p}.
 
 Every construct reads only the maximal members of its query, so values
 are memoized per node at *atomic queries*: a memo key is a mask m and
@@ -16,18 +18,20 @@ and conditionals answer down-set queries from it and explicit ones
 structurally; atoms map elementwise.  Each node is compiled once per
 evaluator into one entry, keyed by node identity: the node itself (so no
 AST node is hashed, and its id is not reused while the entry lives), its
-rule with the rule's arguments (an atom's image function and
-partial-function flag, a guard's mask and its complement, the children)
-and its memo.  Evaluation looks the entry up and calls its rule, with no
+rule with the rule's arguments (an atom's image function and PSC flag, a
+join's branches and masks, a loop's guard mask, complement and body) and
+its memo.  Evaluation looks the entry up and calls its rule, with no
 dispatch on the node's type; a down-set query whose antichain is one mask
 is answered by one memo value, with no union.
 
 Loops are least fixpoints of the guarded-join functional.  The equation
 of atomic query m depends on the antichain of the body's value at
-↓{m & guard}; its value is their union times ↓{m & ~guard}.  A loop's
-misses are solved together by a demand-driven worklist from the bottom
-{{}}; the optional cross-check and ``loop_iterates`` use synchronized
-(Kleene) iteration of the same equations.
+↓{m & guard}; its value is their union times ↓{m & ~guard}.  ``eval``
+discovers a loop's missing equations, and a demand-driven worklist that
+evaluates no statement solves them from the bottom {{}}, so a construct
+costs two stack frames per nesting level, as in the parser.  The optional
+cross-check and ``loop_iterates`` use synchronized (Kleene) iteration of
+the same equations.
 
 Unions and products of values are ``family.family_union`` and
 ``family.family_product``.  Down-sets are their fast path: when every
@@ -42,7 +46,6 @@ them).
 """
 
 from collections import deque
-from functools import reduce
 
 from . import reference
 from .errors import IterationBudgetExceeded, NonSubsetClosedQuery
@@ -50,7 +53,7 @@ from .family import (DOWNSET, FamilySet, family_product, family_union,
                      powerset_family)
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .reference import LoopVariant
-from .transformer import Transformer
+from .transformer import Transformer, psc_check
 
 _BOTTOM = FamilySet.downset((0,))
 
@@ -99,22 +102,21 @@ class HEval:
         map a whole query and keep no memo; a loop has no rule, and its
         args are the guard's mask, its complement and the body."""
         if isinstance(node, Atom):
-            rel = elaborate_atom(node.atom, self.space)
-            entry = (node, _map_family,
-                     (Transformer.image(rel).apply,
-                      rel.is_partial_function()), None)
+            tr = Transformer.image(elaborate_atom(node.atom, self.space))
+            entry = (node, _map_family, (tr.apply, psc_check(tr).ok), None)
         elif isinstance(node, Skip):
             entry = (node, _same, (), None)
         elif isinstance(node, Seq):
             entry = (node, self._seq, (node.parts,), {})
         elif isinstance(node, Choice):
-            entry = (node, self.inner_join, node.parts, {})
+            full = (self.space.full_mask,) * len(node.parts)
+            entry = (node, self._join, (node.parts, full), {})
         elif isinstance(node, (If, While)):
             bmask = eval_bool(node.cond, self.space)
             masks = (bmask, self.space.full_mask & ~bmask)
             if isinstance(node, If):
-                entry = (node, self._split_join,
-                         masks + (node.then, node.orelse), {})
+                branches = (node.then, node.orelse)
+                entry = (node, self._join, (branches, masks), {})
             else:
                 entry = (node, None, masks + (node.body,), {})
         else:
@@ -132,8 +134,8 @@ class HEval:
         # atoms and skip map the whole query; loops answer every query from
         # the memo; the other constructs answer down-set queries from it,
         # being additive over maximal members, and explicit ones
-        # structurally.  Calling the rule from here keeps one stack frame
-        # per nesting level.
+        # structurally.  Calling the rule, or discovering a loop's
+        # equations, from here keeps two stack frames per nesting level.
         if memo is None or (rule is not None and fam.kind != DOWNSET):
             return rule(*args, fam)
         basis = fam.antichain()
@@ -148,7 +150,7 @@ class HEval:
                 val = memo[m] = rule(*args, powerset_family(m))
             vals.append(val)
         if missing:
-            self._solve_demand(node, args, memo, missing)
+            self._solve_demand(node, self._discover(args, missing, memo), memo)
             vals = [memo[m] for m in basis]
         return vals[0] if len(vals) == 1 else family_union(*vals)
 
@@ -157,29 +159,19 @@ class HEval:
             fam = self.eval(part, fam)
         return fam
 
-    def _join(self, branches, queries):
-        """Union over the query tuples, one query per branch, of the
-        products of the branch values.  A plain loop: on Python 3.11 a
-        comprehension would cost each `if` level one more frame."""
+    def _join(self, branches, masks, fam):
+        """Inner join: at each maximal member p of the query, the product
+        of every branch's value at ↓(p & its mask), then the union over p.
+        Plain loops: a comprehension (on Python 3.11) or a `map` would add
+        to each nesting level's share of the stack."""
         parts = []
-        for qs in queries:
-            parts.append(reduce(family_product, map(self.eval, branches, qs)))
+        for p in fam.antichain():
+            val = None
+            for branch, mask in zip(branches, masks):
+                v = self.eval(branch, powerset_family(p & mask))
+                val = v if val is None else family_product(val, v)
+            parts.append(val)
         return family_union(*parts)
-
-    def inner_join(self, *args):
-        """Powerset-query inner join of the branch semantics; args are the
-        branches, then the query.  It equals the nested binary joins
-        because a join reads only its query's antichain, and ↓p's is {p}."""
-        *branches, fam = args
-        return self._join(branches, ((powerset_family(p),) * len(branches)
-                                     for p in fam.antichain()))
-
-    def _split_join(self, bmask, nbmask, c, d, fam):
-        """Guarded inner join: split each maximal member by the guard's mask
-        bmask and its complement nbmask, then one result from each branch."""
-        return self._join((c, d), ((powerset_family(p & bmask),
-                                    powerset_family(p & nbmask))
-                                   for p in fam.antichain()))
 
     # ---- loop machinery: one unknown per atomic query
 
@@ -230,9 +222,8 @@ class HEval:
                     f"loop iteration did not stabilize within {budget} steps")
             prev = cur
 
-    def _solve_demand(self, node, loop, memo, roots):
+    def _solve_demand(self, node, system, memo):
         """Worklist iteration to the least solution; memoizes every atom."""
-        system = self._discover(loop, roots, memo)
         vals = dict.fromkeys(system, _BOTTOM)
 
         def value_of(d):

@@ -91,9 +91,6 @@ class Rel:
             return low[p & low_mask] | high[p >> half]
         return _kernels.dirimg_rows(self.rows, p)
 
-    def is_partial_function(self):
-        return all(row.bit_count() <= 1 for row in self.rows)
-
     def is_subrelation(self, other):
         self._check(other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))

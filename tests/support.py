@@ -6,7 +6,7 @@ range(1 << n).  Tables host the lemma tests' transformers that are no
 relation's direct image, such as monotone maps that are not disjunctive;
 every transformer a program denotes is a direct image.  Tables are scanned
 with ``_kernels.psc_scan_table``, the reference for ``psc_check``'s answer
-from rows.
+from rows; ``is_partial_function`` is the reference for its verdict.
 """
 
 from hypersem import _kernels
@@ -59,7 +59,12 @@ def is_choice_free(node):
     return not any(isinstance(n, Choice) for n in statements(node))
 
 
+def is_partial_function(rel):
+    """Every state has at most one successor."""
+    return all(row.bit_count() <= 1 for row in rel.rows)
+
+
 def atoms_deterministic(node, space):
     """True iff every elaborated atom is a partial function."""
-    return all(elaborate_atom(n.atom, space).is_partial_function()
+    return all(is_partial_function(elaborate_atom(n.atom, space))
                for n in statements(node) if isinstance(n, Atom))

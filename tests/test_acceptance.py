@@ -327,7 +327,7 @@ def test_criterion_7_lemma_suite():
     ev8 = HEval(space8)
     q0 = fam(mask_of([0]))
     lifted = lift_family(sem_tr(x8.body, space8), q0)
-    inner = ev8.inner_join(*x8.body.parts, q0)
+    inner = ev8.eval(x8.body, q0)
     assert lifted <= inner
     assert lifted.members() == {mask_of([1, 2])}
     assert inner.members() == {0, mask_of([1]), mask_of([2]),

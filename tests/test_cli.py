@@ -273,6 +273,20 @@ def test_check_ni_needs_low(capsys, tmp_path):
     assert err == "error: program declares no low variables\n"
 
 
+@pytest.mark.parametrize("policy, side, keyword", [
+    ("lowin lo;", "output", "lowout"), ("lowout lo;", "input", "lowin")])
+def test_check_ni_needs_both_sides_of_a_policy(policy, side, keyword, capsys,
+                                               tmp_path):
+    # with one side undeclared, every state would agree with every other
+    # on that side, and any program would pass as secure
+    p = tmp_path / "oneside.imp"
+    p.write_text(f"var hi: 0..1;\nvar lo: 0..1;\n{policy}\nlo := hi\n")
+    code, out, err = run(capsys, "check-ni", str(p))
+    assert (code, out) == (2, "")
+    assert err == (f"error: program declares no {side} low variables "
+                   f"(low or {keyword})\n")
+
+
 @pytest.mark.parametrize("policy, views", [
     ("low lo;", 1), ("lowin lo;\nlowout lo;", 1),
     ("low lo;\nlowout hi;", 2), ("lowin lo;\nlowout hi, lo;", 2)])
@@ -488,28 +502,33 @@ def test_deep_program_is_an_error_not_a_verdict(capsys, tmp_path):
 
 
 def test_nested_program_answers(capsys, tmp_path):
-    # an `if` level costs the parser two frames (a statement and a unit),
-    # so a 400-level nest answers below the interpreter's recursion limit
-    def nest(n):
-        p = tmp_path / f"nest{n}.imp"
-        p.write_text("var x: 0..1;\nlow x;\n" + "if x = 0 { " * n
-                     + "x := 1 - x" + " } else { skip }" * n + "\n")
+    # an `if`, `while` or parenthesis level costs the parser two frames (a
+    # statement and a unit) and the hyper engine two (`eval`, then a join
+    # or a loop's discovery), so a 400-level nest answers below the
+    # interpreter's recursion limit in every command
+    def nest(name, opener, closer):
+        p = tmp_path / f"{name}.imp"
+        p.write_text("var x: 0..1;\nlow x;\n" + opener * 400 + "x := 1 - x"
+                     + closer * 400 + "\n")
         return str(p)
 
-    deep = nest(400)
+    deep = nest("if", "if x = 0 { ", " } else { skip }")
     code, out, _ = run(capsys, "parse", deep)
     assert code == 0 and out.count("if x = 0") == 400
     code, out, _ = run(capsys, "check-ni", deep)
     assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
     assert run(capsys, "psc", deep) == (0, "psc: holds\n", "")
-    # the hyper engine's own frames bind first, so its nest is shallower
     for path, level, literal, want in (
             (deep, "rel", "{x=0}", "[{x=1}]\n"),
             (deep, "tr", "[{x=0},{x=1}]", "[{x=1}]\n"),
-            (nest(230), "hyper", "[[],[{x=0}]]", "[[],[{x=1}]]\n")):
+            (deep, "hyper", "[[],[{x=0}]]", "[[],[{x=1}]]\n"),
+            (nest("while", "while false { ", " }"), "hyper", "[[],[{x=0}]]",
+             "[[],[{x=0}]]\n"),
+            (nest("choice", "(x := 1 - x [] ", ")"), "hyper", "[[],[{x=0}]]",
+             "[[],[{x=1}]]\n")):
         code, out, _ = run(capsys, "eval", path, "--level", level,
                            "--input", literal)
-        assert (code, out) == (0, want), level
+        assert (code, out) == (0, want), (path, level)
 
 
 def test_long_seq_chain_answers(capsys, tmp_path):

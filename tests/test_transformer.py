@@ -9,7 +9,8 @@ from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer, psc_check
-from support import domain, is_disjunctive, is_monotone, table_of
+from support import (domain, is_disjunctive, is_monotone, is_partial_function,
+                     table_of)
 
 
 def rnd_rel(rng, space, density=None):
@@ -119,7 +120,7 @@ def test_psc_image_iff_partial_function_exhaustive(s3):
     for rel in cases:
         tr = Transformer.image(rel)
         res = psc_check(tr)
-        assert bool(res) == rel.is_partial_function()
+        assert bool(res) == is_partial_function(rel)
         assert tuple(res) == psc_scan_table(table_of(tr), rel.space.size)
 
 
