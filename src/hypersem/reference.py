@@ -106,19 +106,23 @@ def ref_loop_system(node, family, space, variant):
         if q in systems:
             continue
         extra = frozenset()
+        # plain loops, not comprehensions: on Python before 3.12 a
+        # comprehension is a frame of its own around the body's ref_eval
+        terms = []
         if variant is LoopVariant.NAIVE:
             y = ref_eval(node.body, frozenset(p & bmask for p in q), space,
                          variant)
-            terms = [(y, None)]
+            terms.append((y, None))
             extra = frozenset(p & nb for p in q)
         elif variant is LoopVariant.OTIMES:
-            terms = [(ref_eval(node.body, frozenset((p & bmask,)), space,
-                               variant), frozenset((p & nb,)))
-                     for p in q]
+            for p in q:
+                terms.append((ref_eval(node.body, frozenset((p & bmask,)),
+                                       space, variant),
+                              frozenset((p & nb,))))
         else:
-            terms = [(ref_eval(node.body, _down(p & bmask), space, variant),
-                      _down(p & nb))
-                     for p in q]
+            for p in q:
+                terms.append((ref_eval(node.body, _down(p & bmask), space,
+                                       variant), _down(p & nb)))
         systems[q] = (terms, extra)
         pending.extend(y for y, _ in terms)
     return systems

@@ -2,7 +2,9 @@
 
 ``sem_rel`` uses the relation algebra; ``sem_tr`` applies each construct's
 transformer rule and reads its operands only through ``apply``, so the
-two share only atom elaboration.  Atoms are direct images and every rule
+two share the per-space atom and guard elaborations (one relation per
+atom and one mask per guard, kept by the space; see ``lang``), and
+nothing else.  Atoms are direct images and every rule
 keeps a map universally disjunctive, so each value is fixed by its images
 of singletons and is stored as the image of the relation they form.
 

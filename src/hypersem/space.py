@@ -8,6 +8,18 @@ the space size keeps every such mask inside one machine word.
 
 The space alone does the mixed-radix arithmetic: expressions read whole
 ``column``s, and ``assign_rows`` builds every assignment atom's rows.
+
+A space also holds what has been elaborated over it, so that every
+denotation of a program over one space shares one tuple per column, one
+relation per atom and one mask per guard: ``column`` keeps its tuples,
+and ``lang.elaborate_atom`` and ``lang.eval_bool`` keep theirs in
+``_atoms`` and ``_guards``, keyed by the node's ``id`` and held with the
+node, so no id is reused while its entry lives.  The memo lives and dies
+with the space and grows with every node elaborated over it, so one
+program per space is the intended use.  It takes no part in equality or
+hashing, and a copy or an unpickled space is built from ``vars`` alone,
+with an empty memo: a copied memo would key its entries by the ids of
+the original nodes.
 """
 
 from .errors import (BadDeclaration, MissingVariable, UnknownVariable,
@@ -17,9 +29,11 @@ SIZE_CAP = 64
 
 
 class StateSpace:
-    """Immutable list of (name, lo, hi) variable declarations."""
+    """Immutable list of (name, lo, hi) variable declarations, with the
+    memo of what has been elaborated over it (see the module docstring)."""
 
-    __slots__ = ("vars", "names", "size", "_weights", "_index")
+    __slots__ = ("vars", "names", "size", "_weights", "_index", "_columns",
+                 "_atoms", "_guards")
 
     def __init__(self, variables):
         vars_ = tuple((str(n), int(lo), int(hi)) for n, lo, hi in variables)
@@ -45,6 +59,9 @@ class StateSpace:
         self.size = size
         self._weights = tuple(reversed(weights))
         self._index = {n: i for i, n in enumerate(names)}
+        self._columns = {}
+        self._atoms = {}
+        self._guards = {}
 
     @property
     def full_mask(self):
@@ -61,11 +78,16 @@ class StateSpace:
         return lo, hi
 
     def column(self, name):
-        """The value of a variable at every state, as a tuple by state id."""
-        lo, hi = self.var_range(name)
-        w = self._weights[self._index[name]]
-        n = hi - lo + 1
-        return tuple(lo + s // w % n for s in range(self.size))
+        """The value of a variable at every state, as a tuple by state id;
+        computed once per space and variable, then shared."""
+        col = self._columns.get(name)
+        if col is None:
+            lo, hi = self.var_range(name)
+            w = self._weights[self._index[name]]
+            n = hi - lo + 1
+            col = self._columns[name] = tuple(lo + s // w % n
+                                              for s in range(self.size))
+        return col
 
     def assign_rows(self, name, lows, highs):
         """Relation rows that move each state s to every in-range value of a
@@ -106,6 +128,9 @@ class StateSpace:
             q, rem = divmod(rem, w)
             out[name] = lo + q
         return out
+
+    def __reduce__(self):
+        return type(self), (self.vars,)
 
     def __eq__(self, other):
         return isinstance(other, StateSpace) and self.vars == other.vars

@@ -6,13 +6,15 @@ import shlex
 
 import pytest
 
-from hypersem import cli
+from hypersem import cli, lang
 from hypersem.cli import main
 from hypersem.family import FamilySet
 from hypersem.harness import GenConfig, gen_program
 from hypersem.lang import ProgramFile, parse, pp_program
 from hypersem.noninterference import LowView
 from hypersem.notation import format_family, format_state, format_state_set
+from hypersem.relation import Rel
+from support import statements
 
 LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
 LEAK = "var hi: 0..1;\nvar lo: 0..1;\nlow lo;\nlo := hi\n"
@@ -501,15 +503,66 @@ def test_deep_program_is_an_error_not_a_verdict(capsys, tmp_path):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_check_ni_elaborates_each_atom_and_guard_once(capsys, tmp_path,
+                                                      monkeypatch):
+    # the three forms share the space's elaborations: every atom's relation
+    # and every guard's mask is computed once, whatever the number of
+    # denotations that read it
+    text = ("var hi: 0..1;\nvar lo: 0..2;\nlow lo;\n"
+            "assume hi <= 1 ; (lo :in 0..1 [] havoc hi) ;\n"
+            "if hi = 0 && lo < 2 { lo := lo } else { "
+            "rel { {hi=0,lo=0} -> {hi=0,lo=1} } } ;\n"
+            "while lo > 1 { lo := lo - 1 }\n")
+    p = tmp_path / "each.imp"
+    p.write_text(text)
+    nodes = list(statements(parse(text).body))
+    atoms = sum(isinstance(n, lang.Atom) for n in nodes)
+    guards = sum(isinstance(n, (lang.If, lang.While))
+                 or isinstance(n, lang.Atom)
+                 and isinstance(n.atom, lang.Assume) for n in nodes)
+    assert (atoms, guards) == (6, 3)
+    rels, masks = [], []
+
+    class Counted(Rel):
+        # lang builds a Rel only to elaborate an atom, one per atom
+        __slots__ = ()
+
+        def __init__(self, space, rows):
+            rels.append(rows)
+            super().__init__(space, rows)
+
+    depth = [0]
+
+    def guard_mask(b, space, compute=lang._guard_mask):
+        # only the outermost call computes a guard; the rest are its parts
+        depth[0] += 1
+        try:
+            if depth[0] == 1:
+                masks.append(b)
+            return compute(b, space)
+        finally:
+            depth[0] -= 1
+
+    want = run(capsys, "check-ni", str(p), "--form", "all")
+    assert want[0] == 1 and [line.split(":")[0] for line
+                             in want[1].splitlines()] == ["rel", "poss",
+                                                          "hyper"]
+    monkeypatch.setattr(lang, "Rel", Counted)
+    monkeypatch.setattr(lang, "_guard_mask", guard_mask)
+    assert run(capsys, "check-ni", str(p), "--form", "all") == want
+    assert (len(rels), len(masks)) == (atoms, guards)
+    assert len(set(map(id, masks))) == guards
+
+
 def test_nested_program_answers(capsys, tmp_path):
     # an `if`, `while` or parenthesis level costs the parser two frames (a
     # statement and a unit) and the hyper engine two (`eval`, then a join
     # or a loop's discovery), so a 400-level nest answers below the
     # interpreter's recursion limit in every command
-    def nest(name, opener, closer):
+    def nest(name, opener, closer, levels=400):
         p = tmp_path / f"{name}.imp"
-        p.write_text("var x: 0..1;\nlow x;\n" + opener * 400 + "x := 1 - x"
-                     + closer * 400 + "\n")
+        p.write_text("var x: 0..1;\nlow x;\n" + opener * levels
+                     + "x := 1 - x" + closer * levels + "\n")
         return str(p)
 
     deep = nest("if", "if x = 0 { ", " } else { skip }")
@@ -529,6 +582,14 @@ def test_nested_program_answers(capsys, tmp_path):
         code, out, _ = run(capsys, "eval", path, "--level", level,
                            "--input", literal)
         assert (code, out) == (0, want), (path, level)
+    # the definitional evaluator spends four frames per loop level
+    # (ref_eval, ref_while, ref_iterates, ref_loop_system) under both of
+    # its own variants
+    loops = nest("while230", "while false { ", " }", levels=230)
+    for variant in ("naive", "otimes"):
+        assert run(capsys, "eval", loops, "--level", "hyper", "--variant",
+                   variant, "--input", "[[],[{x=0}]]") == (
+            0, "[[],[{x=0}]]\n", ""), variant
 
 
 def test_long_seq_chain_answers(capsys, tmp_path):

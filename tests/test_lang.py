@@ -8,7 +8,7 @@ import time
 import pytest
 
 from hypersem import lang
-from hypersem.errors import ParseError, UndeclaredVariable
+from hypersem.errors import MissingVariable, ParseError, UndeclaredVariable
 from hypersem.family import mask_of, powerset_family
 from hypersem.harness import GenConfig, _Gen
 from hypersem.hyper import happly
@@ -18,6 +18,7 @@ from hypersem.lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice,
                            elaborate_atom, eval_bool, eval_int, parse,
                            pp_program, pp_stmt)
 from hypersem.notation import parse_family, parse_state
+from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
 from support import atoms_deterministic, is_choice_free
 
@@ -368,6 +369,40 @@ def test_elaborate_rel_atom(bits):
     atom = RelAtom((((("hi", 1), ("lo", 0)), (("hi", 0), ("lo", 0))),))
     rel = elaborate_atom(atom, bits)
     assert sorted(rel.pairs()) == [(2, 0)]
+
+
+def test_elaborations_are_kept_per_space_and_node():
+    # equal spaces and deep-copied nodes each get their own results, and
+    # the results agree
+    text = ("var x: 0..3; var y: 0..1; assume x < 3 ; "
+            "if y = 0 { x :in x..3 } else { havoc y } ; "
+            "while x > 1 { x := x - 1 }")
+    body = parse(text).body
+    twin = copy.deepcopy(body)
+    one, two = parse(text).space(), parse(text).space()
+    atom, guard = body.parts[1].then.atom, body.parts[1].cond
+    rel, mask = elaborate_atom(atom, one), eval_bool(guard, one)
+    assert elaborate_atom(atom, one) is rel
+    assert one._guards[id(guard)] == (guard, mask)
+    for node, space in ((atom, two), (twin.parts[1].then.atom, one),
+                        (twin.parts[1].then.atom, two)):
+        other = elaborate_atom(node, space)
+        assert other == rel and other is not rel and other.space is space
+    assert eval_bool(twin.parts[1].cond, one) == mask
+    assert id(twin.parts[1].cond) in one._guards
+    want = sem_rel(body, one)
+    for node in (body, twin):
+        for space in (one, two):
+            assert sem_rel(node, space) == want
+            assert sem_tr(node, space).rel == want
+
+
+def test_an_atom_that_fails_to_elaborate_fails_again(bits):
+    atom = RelAtom((((("hi", 1),), (("hi", 0), ("lo", 0))),))
+    for _ in range(2):
+        with pytest.raises(MissingVariable):
+            elaborate_atom(atom, bits)
+    assert bits._atoms == {}
 
 
 def test_predicates():

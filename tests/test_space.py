@@ -1,7 +1,12 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hypersem.errors import MissingVariable, UnknownVariable, ValueOutOfRange
+from hypersem.lang import (Assign, Assume, Cmp, IntConst, IntVar,
+                           elaborate_atom, eval_bool)
 from hypersem.space import StateSpace
 
 
@@ -66,3 +71,27 @@ def test_bad_declarations():
 def test_decode_out_of_range(x8):
     with pytest.raises(ValueOutOfRange):
         x8.decode(8)
+
+
+def test_columns_are_computed_once_per_space(bits):
+    col = bits.column("lo")
+    assert col == (0, 1, 0, 1)
+    assert bits.column("lo") is col
+    assert StateSpace(bits.vars).column("lo") is not col
+
+
+def test_copies_and_pickles_rebuild_the_space_without_its_memo(bits):
+    # a copied memo would key its entries by the original nodes' ids
+    atom = Assign("lo", IntVar("hi"))
+    assume = Assume(Cmp("=", IntVar("hi"), IntConst(1)))
+    rels = [elaborate_atom(a, bits) for a in (atom, assume)]
+    assert bits._columns and bits._atoms and bits._guards
+    for twin in (copy.copy(bits), copy.deepcopy(bits),
+                 pickle.loads(pickle.dumps(bits))):
+        assert twin is not bits and twin == bits
+        assert hash(twin) == hash(bits)
+        assert (twin._columns, twin._atoms, twin._guards) == ({}, {}, {})
+        assert [elaborate_atom(a, twin) for a in (atom, assume)] == rels
+        assert eval_bool(assume.cond, twin) == 0b1100
+    rel = pickle.loads(pickle.dumps(rels[0]))
+    assert rel == rels[0] and rel.space._atoms == {}
