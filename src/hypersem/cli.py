@@ -132,8 +132,12 @@ def _cmd_iterates(args):
     return 0
 
 
-def _cmd_check_ni(args):
-    pf = _read_program(args.file)
+def ni_verdicts(pf, forms):
+    """Yield (form, NIVerdict) for each NI form of a program's low policy,
+    in order, over one state space.  Each verdict is computed when asked
+    for, so a caller that prints as it goes shows the earlier verdicts
+    before a later form fails.  A program with no low variables on a side
+    is refused before the first verdict."""
     space = pf.space()
     low_in = pf.low_in or pf.low
     low_out = pf.low_out or pf.low
@@ -148,32 +152,38 @@ def _cmd_check_ni(args):
     view_in = LowView(space, low_in)
     view_out = view_in if low_out == low_in else LowView(space, low_out)
     rel = sem_rel(pf.body, space)
-    forms = ("rel", "poss", "hyper") if args.form == "all" else (args.form,)
-    ok = True
     for form in forms:
         if form == "rel":
-            verdict = ni_relational(rel, view_in, view_out)
+            yield form, ni_relational(rel, view_in, view_out)
         elif form == "poss":
-            verdict = ni_possibilistic(rel, view_in, view_out)
+            yield form, ni_possibilistic(rel, view_in, view_out)
         else:
-            verdict = ni_hyper(pf.body, view_in, view_out)
+            yield form, ni_hyper(pf.body, view_in, view_out)
+
+
+def _cmd_check_ni(args):
+    pf = _read_program(args.file)
+    forms = ("rel", "poss", "hyper") if args.form == "all" else (args.form,)
+    ok = True
+    for form, verdict in ni_verdicts(pf, forms):
         if verdict:
             print(f"{form}: secure")
+            continue
+        ok = False
+        space = pf.space()  # names the witness's states
+        if form == "hyper":
+            cls, img = verdict.witness
+            print(f"{form}: insecure  class={format_state_set(space, cls)} "
+                  f"image={format_state_set(space, img)}")
+        elif form == "poss":
+            s, t = verdict.witness
+            print(f"{form}: insecure  required successor missing for "
+                  f"{format_state(space, s)} ~> {format_state(space, t)}")
         else:
-            ok = False
-            if form == "hyper":
-                cls, img = verdict.witness
-                print(f"{form}: insecure  class={format_state_set(space, cls)} "
-                      f"image={format_state_set(space, img)}")
-            elif form == "poss":
-                s, t = verdict.witness
-                print(f"{form}: insecure  required successor missing for "
-                      f"{format_state(space, s)} ~> {format_state(space, t)}")
-            else:
-                s, s2, t, t2 = verdict.witness
-                print(f"{form}: insecure  witness "
-                      f"{format_state(space, s)}->{format_state(space, s2)} vs "
-                      f"{format_state(space, t)}->{format_state(space, t2)}")
+            s, s2, t, t2 = verdict.witness
+            print(f"{form}: insecure  witness "
+                  f"{format_state(space, s)}->{format_state(space, s2)} vs "
+                  f"{format_state(space, t)}->{format_state(space, t2)}")
     return 0 if ok else 1
 
 
@@ -188,6 +198,8 @@ def _print_report(kind, report):
 
 
 def _cmd_diff(args):
+    if args.cross_check and not args.thm1:
+        raise WorkbenchError("--cross-check applies to --thm1 only")
     cfg = GenConfig(seed=args.seed, max_space=args.size or 10)
     if args.prop1:
         return _print_report("prop1", diff_prop1(cfg, trials=args.trials))
@@ -198,14 +210,11 @@ def _cmd_diff(args):
         report = diff_thm1(cfg, trials=args.trials, queries=queries,
                            cross_check=args.cross_check)
         return _print_report("thm1", report)
-    if args.search == "ssc-necessity":
-        mism, trials, witness = search_ssc_necessity(seed=args.seed,
-                                                     trials=args.trials,
-                                                     size=args.size or 4)
-        print(f"non-closed queries with fixpoint != lift: {mism}/{trials}")
-        return 0
-    print("choose --prop1, --thm1 or --search", file=sys.stderr)
-    return 2
+    mism, trials, witness = search_ssc_necessity(seed=args.seed,
+                                                 trials=args.trials,
+                                                 size=args.size or 4)
+    print(f"non-closed queries with fixpoint != lift: {mism}/{trials}")
+    return 0
 
 
 def _cmd_psc(args):
@@ -269,9 +278,10 @@ def build_parser():
                    default="all")
 
     p = sub.add_parser("diff", help="differential oracles and searches")
-    p.add_argument("--prop1", action="store_true")
-    p.add_argument("--thm1", action="store_true")
-    p.add_argument("--search", choices=("ssc-necessity",))
+    battery = p.add_mutually_exclusive_group(required=True)
+    battery.add_argument("--prop1", action="store_true")
+    battery.add_argument("--thm1", action="store_true")
+    battery.add_argument("--search", choices=("ssc-necessity",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_count, default=50)
     p.add_argument("--size", type=_positive)

@@ -4,6 +4,14 @@ Generated loops guard on a dedicated counter variable that the body only
 increments, so termination is structural; semantics never needs it (the
 fixpoints exist regardless) but stabilization is fast.  Every battery is
 reproducible from its seed.
+
+Each differential battery checks one program in one function that
+returns the ``DiffReport`` of that trial: ``check_prop1`` (relational
+image vs transformer) and ``check_thm1`` (hyper value vs elementwise
+lift).  ``diff_prop1`` and ``diff_thm1`` generate programs and fold each
+trial into one report with ``DiffReport.add``; tests call the checks
+directly.  The noninterference battery's check is ``cli.ni_verdicts``,
+the verdicts ``check-ni`` prints.
 """
 
 import random
@@ -51,6 +59,15 @@ class DiffReport:
         self.failures += 1
         if self.first_witness is None:
             self.first_witness = witness
+
+    def add(self, item):
+        """Fold one trial's report into this battery's."""
+        self.trials += item.trials
+        self.failures += item.failures
+        if self.first_witness is None:
+            self.first_witness = item.first_witness
+        self.strict_cases += item.strict_cases
+        self.cross_checks += item.cross_checks
 
 
 # ---------------------------------------------------------------- generator
@@ -305,38 +322,76 @@ def lift_family(tr, fam):
 
 # ---------------------------------------------------------------- oracles
 
-def diff_prop1(cfg, trials=200):
-    """Direct image of the relational denotation vs the transformer
-    denotation, exhaustive over every subset; any gap is a bug."""
+def check_prop1(pf):
+    """One program's direct image of the relational denotation vs its
+    transformer denotation, exhaustive over every subset; any gap is a bug.
+    Returns the report of this one trial."""
     report = DiffReport()
-    for t in range(trials):
-        pf = gen_program(replace(cfg, seed=cfg.seed * 100003 + t))
-        space = pf.space()
-        rel = sem_rel(pf.body, space)
-        tr = sem_tr(pf.body, space)
-        report.trials += 1
-        for p in range(1 << space.size):
-            a = rel.dirimg(p)
-            b = tr.apply(p)
-            if a != b:
-                report.record_failure(
-                    f"program:\n{pp_program(pf)}\np={p:#x} rel-image={a:#x} "
-                    f"transformer={b:#x}")
-                break
+    space = pf.space()
+    rel = sem_rel(pf.body, space)
+    tr = sem_tr(pf.body, space)
+    report.trials = 1
+    for p in range(1 << space.size):
+        a = rel.dirimg(p)
+        b = tr.apply(p)
+        if a != b:
+            report.record_failure(
+                f"program:\n{pp_program(pf)}\np={p:#x} rel-image={a:#x} "
+                f"transformer={b:#x}")
+            break
     return report
 
 
-def diff_thm1(cfg, trials=100, queries=None, samples=100, *,
-              deterministic=True, cross_check=False):
-    """Hyper denotation vs elementwise lift of the transformer denotation
-    on subset-closed queries.
+def diff_prop1(cfg, trials=200):
+    """check_prop1 on trials generated programs."""
+    report = DiffReport()
+    for t in range(trials):
+        report.add(check_prop1(
+            gen_program(replace(cfg, seed=cfg.seed * 100003 + t))))
+    return report
+
+
+def check_thm1(pf, queries, *, deterministic=True, cross_check=False):
+    """One program's hyper denotation vs the elementwise lift of its
+    transformer denotation, at each subset-closed query in turn, stopping
+    at the first failure.  Returns the report of this one trial.
 
     Equality is the oracle for deterministic choice-free programs.  With
     deterministic=False only the containment lift <= hyper is required
-    and strict cases are counted.
+    and strict cases are counted.  With cross_check, each loop value the
+    demand solver finds is re-solved by Kleene iteration, and every
+    mismatch counts as a failure.
     """
     report = DiffReport()
-    stats_host = []
+    space = pf.space()
+    tr = sem_tr(pf.body, space)
+    ev = HEval(space, cross_check=cross_check)
+    report.trials = 1
+    for q in queries:
+        got = ev.eval(pf.body, q)
+        want = lift_family(tr, q)
+        if not (got == want if deterministic else want <= got):
+            report.record_failure(
+                f"program:\n{pp_program(pf)}\nquery={q!r}\n"
+                f"hyper={got!r}\nlift={want!r}")
+            break
+        if not deterministic and got != want:
+            report.strict_cases += 1
+    if cross_check:
+        mism = len(ev.stats.cross_mismatches)
+        report.cross_checks = ev.stats.cross_checks
+        if mism:
+            report.record_failure(f"{mism} kleene cross-check mismatches")
+            report.failures += mism - 1
+    return report
+
+
+def diff_thm1(cfg, trials=100, queries=None, *, deterministic=True,
+              cross_check=False):
+    """check_thm1 on trials generated programs, choice-free with
+    deterministic atoms unless deterministic=False, at the given queries
+    or else at 100 random down-sets per program."""
+    report = DiffReport()
     for t in range(trials):
         seed = cfg.seed * 499979 + t
         if deterministic:
@@ -345,39 +400,13 @@ def diff_thm1(cfg, trials=100, queries=None, samples=100, *,
         else:
             sub = replace(cfg, seed=seed, allow_choice=True)
         pf = gen_program(sub)
-        space = pf.space()
-        tr = sem_tr(pf.body, space)
-        ev = HEval(space, cross_check=cross_check)
-        stats_host.append(ev.stats)
-        if queries is not None:
-            battery = queries
-        else:
+        battery = queries
+        if battery is None:
             rng = random.Random(seed ^ 0x5EED)
-            battery = [random_downset(rng, space.size) for _ in range(samples)]
-        report.trials += 1
-        for q in battery:
-            got = ev.eval(pf.body, q)
-            want = lift_family(tr, q)
-            if deterministic:
-                if got != want:
-                    report.record_failure(
-                        f"program:\n{pp_program(pf)}\nquery={q!r}\n"
-                        f"hyper={got!r}\nlift={want!r}")
-                    break
-            else:
-                if not want <= got:
-                    report.record_failure(
-                        f"program:\n{pp_program(pf)}\nquery={q!r}\n"
-                        f"hyper={got!r}\nlift={want!r}")
-                    break
-                if got != want:
-                    report.strict_cases += 1
-    if cross_check:
-        mism = sum(len(s.cross_mismatches) for s in stats_host)
-        report.cross_checks = sum(s.cross_checks for s in stats_host)
-        if mism:
-            report.record_failure(f"{mism} kleene cross-check mismatches")
-            report.failures += mism - 1
+            size = pf.space().size
+            battery = [random_downset(rng, size) for _ in range(100)]
+        report.add(check_thm1(pf, battery, deterministic=deterministic,
+                              cross_check=cross_check))
     return report
 
 

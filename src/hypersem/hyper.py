@@ -295,7 +295,8 @@ def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
     """Values of the i-th loop-functional iterate at fam, i = 0..steps."""
     if variant is not LoopVariant.PAPER:
         q = fam.members()
-        iters = reference.ref_iterates(While(cond, body), q, space, variant)
+        iters = reference.ref_iterates(reference.ref_loop_system(
+            While(cond, body), q, space, variant))
         return [FamilySet.explicit(vals[q])
                 for _, vals in zip(range(steps + 1), iters)]
     ev = HEval(space)

@@ -82,7 +82,19 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
             _capped(out)
         return frozenset(out)
     if isinstance(node, While):
-        return ref_while(node, family, space, variant)
+        # stepping the iterates here, not in a helper, keeps a loop level
+        # at two frames: this one and ref_loop_system's
+        systems = ref_loop_system(node, family, space, variant)
+        prev = None
+        for i, vals in enumerate(ref_iterates(systems)):
+            if vals == prev:
+                return vals[frozenset(family)]
+            # the otimes iterates need not increase, so they may cycle
+            budget = (1 << min(space.size, 20)) * len(vals) + 8
+            if i == budget:
+                raise IterationBudgetExceeded(
+                    f"loop iteration did not stabilize within {budget} steps")
+            prev = vals
     raise TypeError(node)
 
 
@@ -128,9 +140,9 @@ def ref_loop_system(node, family, space, variant):
     return systems
 
 
-def ref_iterates(node, family, space, variant=LoopVariant.PAPER):
-    """Synchronized iterates of every query's value, from {{}}."""
-    systems = ref_loop_system(node, family, space, variant)
+def ref_iterates(systems):
+    """Synchronized iterates of every query's value in a system from
+    ``ref_loop_system``, from {{}}."""
     vals = {q: frozenset((0,)) if q else frozenset() for q in systems}
     while True:
         yield vals
@@ -144,16 +156,3 @@ def ref_iterates(node, family, space, variant=LoopVariant.PAPER):
                     out.update(bounded_product(vals[y], wrap))
             nxt[q] = _capped(frozenset(out))
         vals = nxt
-
-
-def ref_while(node, family, space, variant=LoopVariant.PAPER):
-    prev = None
-    for i, vals in enumerate(ref_iterates(node, family, space, variant)):
-        if vals == prev:
-            return vals[frozenset(family)]
-        # the otimes iterates need not increase, so they may cycle
-        budget = (1 << min(space.size, 20)) * len(vals) + 8
-        if i == budget:
-            raise IterationBudgetExceeded(
-                f"loop iteration did not stabilize within {budget} steps")
-        prev = vals

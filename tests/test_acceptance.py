@@ -5,6 +5,7 @@ lines and timings.  Budgets are generous wall-clock bounds; the checks
 themselves are exact.
 """
 
+import pathlib
 import random
 import time
 from dataclasses import replace
@@ -13,22 +14,22 @@ from itertools import product
 import pytest
 
 from hypersem._kernels import psc_scan_table
+from hypersem.cli import ni_verdicts
 from hypersem.family import FamilySet, mask_of, powerset_family, ssc, subsets_of
 from hypersem.harness import (GenConfig, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
                               random_downset)
 from hypersem.hyper import HEval, LoopVariant, happly, loop_iterates
-from hypersem.lang import Atom, If, RelAtom, parse
+from hypersem.lang import Atom, If, RelAtom, parse, pp_stmt
 from hypersem.noninterference import LowView, ni_possibilistic, ni_relational
 from hypersem.relation import Rel
-from hypersem.semantics import sem_rel, sem_tr
+from hypersem.semantics import sem_tr
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer, psc_check
 from support import domain, is_disjunctive, is_monotone
 
 LOOP_TEXT = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
-
-_cross_stats = {"checks": 0, "mismatches": 0}
+PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
 
 def _report(num, desc, t0, budget):
@@ -86,8 +87,7 @@ def test_criterion_2_underlying_and_hyper_values(loop):
     out = ev.eval(node, ssc(fam(Q25_MASK)))
     assert out == ssc(fam(mask_of([4, 5])))
     assert out.antichain() == {mask_of([4, 5])}
-    _cross_stats["checks"] += ev.stats.cross_checks
-    _cross_stats["mismatches"] += len(ev.stats.cross_mismatches)
+    assert ev.stats.cross_checks == 1 and not ev.stats.cross_mismatches
     _report(2, "transformer gives {4,5}; paper-variant hyper value is ssc{{4,5}}",
             t0, 1.0)
 
@@ -125,16 +125,13 @@ def test_criterion_5_thm1_differential():
     report = diff_thm1(cfg4, trials=100, queries=queries4, cross_check=True)
     assert report.trials == 100
     assert report.failures == 0, report.first_witness
-    _cross_stats["checks"] += report.cross_checks
 
     total_big = 0
     for size in (5, 6, 7, 8):
         cfg = GenConfig(seed=900 + size, space_size=size, max_range=4)
-        rep = diff_thm1(cfg, trials=13 if size < 8 else 11, samples=100,
-                        cross_check=True)
+        rep = diff_thm1(cfg, trials=13 if size < 8 else 11, cross_check=True)
         assert rep.failures == 0, rep.first_witness
         total_big += rep.trials
-        _cross_stats["checks"] += rep.cross_checks
     assert total_big == 50
     _report(5, "theorem differential: 100x167 exhaustive + 50x100 sampled",
             t0, 600.0)
@@ -337,11 +334,9 @@ def test_criterion_7_lemma_suite():
 
 
 def test_criterion_8_cross_oracle_ni():
+    # check-ni's own verdicts, on the deterministic total programs where
+    # the three forms coincide
     t0 = time.perf_counter()
-    from hypersem.lang import pp_stmt
-    from hypersem.noninterference import ni_hyper
-    space = StateSpace((("hi", 0, 1), ("lo", 0, 1)))
-    view = LowView(space, ("lo",))
     base = GenConfig(max_vars=2, max_range=1, max_space=4, space_size=4,
                      allow_choice=False, allow_nondet_atoms=False,
                      total_atoms=True)
@@ -349,12 +344,9 @@ def test_criterion_8_cross_oracle_ni():
     for seed in range(500):
         pf = gen_program(replace(base, seed=seed))
         text = pp_stmt(pf.body).replace("x", "hi").replace("y", "lo")
-        body = parse("var hi: 0..1; var lo: 0..1;\n" + text).body
-        rel = sem_rel(body, space)
-        a = bool(ni_relational(rel, view))
-        b = bool(ni_possibilistic(rel, view))
-        c = bool(ni_hyper(body, view))
-        if not (a == b == c):
+        pf = parse("var hi: 0..1; var lo: 0..1; low lo;\n" + text)
+        verdicts = ni_verdicts(pf, ("rel", "poss", "hyper"))
+        if len({bool(v) for _, v in verdicts}) != 1:
             disagreements += 1
     assert disagreements == 0
     _report(8, "three NI oracles agree on 500 deterministic programs",
@@ -375,6 +367,17 @@ def test_criterion_9_demand_vs_kleene(loop):
         assert ev.stats.cross_checks >= 1
         checks += ev.stats.cross_checks
 
+    # a loop whose equation system has a cycle, at every principal
+    # down-set
+    pf = parse((PROGRAMS / "cycle.imp").read_text(encoding="utf-8"))
+    sp = pf.space()
+    evc = HEval(sp, cross_check=True)
+    for m in range(1 << sp.size):
+        evc.eval(pf.body, powerset_family(m))
+    assert evc.stats.cross_checks > 1
+    checks += evc.stats.cross_checks
+    mism += len(evc.stats.cross_mismatches)
+
     # a slice of criterion 4's programs evaluated at the hyper level
     rng = random.Random(5)
     for seed in range(40):
@@ -388,10 +391,6 @@ def test_criterion_9_demand_vs_kleene(loop):
             evp.eval(pf.body, random_downset(rng, sp.size))
         checks += evp.stats.cross_checks
         mism += len(evp.stats.cross_mismatches)
-
-    # criterion 5's batteries already ran with cross-checking on
-    checks += _cross_stats["checks"]
-    mism += _cross_stats["mismatches"]
 
     assert mism == 0
     assert checks > 100

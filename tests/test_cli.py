@@ -559,10 +559,10 @@ def test_nested_program_answers(capsys, tmp_path):
     # statement and a unit) and the hyper engine two (`eval`, then a join
     # or a loop's discovery), so a 400-level nest answers below the
     # interpreter's recursion limit in every command
-    def nest(name, opener, closer, levels=400):
+    def nest(name, opener, closer):
         p = tmp_path / f"{name}.imp"
-        p.write_text("var x: 0..1;\nlow x;\n" + opener * levels
-                     + "x := 1 - x" + closer * levels + "\n")
+        p.write_text("var x: 0..1;\nlow x;\n" + opener * 400
+                     + "x := 1 - x" + closer * 400 + "\n")
         return str(p)
 
     deep = nest("if", "if x = 0 { ", " } else { skip }")
@@ -571,21 +571,19 @@ def test_nested_program_answers(capsys, tmp_path):
     code, out, _ = run(capsys, "check-ni", deep)
     assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
     assert run(capsys, "psc", deep) == (0, "psc: holds\n", "")
+    loops = nest("while", "while false { ", " }")
     for path, level, literal, want in (
             (deep, "rel", "{x=0}", "[{x=1}]\n"),
             (deep, "tr", "[{x=0},{x=1}]", "[{x=1}]\n"),
             (deep, "hyper", "[[],[{x=0}]]", "[[],[{x=1}]]\n"),
-            (nest("while", "while false { ", " }"), "hyper", "[[],[{x=0}]]",
-             "[[],[{x=0}]]\n"),
+            (loops, "hyper", "[[],[{x=0}]]", "[[],[{x=0}]]\n"),
             (nest("choice", "(x := 1 - x [] ", ")"), "hyper", "[[],[{x=0}]]",
              "[[],[{x=1}]]\n")):
         code, out, _ = run(capsys, "eval", path, "--level", level,
                            "--input", literal)
         assert (code, out) == (0, want), (path, level)
-    # the definitional evaluator spends four frames per loop level
-    # (ref_eval, ref_while, ref_iterates, ref_loop_system) under both of
-    # its own variants
-    loops = nest("while230", "while false { ", " }", levels=230)
+    # the definitional evaluator spends two frames per loop level
+    # (ref_eval and ref_loop_system) under both of its own variants
     for variant in ("naive", "otimes"):
         assert run(capsys, "eval", loops, "--level", "hyper", "--variant",
                    variant, "--input", "[[],[{x=0}]]") == (
@@ -651,6 +649,29 @@ def test_diff_beyond_the_state_cap_is_an_error(capsys):
     code, _, err = run(capsys, "diff", "--thm1", "--size", "70")
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diff", "--prop1", "--thm1"], "not allowed with argument --prop1"),
+    (["diff", "--thm1", "--search", "ssc-necessity"],
+     "not allowed with argument --thm1"),
+    (["diff", "--seed", "3"], "one of the arguments --prop1 --thm1 --search "
+                              "is required"),
+])
+def test_diff_runs_exactly_one_battery(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "--prop1", "--cross-check"],
+    ["diff", "--search", "ssc-necessity", "--cross-check"],
+])
+def test_cross_check_without_thm1_is_a_usage_error(capsys, argv):
+    assert run(capsys, *argv) == (
+        2, "", "error: --cross-check applies to --thm1 only\n")
 
 
 @pytest.mark.parametrize("argv", [

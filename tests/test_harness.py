@@ -7,9 +7,10 @@ import pytest
 from hypersem import _kernels
 from hypersem.errors import QueryBlowup, SpaceTooLarge
 from hypersem.family import DOWNSET, EXPLICIT, FamilySet, subsets_of
-from hypersem.harness import (DiffReport, GenConfig, diff_prop1, diff_thm1,
-                              enumerate_downsets, gen_program, lift_family,
-                              random_downset, search_ssc_necessity)
+from hypersem.harness import (DiffReport, GenConfig, check_prop1, check_thm1,
+                              diff_prop1, diff_thm1, enumerate_downsets,
+                              gen_program, lift_family, random_downset,
+                              search_ssc_necessity)
 from hypersem.lang import Choice, Seq, parse, pp_program
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
@@ -160,17 +161,31 @@ def test_diff_thm1_exhaustive_size_3():
     assert report.failures == 0
 
 
+def _sampled_programs(cfg, trials, samples):
+    """(program, its own random down-sets) for trials generated programs."""
+    rng = random.Random(cfg.seed)
+    for t in range(trials):
+        pf = gen_program(replace(cfg, seed=cfg.seed + t))
+        size = pf.space().size
+        yield pf, [random_downset(rng, size) for _ in range(samples)]
+
+
 def test_diff_thm1_nondet_containment():
-    report = diff_thm1(GenConfig(seed=9, space_size=3, max_range=2,
-                                 allow_nondet_atoms=True),
-                       trials=25, samples=20, deterministic=False)
+    report = DiffReport()
+    for pf, queries in _sampled_programs(
+            GenConfig(seed=9, space_size=3, max_range=2), 25, 20):
+        report.add(check_thm1(pf, queries, deterministic=False))
+    assert report.trials == 25
     assert report.failures == 0
     assert report.strict_cases >= 1  # inner joins do add sets
 
 
 def test_diff_thm1_cross_check_counts():
-    report = diff_thm1(GenConfig(seed=11, space_size=3, max_range=2),
-                       trials=10, samples=10, cross_check=True)
+    report = DiffReport()
+    for pf, queries in _sampled_programs(
+            GenConfig(seed=11, space_size=3, max_range=2, allow_choice=False,
+                      allow_nondet_atoms=False), 10, 10):
+        report.add(check_thm1(pf, queries, cross_check=True))
     assert report.failures == 0
     assert report.cross_checks >= 1
 
@@ -188,10 +203,13 @@ def test_maximal_sets_gets_a_sized_collection(monkeypatch):
 
     monkeypatch.setattr(_kernels, "maximal_sets", checked)
     for deterministic in (True, False):
-        report = diff_thm1(GenConfig(seed=13, space_size=4, max_range=3),
-                           trials=8, samples=20, cross_check=True,
-                           deterministic=deterministic)
-        assert report.failures == 0
+        cfg = GenConfig(seed=13, space_size=4, max_range=3,
+                        allow_choice=not deterministic,
+                        allow_nondet_atoms=not deterministic)
+        for pf, queries in _sampled_programs(cfg, 8, 20):
+            report = check_thm1(pf, queries, cross_check=True,
+                                deterministic=deterministic)
+            assert report.failures == 0, report.first_witness
     assert max(sizes) > 1
 
 
@@ -218,6 +236,36 @@ def test_diff_report_records_first_witness_only():
     rep.record_failure("second")
     assert rep.failures == 2
     assert rep.first_witness == "first"
+
+
+def test_diff_report_adds_trials_in_order():
+    battery = DiffReport()
+    for witness, strict, cross in ((None, 2, 1), ("second", 0, 3),
+                                   ("third", 1, 0)):
+        item = DiffReport()
+        item.trials = 1
+        item.strict_cases = strict
+        item.cross_checks = cross
+        if witness:
+            item.record_failure(witness)
+        battery.add(item)
+    assert (battery.trials, battery.failures, battery.strict_cases,
+            battery.cross_checks) == (3, 2, 3, 4)
+    assert battery.first_witness == "second"
+
+
+def test_check_thm1_and_check_prop1_report_the_first_failure():
+    # at ↓{x=0} the inner join adds {x=1} and {x=2} to the lift's {x=1,x=2}
+    pf = parse("var x: 0..3; x := x + 1 [] x := x + 2")
+    queries = [FamilySet.downset((0b1,))] * 2
+    report = check_thm1(pf, queries)
+    assert (report.trials, report.failures) == (1, 1)
+    assert report.first_witness.startswith("program:\n")
+    assert "query=" in report.first_witness
+    report = check_thm1(pf, queries, deterministic=False)
+    assert (report.failures, report.strict_cases) == (0, 2)
+    prop1 = check_prop1(pf)
+    assert (prop1.trials, prop1.failures, prop1.first_witness) == (1, 0, None)
 
 
 def test_generator_leaves_no_reference_cycles():

@@ -1,4 +1,5 @@
 import copy
+import pathlib
 import random
 import re
 
@@ -9,16 +10,20 @@ from hypersem._kernels import psc_scan_table
 from hypersem.errors import NonSubsetClosedQuery, QueryBlowup
 from hypersem.family import (FamilySet, family_le, family_union, mask_of,
                              powerset_family, ssc)
-from hypersem.harness import (GenConfig, enumerate_downsets, gen_program,
-                              lift_family, random_downset)
+from hypersem.harness import (GenConfig, check_thm1, enumerate_downsets,
+                              gen_program, lift_family, random_downset)
 from hypersem.hyper import HEval, happly, loop_iterates, strict_gate
 from hypersem.lang import (Assign, Assume, Atom, BoolConst, Choice, Cmp, If,
                            IntBin, IntConst, IntVar, Not, RelAtom, Seq, Skip,
                            While, elaborate_atom, parse)
-from hypersem.reference import LoopVariant, ref_eval, ref_iterates
+from hypersem.reference import (LoopVariant, ref_eval, ref_iterates,
+                                ref_loop_system)
+from hypersem.notation import format_family, parse_family
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
 from support import is_monotone, is_partial_function, statements
+
+PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
 
 def fam(*masks):
@@ -264,6 +269,38 @@ def test_cross_check_flag_agrees():
         assert not ev.stats.cross_mismatches
 
 
+def test_loop_with_a_cyclic_system_reaches_its_least_fixpoint():
+    # a counter that wraps: the unknowns of the loop's equation system
+    # form a cycle, on which the demand solver must re-queue dependents
+    pf = parse((PROGRAMS / "cycle.imp").read_text(encoding="utf-8"))
+    space = pf.space()
+    q = parse_family(space, "[[],[{x=0,y=0}]]")
+    ev = HEval(space, cross_check=True)
+    got = ev.eval(pf.body, q)
+    assert format_family(space, got, antichain=True) == (
+        "[[{x=0,y=1},{x=1,y=1},{x=2,y=1},{x=3,y=1}]]")
+    assert ev.stats.cross_checks == 1 and not ev.stats.cross_mismatches
+    assert family_le(lift_family(sem_tr(pf.body, space), q), got)
+
+    # the system still has a cycle: 4 of its 5 unknowns in one component
+    fresh = HEval(space)
+    _, _, loop, _ = fresh._compile(pf.body)
+    system = fresh._discover(loop, q.antichain(), {})
+
+    def reach(u):
+        seen, stack = {u}, [u]
+        while stack:
+            for d in system[stack.pop()][0]:
+                if d in system and d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return seen
+
+    component = {u: {v for v in reach(u) if u in reach(v)} for u in system}
+    assert len(system) == 5
+    assert max(len(c) for c in component.values()) == 4
+
+
 # ---------------------------------------------------------------- refinement
 
 def test_hrefines_reflexive_and_choice_chain(x8):
@@ -389,12 +426,10 @@ def test_lift_below_hyper_for_nondet_programs():
         cfg = GenConfig(seed=seed, allow_choice=True,
                         allow_nondet_atoms=True, max_space=6)
         pf = gen_program(cfg)
-        space = pf.space()
-        tr = sem_tr(pf.body, space)
-        ev = HEval(space)
-        for _ in range(4):
-            q = random_downset(rng, space.size)
-            assert family_le(lift_family(tr, q), ev.eval(pf.body, q))
+        size = pf.space().size
+        queries = [random_downset(rng, size) for _ in range(4)]
+        report = check_thm1(pf, queries, deterministic=False)
+        assert report.failures == 0, report.first_witness
 
 
 def test_hyper_below_closure_of_lift_for_nondet_programs():
@@ -499,7 +534,8 @@ def test_every_variant_matches_reference_evaluator(variant):
             assert ev.eval(pf.body, q) == FamilySet.explicit(want), pf.body
         for loop in _loops(pf.body):
             for q in _random_queries(rng, space.size):
-                iters = ref_iterates(loop, q.members(), space, variant)
+                iters = ref_iterates(ref_loop_system(loop, q.members(),
+                                                     space, variant))
                 want = [FamilySet.explicit(vals[q.members()])
                         for _, vals in zip(range(6), iters)]
                 got = loop_iterates(loop.cond, loop.body, q, 5, space)

@@ -164,7 +164,7 @@ def test_successful_parse_computes_no_position(monkeypatch):
     texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.imp"))]
     texts.append("var x: 0..1;\nassume "
                  + " && ".join(["(x + 1) = 1"] * 2000) + "\n")
-    assert len(texts) == 7
+    assert len(texts) == 8
     for text in texts:
         parse(text)
 

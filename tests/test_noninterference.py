@@ -183,21 +183,6 @@ def _rename(pf):
     return parse("var hi: 0..1; var lo: 0..1;\n" + text).body
 
 
-def test_ni_cross_oracle_random_deterministic_programs(bits, view):
-    checked = 0
-    for pf in _random_programs(150, allow_choice=False,
-                               allow_nondet_atoms=False):
-        space = pf.space()
-        rel = sem_rel(pf.body, space)
-        a = bool(ni_relational(rel, view))
-        b = bool(ni_possibilistic(rel, view))
-        c = bool(ni_hyper(pf.body, view))
-        assert a == b == c
-        checked += 1
-    assert checked == 150
-
-
-
 def _ni_by_definition(rel, space, low):
     """The four-state quantifier over decoded states: related sources that
     agree on low have targets that agree on low."""

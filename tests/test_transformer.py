@@ -3,7 +3,7 @@ from itertools import product
 
 from hypersem._kernels import below_set, psc_scan_table
 from hypersem.family import mask_of, states_of, subsets_of
-from hypersem.harness import GenConfig, gen_program
+from hypersem.harness import GenConfig, check_prop1, gen_program
 from hypersem.lang import parse
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
@@ -58,13 +58,8 @@ def test_sem_tr_loop_worked_value():
 
 def test_sem_tr_matches_dirimg_of_sem_rel():
     for seed in range(30):
-        cfg = GenConfig(seed=seed, max_space=8)
-        pf = gen_program(cfg)
-        space = pf.space()
-        rel = sem_rel(pf.body, space)
-        tr = sem_tr(pf.body, space)
-        for p in range(1 << space.size):
-            assert tr.apply(p) == rel.dirimg(p)
+        report = check_prop1(gen_program(GenConfig(seed=seed, max_space=8)))
+        assert report.failures == 0, report.first_witness
 
 
 def test_sem_tr_matches_dirimg_sampled_to_64_states():
