@@ -136,11 +136,12 @@ def ni_verdicts(pf, forms):
     """Yield (form, NIVerdict) for each NI form of a program's low policy,
     in order, over one state space.  Each verdict is computed when asked
     for, so a caller that prints as it goes shows the earlier verdicts
-    before a later form fails.  A program with no low variables on a side
-    is refused before the first verdict."""
+    before a later form fails.  ``low`` counts on both sides: the input
+    view is low + lowin and the output view low + lowout.  A program with
+    no low variables on a side is refused before the first verdict."""
     space = pf.space()
-    low_in = pf.low_in or pf.low
-    low_out = pf.low_out or pf.low
+    low_in = tuple(dict.fromkeys(pf.low + pf.low_in))
+    low_out = tuple(dict.fromkeys(pf.low + pf.low_out))
     if not low_in and not low_out:
         raise WorkbenchError("program declares no low variables")
     if not low_out:

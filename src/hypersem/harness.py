@@ -23,7 +23,8 @@ from .family import DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet
 from .hyper import HEval, happly
 from .lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice, Cmp,
                    Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
-                   ProgramFile, RelAtom, Seq, Skip, While, pp_program)
+                   ProgramFile, RelAtom, Seq, Skip, While, pp_program,
+                   pp_stmt)
 from .semantics import sem_rel, sem_tr
 
 _VAR_NAMES = ("x", "y", "z", "w", "v", "u")
@@ -360,7 +361,8 @@ def check_thm1(pf, queries, *, deterministic=True, cross_check=False):
     deterministic=False only the containment lift <= hyper is required
     and strict cases are counted.  With cross_check, each loop value the
     demand solver finds is re-solved by Kleene iteration, and every
-    mismatch counts as a failure.
+    mismatching loop solve counts as a failure; the witness names the
+    first one's loop and its first query whose two values differ.
     """
     report = DiffReport()
     space = pf.space()
@@ -378,35 +380,34 @@ def check_thm1(pf, queries, *, deterministic=True, cross_check=False):
         if not deterministic and got != want:
             report.strict_cases += 1
     if cross_check:
-        mism = len(ev.stats.cross_mismatches)
+        mismatches = ev.stats.cross_mismatches
         report.cross_checks = ev.stats.cross_checks
-        if mism:
-            report.record_failure(f"{mism} kleene cross-check mismatches")
-            report.failures += mism - 1
+        if mismatches:
+            node, _, vals, limit = mismatches[0]
+            m = next(u for u, v in vals.items() if v != limit[u])
+            report.record_failure(
+                f"program:\n{pp_program(pf)}\nloop={pp_stmt(node)}\n"
+                f"query={FamilySet.downset((m,))!r}\ndemand={vals[m]!r}\n"
+                f"kleene={limit[m]!r}")
+            report.failures += len(mismatches) - 1
     return report
 
 
-def diff_thm1(cfg, trials=100, queries=None, *, deterministic=True,
-              cross_check=False):
-    """check_thm1 on trials generated programs, choice-free with
-    deterministic atoms unless deterministic=False, at the given queries
-    or else at 100 random down-sets per program."""
+def diff_thm1(cfg, trials=100, queries=None, *, cross_check=False):
+    """check_thm1 on trials generated choice-free programs with
+    deterministic atoms, at the given queries or else at 100 random
+    down-sets per program."""
     report = DiffReport()
     for t in range(trials):
         seed = cfg.seed * 499979 + t
-        if deterministic:
-            sub = replace(cfg, seed=seed, allow_choice=False,
-                          allow_nondet_atoms=False)
-        else:
-            sub = replace(cfg, seed=seed, allow_choice=True)
-        pf = gen_program(sub)
+        pf = gen_program(replace(cfg, seed=seed, allow_choice=False,
+                                 allow_nondet_atoms=False))
         battery = queries
         if battery is None:
             rng = random.Random(seed ^ 0x5EED)
             size = pf.space().size
             battery = [random_downset(rng, size) for _ in range(100)]
-        report.add(check_thm1(pf, battery, deterministic=deterministic,
-                              cross_check=cross_check))
+        report.add(check_thm1(pf, battery, cross_check=cross_check))
     return report
 
 

@@ -18,11 +18,12 @@ and conditionals answer down-set queries from it and explicit ones
 structurally; atoms map elementwise.  Each node is compiled once per
 evaluator into one entry, keyed by node identity: the node itself (so no
 AST node is hashed, and its id is not reused while the entry lives), its
-rule with the rule's arguments (an atom's image function and PSC flag, a
+rule with the rule's arguments (an atom's transformer and PSC flag, a
 join's branches and masks, a loop's guard mask, complement and body) and
-its memo.  Evaluation looks the entry up and calls its rule, with no
-dispatch on the node's type; a down-set query whose antichain is one mask
-is answered by one memo value, with no union.
+its memo.  Rules are module functions, called with the evaluator, so an
+evaluator is freed when its caller drops it.  Evaluation looks the entry
+up and calls its rule, with no dispatch on the node's type; a down-set
+query whose antichain is one mask is answered by one memo value.
 
 Loops are least fixpoints of the guarded-join functional.  The equation
 of atomic query m depends on the antichain of the body's value at
@@ -58,15 +59,32 @@ from .transformer import Transformer, psc_check
 _BOTTOM = FamilySet.downset((0,))
 
 
-def _same(fam):
+def _map_family(ev, tr, preserves_closure, fam):
+    """Elementwise image { tr(p) | p in fam } of a nonempty family."""
+    if fam.kind == DOWNSET and preserves_closure:
+        return FamilySet.downset(map(tr.apply, fam.sets))
+    return FamilySet.explicit(map(tr.apply, fam.members()))
+
+
+def _seq(ev, parts, fam):
+    for part in parts:
+        fam = ev.eval(part, fam)
     return fam
 
 
-def _map_family(fn, preserves_closure, fam):
-    """Elementwise image { fn(p) | p in fam } of a nonempty family."""
-    if fam.kind == DOWNSET and preserves_closure:
-        return FamilySet.downset(map(fn, fam.sets))
-    return FamilySet.explicit(map(fn, fam.members()))
+def _join(ev, branches, masks, fam):
+    """Inner join: at each maximal member p of the query, the product
+    of every branch's value at ↓(p & its mask), then the union over p.
+    Plain loops: a comprehension (on Python 3.11) or a `map` would add
+    to each nesting level's share of the stack."""
+    parts = []
+    for p in fam.antichain():
+        val = None
+        for branch, mask in zip(branches, masks):
+            v = ev.eval(branch, powerset_family(p & mask))
+            val = v if val is None else family_product(val, v)
+        parts.append(val)
+    return family_union(*parts)
 
 
 class HyperStats:
@@ -98,25 +116,25 @@ class HEval:
     def _compile(self, node):
         """The node's entry (node, rule, args, memo), built once and keyed
         by identity; holding the node keeps its id from being reused while
-        we live.  The rule is called as rule(*args, query).  Atoms and skip
-        map a whole query and keep no memo; a loop has no rule, and its
+        we live.  The rule is called as rule(self, *args, query).  Atoms and
+        skip map a whole query and keep no memo; a loop has no rule, and its
         args are the guard's mask, its complement and the body."""
         if isinstance(node, Atom):
             tr = Transformer.image(elaborate_atom(node.atom, self.space))
-            entry = (node, _map_family, (tr.apply, psc_check(tr).ok), None)
+            entry = (node, _map_family, (tr, psc_check(tr).ok), None)
         elif isinstance(node, Skip):
-            entry = (node, _same, (), None)
+            entry = (node, _seq, ((),), None)  # the empty sequence
         elif isinstance(node, Seq):
-            entry = (node, self._seq, (node.parts,), {})
+            entry = (node, _seq, (node.parts,), {})
         elif isinstance(node, Choice):
             full = (self.space.full_mask,) * len(node.parts)
-            entry = (node, self._join, (node.parts, full), {})
+            entry = (node, _join, (node.parts, full), {})
         elif isinstance(node, (If, While)):
             bmask = eval_bool(node.cond, self.space)
             masks = (bmask, self.space.full_mask & ~bmask)
             if isinstance(node, If):
                 branches = (node.then, node.orelse)
-                entry = (node, self._join, (branches, masks), {})
+                entry = (node, _join, (branches, masks), {})
             else:
                 entry = (node, None, masks + (node.body,), {})
         else:
@@ -137,7 +155,7 @@ class HEval:
         # structurally.  Calling the rule, or discovering a loop's
         # equations, from here keeps two stack frames per nesting level.
         if memo is None or (rule is not None and fam.kind != DOWNSET):
-            return rule(*args, fam)
+            return rule(self, *args, fam)
         basis = fam.antichain()
         vals = []
         missing = []
@@ -147,31 +165,12 @@ class HEval:
                 if rule is None:
                     missing.append(m)
                     continue
-                val = memo[m] = rule(*args, powerset_family(m))
+                val = memo[m] = rule(self, *args, powerset_family(m))
             vals.append(val)
         if missing:
             self._solve_demand(node, self._discover(args, missing, memo), memo)
             vals = [memo[m] for m in basis]
         return vals[0] if len(vals) == 1 else family_union(*vals)
-
-    def _seq(self, parts, fam):
-        for part in parts:
-            fam = self.eval(part, fam)
-        return fam
-
-    def _join(self, branches, masks, fam):
-        """Inner join: at each maximal member p of the query, the product
-        of every branch's value at ↓(p & its mask), then the union over p.
-        Plain loops: a comprehension (on Python 3.11) or a `map` would add
-        to each nesting level's share of the stack."""
-        parts = []
-        for p in fam.antichain():
-            val = None
-            for branch, mask in zip(branches, masks):
-                v = self.eval(branch, powerset_family(p & mask))
-                val = v if val is None else family_product(val, v)
-            parts.append(val)
-        return family_union(*parts)
 
     # ---- loop machinery: one unknown per atomic query
 
@@ -199,9 +198,6 @@ class HEval:
         deps, wrap = equation
         return family_product(family_union(*map(value_of, deps)), wrap)
 
-    def _budget(self, nqueries):
-        return (1 << min(self.space.size, 20)) * max(nqueries, 1) + 8
-
     def _kleene(self, system, memo):
         """Synchronized iterates of system from bottom; other atoms read memo."""
         cur = dict.fromkeys(system, _BOTTOM)
@@ -212,7 +208,7 @@ class HEval:
                    for u, eq in system.items()}
 
     def _kleene_limit(self, system, memo):
-        budget = self._budget(len(system))
+        budget = reference.loop_budget(self.space.size, len(system))
         prev = None
         for i, cur in enumerate(self._kleene(system, memo)):
             if prev is not None and all(v == prev[u] for u, v in cur.items()):
@@ -235,7 +231,7 @@ class HEval:
                 if d in rdeps:
                     rdeps[d].add(u)
 
-        budget = self._budget(len(system))
+        budget = reference.loop_budget(self.space.size, len(system))
         updates = 0
         work = deque(system)
         queued = set(system)

@@ -783,17 +783,9 @@ def _guard_mask(b, space):
 
 def eval_bool(b, space):
     """Mask of the states satisfying b (guards are total), built from the
-    columns of its comparisons with &, | and ~.
-
-    The mask is computed once per space and node: the space keeps it,
-    with the node, under ``id(b)`` (see ``space``).
-    """
-    hit = space._guards.get(id(b))
-    if hit is not None:
-        return hit[1]
-    mask = _guard_mask(b, space)
-    space._guards[id(b)] = (b, mask)
-    return mask
+    columns of its comparisons with &, | and ~, once per space and node
+    (see ``StateSpace.elaborated``)."""
+    return space.elaborated(b, _guard_mask)
 
 
 # ---------------------------------------------------------------- elaboration
@@ -804,30 +796,26 @@ def elaborate_atom(a, space):
     Assignments whose result falls outside the declared range yield no
     transition from that state (partial atoms, not wrapping).
 
-    The relation is built once per space and node: the space keeps it,
-    with the node, under ``id(a)`` (see ``space``), so every denotation
-    of a program over one space shares it.  An atom that fails to
-    elaborate is not kept, and fails again.
+    The relation is built once per space and node, and every denotation
+    of a program over one space shares it (see ``StateSpace.elaborated``).
     """
-    hit = space._atoms.get(id(a))
-    if hit is not None:
-        return hit[1]
+    return space.elaborated(a, _atom_rel)
+
+
+def _atom_rel(a, space):
     if isinstance(a, Assume):
-        rel = Rel.coreflexive(space, eval_bool(a.cond, space))
-    elif isinstance(a, RelAtom):
-        rel = Rel.from_pairs(space, ((space.encode(dict(src)),
-                                      space.encode(dict(dst)))
-                                     for src, dst in a.pairs))
+        return Rel.coreflexive(space, eval_bool(a.cond, space))
+    if isinstance(a, RelAtom):
+        return Rel.from_pairs(space, ((space.encode(dict(src)),
+                                       space.encode(dict(dst)))
+                                      for src, dst in a.pairs))
+    if isinstance(a, Assign):
+        lows = highs = eval_int(a.expr, space)
+    elif isinstance(a, NondetAssign):
+        lows, highs = eval_int(a.lo, space), eval_int(a.hi, space)
+    elif isinstance(a, Havoc):
+        lo, hi = space.var_range(a.var)
+        lows, highs = (lo,) * space.size, (hi,) * space.size
     else:
-        if isinstance(a, Assign):
-            lows = highs = eval_int(a.expr, space)
-        elif isinstance(a, NondetAssign):
-            lows, highs = eval_int(a.lo, space), eval_int(a.hi, space)
-        elif isinstance(a, Havoc):
-            lo, hi = space.var_range(a.var)
-            lows, highs = (lo,) * space.size, (hi,) * space.size
-        else:
-            raise TypeError(f"not an atom: {a!r}")
-        rel = Rel(space, space.assign_rows(a.var, lows, highs))
-    space._atoms[id(a)] = (a, rel)
-    return rel
+        raise TypeError(f"not an atom: {a!r}")
+    return Rel(space, space.assign_rows(a.var, lows, highs))

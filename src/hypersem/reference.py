@@ -47,6 +47,11 @@ def _down(mask):
     return frozenset(subsets_of(mask))
 
 
+def loop_budget(size, nqueries):
+    """Steps or updates a loop solve over nqueries unknowns may take."""
+    return (1 << min(size, 20)) * nqueries + 8
+
+
 def ref_eval(node, family, space, variant=LoopVariant.PAPER):
     """The value of a statement at a family given as a set of masks."""
     if not family:
@@ -90,7 +95,7 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
             if vals == prev:
                 return vals[frozenset(family)]
             # the otimes iterates need not increase, so they may cycle
-            budget = (1 << min(space.size, 20)) * len(vals) + 8
+            budget = loop_budget(space.size, len(vals))
             if i == budget:
                 raise IterationBudgetExceeded(
                     f"loop iteration did not stabilize within {budget} steps")

@@ -12,14 +12,15 @@ The space alone does the mixed-radix arithmetic: expressions read whole
 A space also holds what has been elaborated over it, so that every
 denotation of a program over one space shares one tuple per column, one
 relation per atom and one mask per guard: ``column`` keeps its tuples,
-and ``lang.elaborate_atom`` and ``lang.eval_bool`` keep theirs in
-``_atoms`` and ``_guards``, keyed by the node's ``id`` and held with the
-node, so no id is reused while its entry lives.  The memo lives and dies
-with the space and grows with every node elaborated over it, so one
-program per space is the intended use.  It takes no part in equality or
-hashing, and a copy or an unpickled space is built from ``vars`` alone,
-with an empty memo: a copied memo would key its entries by the ids of
-the original nodes.
+and ``elaborated``, the memo's only reader and writer, keeps what
+``lang.elaborate_atom`` and ``lang.eval_bool`` build, under the node's
+``id`` and with the node, so no id is reused while its entry lives.  The
+memo lives and dies with the space (a kept relation refers back to it,
+so the cyclic collector frees them) and grows with every node elaborated
+over it, so one program per space is the intended use.  It takes no part
+in equality or hashing, and a copy or an unpickled space is built from
+``vars`` alone, with an empty memo: a copied memo would key its entries
+by the ids of the original nodes.
 """
 
 from .errors import (BadDeclaration, MissingVariable, UnknownVariable,
@@ -33,7 +34,7 @@ class StateSpace:
     memo of what has been elaborated over it (see the module docstring)."""
 
     __slots__ = ("vars", "names", "size", "_weights", "_index", "_columns",
-                 "_atoms", "_guards")
+                 "_memo")
 
     def __init__(self, variables):
         vars_ = tuple((str(n), int(lo), int(hi)) for n, lo, hi in variables)
@@ -60,8 +61,7 @@ class StateSpace:
         self._weights = tuple(reversed(weights))
         self._index = {n: i for i, n in enumerate(names)}
         self._columns = {}
-        self._atoms = {}
-        self._guards = {}
+        self._memo = {}
 
     @property
     def full_mask(self):
@@ -88,6 +88,14 @@ class StateSpace:
             col = self._columns[name] = tuple(lo + s // w % n
                                               for s in range(self.size))
         return col
+
+    def elaborated(self, node, build):
+        """build(node, self), computed once per space and node, then
+        shared; a build that raises keeps nothing and runs again."""
+        hit = self._memo.get(id(node))
+        if hit is None:
+            hit = self._memo[id(node)] = (node, build(node, self))
+        return hit[1]
 
     def assign_rows(self, name, lows, highs):
         """Relation rows that move each state s to every in-range value of a

@@ -68,3 +68,19 @@ def atoms_deterministic(node, space):
     """True iff every elaborated atom is a partial function."""
     return all(is_partial_function(elaborate_atom(n.atom, space))
                for n in statements(node) if isinstance(n, Atom))
+
+
+class _NotKept(Exception):
+    pass
+
+
+def _not_kept(node, space):
+    raise _NotKept
+
+
+def kept(space, node):
+    """What the space keeps for node, or None; asking builds nothing."""
+    try:
+        return space.elaborated(node, _not_kept)
+    except _NotKept:
+        return None

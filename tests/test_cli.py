@@ -308,6 +308,23 @@ def test_check_ni_builds_one_low_view_when_in_and_out_agree(
     assert (code, out) == (0, "rel: secure\nposs: secure\nhyper: secure\n")
 
 
+@pytest.mark.parametrize("text, want", [
+    # the output view is {x, y}, and the run copies h into x
+    ("var h: 0..1; var x: 0..1; var y: 0..1; low x; lowout y; "
+     "y := x ; x := h", 1),
+    # the input view is {x, y}, and skip keeps both
+    ("var x: 0..1; var y: 0..1; low x; lowin y; skip", 0)],
+    ids=["lowout", "lowin"])
+def test_low_counts_on_both_sides_of_a_policy(text, want, capsys, tmp_path):
+    p = tmp_path / "mixed.imp"
+    p.write_text(text + "\n")
+    code, out, _ = run(capsys, "check-ni", str(p), "--form", "all")
+    verdict = "insecure" if want else "secure"
+    assert code == want
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        [f"{form}:", verdict] for form in ("rel", "poss", "hyper")]
+
+
 def test_psc_verdicts(capsys, tmp_path):
     good = tmp_path / "fun.imp"
     good.write_text("var x: 0..3;\nrel { {x=0} -> {x=1}, {x=1} -> {x=1} }\n")

@@ -1,4 +1,5 @@
 import gc
+import pathlib
 import random
 from dataclasses import replace
 
@@ -6,17 +7,21 @@ import pytest
 
 from hypersem import _kernels
 from hypersem.errors import QueryBlowup, SpaceTooLarge
-from hypersem.family import DOWNSET, EXPLICIT, FamilySet, subsets_of
+from hypersem.family import DOWNSET, EXPLICIT, FamilySet, powerset_family
 from hypersem.harness import (DiffReport, GenConfig, check_prop1, check_thm1,
                               diff_prop1, diff_thm1, enumerate_downsets,
                               gen_program, lift_family, random_downset,
                               search_ssc_necessity)
-from hypersem.lang import Choice, Seq, parse, pp_program
+from hypersem.hyper import HEval
+from hypersem.lang import Choice, Seq, parse, pp_program, pp_stmt
+from hypersem.notation import parse_family
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer
 from support import atoms_deterministic, is_choice_free, statements
+
+PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
 
 def test_gen_reproducible():
@@ -188,6 +193,33 @@ def test_diff_thm1_cross_check_counts():
         report.add(check_thm1(pf, queries, cross_check=True))
     assert report.failures == 0
     assert report.cross_checks >= 1
+
+
+def test_cross_check_witness_replays(monkeypatch):
+    # a Kleene limit that stops after one step disagrees with the demand
+    # solver; the witness names the program, the loop and one query
+    def one_step(ev, system, memo):
+        iterates = ev._kleene(system, memo)
+        next(iterates)
+        return next(iterates)
+
+    monkeypatch.setattr(HEval, "_kleene_limit", one_step)
+    pf = parse((PROGRAMS / "cycle.imp").read_text(encoding="utf-8"))
+    space = pf.space()
+    queries = [parse_family(space, "[[],[{x=0,y=0}]]")]
+    report = check_thm1(pf, queries, deterministic=False, cross_check=True)
+    assert (report.trials, report.failures, report.cross_checks) == (1, 1, 1)
+    program, _, rest = report.first_witness.partition("\n\nloop=")
+    loop, query, demand, kleene = rest.split("\n")
+    assert program == "program:\n" + pp_program(pf).rstrip("\n")
+    assert loop == pp_stmt(pf.body)
+    assert (query, demand, kleene) == (
+        "query=FamilySet(downset:{0x1})", "demand=FamilySet(downset:{0xaa})",
+        "kleene=FamilySet(downset:{0x0})")
+    # replayed, the program's loop gives the demand value at the query
+    replay = parse(program.removeprefix("program:\n"))
+    got = HEval(replay.space()).eval(replay.body, powerset_family(0x1))
+    assert demand == f"demand={got!r}"
 
 
 def test_maximal_sets_gets_a_sized_collection(monkeypatch):

@@ -1,7 +1,10 @@
 import copy
+import gc
 import pathlib
 import random
 import re
+import types
+import weakref
 
 import pytest
 
@@ -299,6 +302,28 @@ def test_loop_with_a_cyclic_system_reaches_its_least_fixpoint():
     component = {u: {v for v in reach(u) if u in reach(v)} for u in system}
     assert len(system) == 5
     assert max(len(c) for c in component.values()) == 4
+
+
+def test_an_evaluator_is_freed_when_its_caller_drops_it():
+    # every rule is a module function called with the evaluator, so no
+    # entry refers back to it and reference counting alone frees it
+    pf = parse((PROGRAMS / "cycle.imp").read_text(encoding="utf-8"))
+    space = pf.space()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ev = HEval(space, cross_check=True)
+        ev.eval(pf.body, parse_family(space, "[[],[{x=0,y=0}]]"))
+        assert len(ev._entries) == 6 and ev.stats.cross_checks == 1
+        for _, rule, args, _ in ev._entries.values():
+            assert not any(isinstance(x, types.MethodType)
+                           for x in (rule, *args))
+        alive = weakref.ref(ev)
+        del ev
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------- refinement

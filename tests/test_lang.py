@@ -20,7 +20,7 @@ from hypersem.lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice,
 from hypersem.notation import parse_family, parse_state
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
-from support import atoms_deterministic, is_choice_free
+from support import atoms_deterministic, is_choice_free, kept
 
 PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
@@ -383,13 +383,13 @@ def test_elaborations_are_kept_per_space_and_node():
     atom, guard = body.parts[1].then.atom, body.parts[1].cond
     rel, mask = elaborate_atom(atom, one), eval_bool(guard, one)
     assert elaborate_atom(atom, one) is rel
-    assert one._guards[id(guard)] == (guard, mask)
+    assert kept(one, guard) == mask
     for node, space in ((atom, two), (twin.parts[1].then.atom, one),
                         (twin.parts[1].then.atom, two)):
         other = elaborate_atom(node, space)
         assert other == rel and other is not rel and other.space is space
     assert eval_bool(twin.parts[1].cond, one) == mask
-    assert id(twin.parts[1].cond) in one._guards
+    assert kept(one, twin.parts[1].cond) == mask
     want = sem_rel(body, one)
     for node in (body, twin):
         for space in (one, two):
@@ -402,7 +402,7 @@ def test_an_atom_that_fails_to_elaborate_fails_again(bits):
     for _ in range(2):
         with pytest.raises(MissingVariable):
             elaborate_atom(atom, bits)
-    assert bits._atoms == {}
+    assert kept(bits, atom) is None
 
 
 def test_predicates():

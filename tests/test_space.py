@@ -8,6 +8,7 @@ from hypersem.errors import MissingVariable, UnknownVariable, ValueOutOfRange
 from hypersem.lang import (Assign, Assume, Cmp, IntConst, IntVar,
                            elaborate_atom, eval_bool)
 from hypersem.space import StateSpace
+from support import kept
 
 
 def test_single_var_identity_encoding(x8):
@@ -85,13 +86,15 @@ def test_copies_and_pickles_rebuild_the_space_without_its_memo(bits):
     atom = Assign("lo", IntVar("hi"))
     assume = Assume(Cmp("=", IntVar("hi"), IntConst(1)))
     rels = [elaborate_atom(a, bits) for a in (atom, assume)]
-    assert bits._columns and bits._atoms and bits._guards
+    nodes = (atom, assume, assume.cond)
+    assert bits._columns and None not in [kept(bits, n) for n in nodes]
     for twin in (copy.copy(bits), copy.deepcopy(bits),
                  pickle.loads(pickle.dumps(bits))):
         assert twin is not bits and twin == bits
         assert hash(twin) == hash(bits)
-        assert (twin._columns, twin._atoms, twin._guards) == ({}, {}, {})
+        assert twin._columns == {}
+        assert [kept(twin, n) for n in nodes] == [None] * 3
         assert [elaborate_atom(a, twin) for a in (atom, assume)] == rels
         assert eval_bool(assume.cond, twin) == 0b1100
     rel = pickle.loads(pickle.dumps(rels[0]))
-    assert rel == rels[0] and rel.space._atoms == {}
+    assert rel == rels[0] and kept(rel.space, atom) is None
