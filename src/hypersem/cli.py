@@ -78,6 +78,7 @@ def _ast_lines(node):
 
 def _cmd_parse(args):
     pf = _read_program(args.file)
+    pf.space()  # the declarations must define a state space
     for n, lo, hi in pf.decls:
         print(f"var {n}: {lo}..{hi}")
     for group, names in (("low", pf.low), ("lowin", pf.low_in),
@@ -211,9 +212,8 @@ def _cmd_diff(args):
         report = diff_thm1(cfg, trials=args.trials, queries=queries,
                            cross_check=args.cross_check)
         return _print_report("thm1", report)
-    mism, trials, witness = search_ssc_necessity(seed=args.seed,
-                                                 trials=args.trials,
-                                                 size=args.size or 4)
+    mism, trials = search_ssc_necessity(seed=args.seed, trials=args.trials,
+                                        size=args.size or 4)
     print(f"non-closed queries with fixpoint != lift: {mism}/{trials}")
     return 0
 

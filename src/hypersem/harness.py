@@ -8,10 +8,10 @@ reproducible from its seed.
 Each differential battery checks one program in one function that
 returns the ``DiffReport`` of that trial: ``check_prop1`` (relational
 image vs transformer) and ``check_thm1`` (hyper value vs elementwise
-lift).  ``diff_prop1`` and ``diff_thm1`` generate programs and fold each
-trial into one report with ``DiffReport.add``; tests call the checks
-directly.  The noninterference battery's check is ``cli.ni_verdicts``,
-the verdicts ``check-ni`` prints.
+lift, two-sided; nothing else compares the two).  ``diff_prop1`` and
+``diff_thm1`` generate programs and fold each trial into one report with
+``DiffReport.add``; tests call the checks directly.  The noninterference
+battery's check is ``cli.ni_verdicts``, the verdicts ``check-ni`` prints.
 """
 
 import random
@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .errors import SpaceTooLarge
-from .family import DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet
-from .hyper import HEval, happly
+from .family import DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet, ssc
+from .hyper import HEval
 from .lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice, Cmp,
                    Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
                    ProgramFile, RelAtom, Seq, Skip, While, pp_program,
@@ -352,17 +352,18 @@ def diff_prop1(cfg, trials=200):
     return report
 
 
-def check_thm1(pf, queries, *, deterministic=True, cross_check=False):
+def check_thm1(pf, queries, *, cross_check=False):
     """One program's hyper denotation vs the elementwise lift of its
-    transformer denotation, at each subset-closed query in turn, stopping
-    at the first failure.  Returns the report of this one trial.
+    transformer denotation, at each query in turn, stopping at the first
+    failure.  Returns the report of this one trial.
 
-    Equality is the oracle for deterministic choice-free programs.  With
-    deterministic=False only the containment lift <= hyper is required
-    and strict cases are counted.  With cross_check, each loop value the
-    demand solver finds is re-solved by Kleene iteration, and every
-    mismatching loop solve counts as a failure; the witness names the
-    first one's loop and its first query whose two values differ.
+    The oracle is two-sided for every program, lift(Q) <= hyper(Q) <=
+    ssc(lift(Q)) at a subset-closed Q, and equality where the relation is
+    a partial function; a query whose values differ within these bounds
+    is a strict case.  With cross_check, each loop value the demand
+    solver finds is re-solved by Kleene iteration, and every mismatching
+    loop solve counts as a failure; the witness names the first one's
+    loop and its first query whose two values differ.
     """
     report = DiffReport()
     space = pf.space()
@@ -372,13 +373,14 @@ def check_thm1(pf, queries, *, deterministic=True, cross_check=False):
     for q in queries:
         got = ev.eval(pf.body, q)
         want = lift_family(tr, q)
-        if not (got == want if deterministic else want <= got):
+        if got == want:
+            continue
+        if not want <= got <= ssc(want):
             report.record_failure(
                 f"program:\n{pp_program(pf)}\nquery={q!r}\n"
                 f"hyper={got!r}\nlift={want!r}")
             break
-        if not deterministic and got != want:
-            report.strict_cases += 1
+        report.strict_cases += 1
     if cross_check:
         mismatches = ev.stats.cross_mismatches
         report.cross_checks = ev.stats.cross_checks
@@ -414,11 +416,10 @@ def diff_thm1(cfg, trials=100, queries=None, *, cross_check=False):
 # ---------------------------------------------------------------- searches
 
 def search_ssc_necessity(seed=0, trials=200, size=4):
-    """Sample non-closed queries on deterministic programs and report
-    how often the loop fixpoint differs from the elementwise lift."""
+    """Sample non-closed queries on deterministic programs and count
+    those where ``check_thm1`` finds the fixpoint and the lift differ."""
     rng = random.Random(seed)
     mismatches = 0
-    witness = None
     for t in range(trials):
         cfg = GenConfig(seed=seed * 31 + t, allow_choice=False,
                         allow_nondet_atoms=False, max_space=size,
@@ -430,11 +431,6 @@ def search_ssc_necessity(seed=0, trials=200, size=4):
         q = FamilySet.explicit(members)
         if q.is_subset_closed():
             continue
-        got = happly(pf.body, q, space, strict=False)
-        want = lift_family(sem_tr(pf.body, space), q)
-        if got != want:
-            mismatches += 1
-            if witness is None:
-                witness = (pf, q, got, want)
-    return mismatches, trials, witness
-
+        report = check_thm1(pf, [q])
+        mismatches += report.failures + report.strict_cases
+    return mismatches, trials

@@ -1,5 +1,6 @@
-"""Test-side machinery: transformers as plain subset tables, and walks over
-statements.
+"""Test-side machinery: transformers as plain subset tables, walks over
+statements, and the random relations and hand-built atoms and guards that
+several test modules share.
 
 A subset table over n states lists the image of every mask q, for q in
 range(1 << n).  Tables host the lemma tests' transformers that are no
@@ -10,7 +11,10 @@ from rows; ``is_partial_function`` is the reference for its verdict.
 """
 
 from hypersem import _kernels
-from hypersem.lang import Atom, Choice, If, Seq, While, elaborate_atom
+from hypersem.lang import (Atom, BoolBin, BoolConst, Choice, Cmp, If,
+                           IntConst, IntVar, RelAtom, Seq, While,
+                           elaborate_atom)
+from hypersem.relation import Rel
 
 
 def table_of(tr):
@@ -84,3 +88,40 @@ def kept(space, node):
         return space.elaborated(node, _not_kept)
     except _NotKept:
         return None
+
+
+def rnd_rel(rng, space, density=None):
+    """A random relation: each pair with the given density, or with one
+    density drawn first."""
+    d = rng.random() if density is None else density
+    rows = [sum(1 << t for t in space.states() if rng.random() < d)
+            for _ in space.states()]
+    return Rel(space, rows)
+
+
+def rnd_partial_fn(rng, space):
+    """A random partial function, defined on each state with odds 0.8."""
+    rows = [1 << rng.randrange(space.size) if rng.random() < 0.8 else 0
+            for _ in space.states()]
+    return Rel(space, rows)
+
+
+def rel_to_atom(rel, space):
+    """The `rel { ... }` atom that elaborates to rel."""
+    pairs = []
+    for s, t in rel.pairs():
+        pairs.append((tuple(sorted(space.decode(s).items())),
+                      tuple(sorted(space.decode(t).items()))))
+    return Atom(RelAtom(tuple(pairs)))
+
+
+def mask_guard(space, bmask):
+    """A guard whose satisfying set is exactly bmask, via equality tests."""
+    cond = BoolConst(False)
+    for s in range(space.size):
+        if bmask >> s & 1:
+            clause = BoolConst(True)
+            for n, v in space.decode(s).items():
+                clause = BoolBin("&&", clause, Cmp("=", IntVar(n), IntConst(v)))
+            cond = BoolBin("||", cond, clause)
+    return cond

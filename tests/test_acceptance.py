@@ -16,17 +16,18 @@ import pytest
 from hypersem._kernels import psc_scan_table
 from hypersem.cli import ni_verdicts
 from hypersem.family import FamilySet, mask_of, powerset_family, ssc, subsets_of
-from hypersem.harness import (GenConfig, diff_prop1, diff_thm1,
+from hypersem.harness import (GenConfig, check_thm1, diff_prop1, diff_thm1,
                               enumerate_downsets, gen_program, lift_family,
                               random_downset)
 from hypersem.hyper import HEval, LoopVariant, happly, loop_iterates
-from hypersem.lang import Atom, If, RelAtom, parse, pp_stmt
+from hypersem.lang import If, ProgramFile, parse, pp_stmt
 from hypersem.noninterference import LowView, ni_possibilistic, ni_relational
 from hypersem.relation import Rel
 from hypersem.semantics import sem_tr
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer, psc_check
-from support import domain, is_disjunctive, is_monotone
+from support import (domain, is_disjunctive, is_monotone, mask_guard,
+                     rel_to_atom, rnd_partial_fn, rnd_rel)
 
 LOOP_TEXT = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
 PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
@@ -205,39 +206,6 @@ def test_criterion_6_ni_refinement_counterexample_and_closure():
 
 # ---------------------------------------------------------------- criterion 7
 
-def _rel_to_atom(rel, space):
-    pairs = []
-    for s, t in rel.pairs():
-        pairs.append((tuple(sorted(space.decode(s).items())),
-                      tuple(sorted(space.decode(t).items()))))
-    return Atom(RelAtom(tuple(pairs)))
-
-
-def _mask_guard(space, bmask):
-    from hypersem.lang import BoolBin, BoolConst, Cmp, IntConst, IntVar
-    cond = BoolConst(False)
-    for s in range(space.size):
-        if bmask >> s & 1:
-            clause = BoolConst(True)
-            for n, v in space.decode(s).items():
-                clause = BoolBin("&&", clause, Cmp("=", IntVar(n), IntConst(v)))
-            cond = BoolBin("||", cond, clause)
-    return cond
-
-
-def _rnd_rel(rng, space, density=None):
-    d = rng.random() if density is None else density
-    rows = [sum(1 << t for t in space.states() if rng.random() < d)
-            for _ in space.states()]
-    return Rel(space, rows)
-
-
-def _rnd_partial_fn(rng, space, keep=0.8):
-    rows = [1 << rng.randrange(space.size) if rng.random() < keep else 0
-            for _ in space.states()]
-    return Rel(space, rows)
-
-
 def test_criterion_7_lemma_suite():
     t0 = time.perf_counter()
 
@@ -283,9 +251,9 @@ def test_criterion_7_lemma_suite():
     ev5 = HEval(space5)
     rng = random.Random(17)
     for _ in range(1000):
-        c = _rel_to_atom(_rnd_partial_fn(rng, space5), space5)
-        d = _rel_to_atom(_rnd_partial_fn(rng, space5), space5)
-        b = _mask_guard(space5, rng.randrange(32))
+        c = rel_to_atom(rnd_partial_fn(rng, space5), space5)
+        d = rel_to_atom(rnd_partial_fn(rng, space5), space5)
+        b = mask_guard(space5, rng.randrange(32))
         members = {rng.randrange(32) for _ in range(rng.randint(1, 3))}
         out = ev5.eval(If(b, c, d), FamilySet.explicit(members))
         assert out.is_subset_closed()
@@ -293,14 +261,14 @@ def test_criterion_7_lemma_suite():
     # lifted guarded transformer equals the guarded join of the lifts on
     # subset-closed queries: 1000 random instances, nondet branches allowed
     s4b = StateSpace((("s", 0, 3),))
-    ev4 = HEval(s4b)
     rng = random.Random(23)
     for _ in range(1000):
-        node = If(_mask_guard(s4b, rng.randrange(16)),
-                  _rel_to_atom(_rnd_rel(rng, s4b), s4b),
-                  _rel_to_atom(_rnd_rel(rng, s4b), s4b))
+        node = If(mask_guard(s4b, rng.randrange(16)),
+                  rel_to_atom(rnd_rel(rng, s4b), s4b),
+                  rel_to_atom(rnd_rel(rng, s4b), s4b))
         q = random_downset(rng, 4)
-        assert ev4.eval(node, q) == lift_family(sem_tr(node, s4b), q)
+        report = check_thm1(ProgramFile(s4b.vars, (), (), (), node), [q])
+        assert (report.failures, report.strict_cases) == (0, 0)
 
     # join of disjoint-domain disjunctive PSC transformers stays PSC:
     # 500 random pairs
@@ -321,11 +289,11 @@ def test_criterion_7_lemma_suite():
     # lift containment with a stored strict witness
     x8 = parse("var x: 0..7; x := x + 1 [] x := x + 2")
     space8 = x8.space()
-    ev8 = HEval(space8)
     q0 = fam(mask_of([0]))
+    report = check_thm1(x8, [q0])
+    assert (report.failures, report.strict_cases) == (0, 1)
     lifted = lift_family(sem_tr(x8.body, space8), q0)
-    inner = ev8.eval(x8.body, q0)
-    assert lifted <= inner
+    inner = HEval(space8).eval(x8.body, q0)
     assert lifted.members() == {mask_of([1, 2])}
     assert inner.members() == {0, mask_of([1]), mask_of([2]),
                                mask_of([1, 2])}

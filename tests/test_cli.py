@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from hypersem import cli, lang
+from hypersem import cli, harness, lang
 from hypersem.cli import main
 from hypersem.family import FamilySet
 from hypersem.harness import GenConfig, gen_program
@@ -389,6 +389,21 @@ def test_diff_thm1_cli(capsys):
     assert "failures=0" in out
 
 
+def test_diff_thm1_failure_prints_its_first_witness(capsys, monkeypatch):
+    # a lift with no members: every query fails, and the report names the
+    # first failing program and query
+    monkeypatch.setattr(harness, "lift_family",
+                        lambda tr, fam: FamilySet.empty())
+    code, out, _ = run(capsys, "diff", "--thm1", "--trials", "2")
+    assert code == 1
+    head, witness, program = out.split("\n", 2)
+    assert head == "thm1: trials=2 failures=2"
+    assert witness == "first witness:"
+    assert program.startswith("program:\nvar ")
+    assert "\nquery=FamilySet(" in program
+    assert "\nlift=FamilySet(explicit:{})\n" in program
+
+
 def test_diff_search_psc_join_is_a_usage_error(capsys):
     # psc_check decides the question the search sampled (see
     # test_transformer.py::test_psc_join_of_partial_functions_exhaustive)
@@ -654,7 +669,8 @@ def test_bad_declarations_are_errors_not_verdicts(capsys, tmp_path, decls):
     imp.write_text(decls + "low x;\nskip\n")
     rel = tmp_path / "bad-rel.imp"
     rel.write_text(decls + "rel { {x=0} -> {x=1} }\n")
-    for argv in (["eval", str(imp), "--input", "[{x=0}]"],
+    for argv in (["parse", str(imp)],
+                 ["eval", str(imp), "--input", "[{x=0}]"],
                  ["check-ni", str(imp)],
                  ["psc", str(rel)]):
         code, _, err = run(capsys, *argv)

@@ -26,7 +26,6 @@ def test_every_public_definition_is_used_in_src():
         # perfbench's tracer resolves these kernels by name, and
         # psc_scan_table is the tests' reference scan for psc_check
         "converse_rows", "is_downclosed", "psc_scan_table",
-        "ssc",  # the README's Python API example calls it
     }
     root = pathlib.Path(hypersem.__file__).parent
     defined, refs = set(), []

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from hypersem import _kernels
+from hypersem import _kernels, harness
 from hypersem.errors import QueryBlowup, SpaceTooLarge
 from hypersem.family import DOWNSET, EXPLICIT, FamilySet, powerset_family
 from hypersem.harness import (DiffReport, GenConfig, check_prop1, check_thm1,
@@ -179,7 +179,7 @@ def test_diff_thm1_nondet_containment():
     report = DiffReport()
     for pf, queries in _sampled_programs(
             GenConfig(seed=9, space_size=3, max_range=2), 25, 20):
-        report.add(check_thm1(pf, queries, deterministic=False))
+        report.add(check_thm1(pf, queries))
     assert report.trials == 25
     assert report.failures == 0
     assert report.strict_cases >= 1  # inner joins do add sets
@@ -207,7 +207,7 @@ def test_cross_check_witness_replays(monkeypatch):
     pf = parse((PROGRAMS / "cycle.imp").read_text(encoding="utf-8"))
     space = pf.space()
     queries = [parse_family(space, "[[],[{x=0,y=0}]]")]
-    report = check_thm1(pf, queries, deterministic=False, cross_check=True)
+    report = check_thm1(pf, queries, cross_check=True)
     assert (report.trials, report.failures, report.cross_checks) == (1, 1, 1)
     program, _, rest = report.first_witness.partition("\n\nloop=")
     loop, query, demand, kleene = rest.split("\n")
@@ -239,27 +239,18 @@ def test_maximal_sets_gets_a_sized_collection(monkeypatch):
                         allow_choice=not deterministic,
                         allow_nondet_atoms=not deterministic)
         for pf, queries in _sampled_programs(cfg, 8, 20):
-            report = check_thm1(pf, queries, cross_check=True,
-                                deterministic=deterministic)
+            report = check_thm1(pf, queries, cross_check=True)
             assert report.failures == 0, report.first_witness
     assert max(sizes) > 1
 
 
-def test_search_ssc_necessity_reports_witnesses():
-    mism, trials, witness = search_ssc_necessity(seed=0, trials=60, size=4)
-    assert trials == 60
-    if witness is not None:
-        pf, q, got, want = witness
-        assert got != want
-    # the worked loop example gives a guaranteed witness
+def test_search_ssc_necessity_counts_check_thm1_mismatches():
+    assert search_ssc_necessity(seed=0, trials=60, size=4) == (23, 60)
+    # the worked loop example at the non-closed query {{2,5}}: the hyper
+    # value ssc{{4,5}} differs from the lift {{4,5}}, within its closure
     pf = parse("var x: 0..7; while x < 4 { x := x + 1 }")
-    space = pf.space()
-    from hypersem.family import mask_of
-    from hypersem.hyper import LoopVariant, happly
-    q = FamilySet.explicit([mask_of([2, 5])])
-    got = happly(pf.body, q, space, LoopVariant.PAPER, strict=False)
-    want = lift_family(sem_tr(pf.body, space), q)
-    assert got != want
+    report = check_thm1(pf, [FamilySet.explicit([0b100100])])
+    assert (report.failures, report.strict_cases) == (0, 1)
 
 
 def test_diff_report_records_first_witness_only():
@@ -286,18 +277,35 @@ def test_diff_report_adds_trials_in_order():
     assert battery.first_witness == "second"
 
 
-def test_check_thm1_and_check_prop1_report_the_first_failure():
-    # at ↓{x=0} the inner join adds {x=1} and {x=2} to the lift's {x=1,x=2}
+def test_check_thm1_and_check_prop1_report_the_first_failure(monkeypatch):
+    # at ↓{x=0} the inner join adds {x=1} and {x=2} to the lift's
+    # {x=1,x=2}, within the lift's closure: a strict case, not a failure
     pf = parse("var x: 0..3; x := x + 1 [] x := x + 2")
     queries = [FamilySet.downset((0b1,))] * 2
     report = check_thm1(pf, queries)
-    assert (report.trials, report.failures) == (1, 1)
-    assert report.first_witness.startswith("program:\n")
-    assert "query=" in report.first_witness
-    report = check_thm1(pf, queries, deterministic=False)
-    assert (report.failures, report.strict_cases) == (0, 2)
+    assert (report.trials, report.failures, report.strict_cases) == (1, 0, 2)
     prop1 = check_prop1(pf)
     assert (prop1.trials, prop1.failures, prop1.first_witness) == (1, 0, None)
+    # a lift with no members leaves the hyper value above its closure
+    monkeypatch.setattr(harness, "lift_family",
+                        lambda tr, fam: FamilySet.empty())
+    report = check_thm1(pf, queries)
+    assert (report.trials, report.failures, report.strict_cases) == (1, 1, 0)
+    assert report.first_witness.startswith("program:\n")
+    assert "query=" in report.first_witness
+
+
+def test_check_prop1_reports_the_first_failing_subset(monkeypatch):
+    # a transformer with no successors differs from the relational image
+    # first at p={x=0}, whose image is {x=1,x=2}
+    pf = parse("var x: 0..3; x := x + 1 [] x := x + 2")
+    monkeypatch.setattr(harness, "sem_tr", lambda body, space:
+                        Transformer.image(Rel(space, [0] * space.size)))
+    report = check_prop1(pf)
+    assert (report.trials, report.failures) == (1, 1)
+    program, _, rest = report.first_witness.partition("\n\np=")
+    assert program == "program:\n" + pp_program(pf).rstrip("\n")
+    assert rest == "0x1 rel-image=0x6 transformer=0x0"
 
 
 def test_generator_leaves_no_reference_cycles():

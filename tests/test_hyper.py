@@ -17,14 +17,15 @@ from hypersem.harness import (GenConfig, check_thm1, enumerate_downsets,
                               gen_program, lift_family, random_downset)
 from hypersem.hyper import HEval, happly, loop_iterates, strict_gate
 from hypersem.lang import (Assign, Assume, Atom, BoolConst, Choice, Cmp, If,
-                           IntBin, IntConst, IntVar, Not, RelAtom, Seq, Skip,
-                           While, elaborate_atom, parse)
+                           IntBin, IntConst, IntVar, Not, ProgramFile, Seq,
+                           Skip, While, elaborate_atom, parse)
 from hypersem.reference import (LoopVariant, ref_eval, ref_iterates,
                                 ref_loop_system)
 from hypersem.notation import format_family, parse_family
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
-from support import is_monotone, is_partial_function, statements
+from support import (is_monotone, is_partial_function, mask_guard,
+                     rel_to_atom, rnd_partial_fn, rnd_rel, statements)
 
 PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
@@ -63,19 +64,17 @@ def test_inner_join_empty_query(x8):
 
 
 def test_inner_join_contains_lift(x8):
+    # C [] C denotes C's transformer, so its lift is C's
     rng = random.Random(0)
     for seed in range(10):
         cfg = GenConfig(seed=seed, allow_choice=False,
                         allow_nondet_atoms=False, max_space=8)
         pf = gen_program(cfg)
-        space = pf.space()
-        tr = sem_tr(pf.body, space)
-        ev = HEval(space)
-        both = Choice((pf.body, pf.body))
-        for _ in range(5):
-            q = random_downset(rng, space.size)
-            out = ev.eval(both, q)
-            assert family_le(lift_family(tr, q), out)
+        size = pf.space().size
+        queries = [random_downset(rng, size) for _ in range(5)]
+        both = ProgramFile(pf.decls, (), (), (), Choice((pf.body, pf.body)))
+        report = check_thm1(both, queries)
+        assert report.failures == 0, report.first_witness
 
 
 def test_guarded_join_example(x8):
@@ -283,7 +282,10 @@ def test_loop_with_a_cyclic_system_reaches_its_least_fixpoint():
     assert format_family(space, got, antichain=True) == (
         "[[{x=0,y=1},{x=1,y=1},{x=2,y=1},{x=3,y=1}]]")
     assert ev.stats.cross_checks == 1 and not ev.stats.cross_mismatches
-    assert family_le(lift_family(sem_tr(pf.body, space), q), got)
+    # havoc makes the exit nondeterministic: the value lies strictly
+    # between the lift and its closure
+    report = check_thm1(pf, [q])
+    assert (report.failures, report.strict_cases) == (0, 1)
 
     # the system still has a cycle: 4 of its 5 unknowns in one component
     fresh = HEval(space)
@@ -348,30 +350,6 @@ def test_hrefines_reflexive_and_choice_chain(x8):
 
 # ---------------------------------------------------------------- lemmas
 
-def rel_to_atom(rel, space):
-    pairs = []
-    for s, t in rel.pairs():
-        src = tuple(sorted(space.decode(s).items()))
-        dst = tuple(sorted(space.decode(t).items()))
-        pairs.append((src, dst))
-    return Atom(RelAtom(tuple(pairs)))
-
-
-def rnd_rel_atom(rng, space, density=None):
-    from hypersem.relation import Rel
-    d = rng.random() if density is None else density
-    rows = [sum(1 << t for t in space.states() if rng.random() < d)
-            for _ in space.states()]
-    return Rel(space, rows)
-
-
-def rnd_partial_function(rng, space):
-    from hypersem.relation import Rel
-    rows = [1 << rng.randrange(space.size) if rng.random() < 0.8 else 0
-            for _ in space.states()]
-    return Rel(space, rows)
-
-
 def test_guarded_join_output_always_closed():
     # branches must preserve closure (deterministic atoms); the query may
     # be anything, closed or not
@@ -379,8 +357,8 @@ def test_guarded_join_output_always_closed():
     rng = random.Random(4)
     ev = HEval(space)
     for _ in range(150):
-        c = rel_to_atom(rnd_partial_function(rng, space), space)
-        d = rel_to_atom(rnd_partial_function(rng, space), space)
+        c = rel_to_atom(rnd_partial_fn(rng, space), space)
+        d = rel_to_atom(rnd_partial_fn(rng, space), space)
         b = Cmp("<", IntVar("s"), IntConst(rng.randint(0, 4)))
         q = FamilySet.explicit(
             {rng.randrange(32) for _ in range(rng.randint(1, 3))})
@@ -393,53 +371,26 @@ def test_lift_of_guarded_transformer_on_closed_queries():
     # the lifts, on subset-closed queries, arbitrary (nondet) branches
     space = StateSpace((("s", 0, 3),))
     rng = random.Random(5)
-    ev = HEval(space)
-    from hypersem.relation import Rel
-    from hypersem.transformer import Transformer
     for _ in range(200):
-        c_rel = rnd_rel_atom(rng, space)
-        d_rel = rnd_rel_atom(rng, space)
+        c_rel = rnd_rel(rng, space)
+        d_rel = rnd_rel(rng, space)
         bmask = rng.randrange(16)
-        b = _mask_guard(space, bmask)
+        b = mask_guard(space, bmask)
         node_if = If(b, rel_to_atom(c_rel, space), rel_to_atom(d_rel, space))
         q = random_downset(rng, space.size)
-        got = ev.eval(node_if, q)
-        want = lift_family(sem_tr(node_if, space), q)
-        assert got == want
-
-
-def _mask_guard(space, bmask):
-    # a guard whose satisfying set is exactly bmask, via equality tests
-    cond = BoolConst(False)
-    for s in range(space.size):
-        if bmask >> s & 1:
-            env = space.decode(s)
-            clause = BoolConst(True)
-            for n, v in env.items():
-                clause = _and(clause, Cmp("=", IntVar(n), IntConst(v)))
-            cond = _or(cond, clause)
-    return cond
-
-
-def _and(a, b):
-    from hypersem.lang import BoolBin
-    return BoolBin("&&", a, b)
-
-
-def _or(a, b):
-    from hypersem.lang import BoolBin
-    return BoolBin("||", a, b)
+        report = check_thm1(ProgramFile(space.vars, (), (), (), node_if), [q])
+        assert (report.failures, report.strict_cases) == (0, 0)
 
 
 def test_lift_below_inner_join_with_strict_witness(x8):
     c = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(1))))
     d = Atom(Assign("x", IntBin("+", IntVar("x"), IntConst(2))))
-    ev = HEval(x8)
     q = fam(mask_of([0]))
     choice = Choice((c, d))
+    report = check_thm1(ProgramFile(x8.vars, (), (), (), choice), [q])
+    assert (report.failures, report.strict_cases) == (0, 1)
     joined = lift_family(sem_tr(choice, x8), q)
-    inner = ev.eval(choice, q)
-    assert family_le(joined, inner)
+    inner = HEval(x8).eval(choice, q)
     # the stored strict witness: the inner join has strictly more sets
     assert joined.members() == {mask_of([1, 2])}
     assert inner.members() == {0, mask_of([1]), mask_of([2]), mask_of([1, 2])}
@@ -453,7 +404,7 @@ def test_lift_below_hyper_for_nondet_programs():
         pf = gen_program(cfg)
         size = pf.space().size
         queries = [random_downset(rng, size) for _ in range(4)]
-        report = check_thm1(pf, queries, deterministic=False)
+        report = check_thm1(pf, queries)
         assert report.failures == 0, report.first_witness
 
 
@@ -466,15 +417,10 @@ def test_hyper_below_closure_of_lift_for_nondet_programs():
         cfg = GenConfig(seed=seed, allow_choice=True,
                         allow_nondet_atoms=True, max_space=6)
         pf = gen_program(cfg)
-        space = pf.space()
-        tr = sem_tr(pf.body, space)
-        ev = HEval(space)
-        for m in range(1 << space.size):
-            q = powerset_family(m)
-            hyp, lifted = ev.eval(pf.body, q), lift_family(tr, q)
-            assert family_le(lifted, hyp), (seed, m)
-            assert family_le(hyp, ssc(lifted)), (seed, m)
-            strict += hyp != lifted
+        queries = map(powerset_family, range(1 << pf.space().size))
+        report = check_thm1(pf, queries)
+        assert report.failures == 0, (seed, report.first_witness)
+        strict += report.strict_cases
     assert strict
 
 

@@ -11,6 +11,7 @@ from hypersem.noninterference import (LowView, NIVerdict, agr, ni_hyper,
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel
 from hypersem.space import StateSpace
+from support import rel_to_atom
 
 EIGHT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 UNDERLINED = [(0, 1), (1, 1), (2, 2), (3, 2)]
@@ -123,15 +124,6 @@ def test_ni_possibilistic_equals_relational_for_total_functions(bits, view):
         rel = Rel(bits, rows)
         assert bool(ni_relational(rel, view)) == \
             bool(ni_possibilistic(rel, view))
-
-
-def rel_to_atom(rel, space):
-    from hypersem.lang import Atom, RelAtom
-    pairs = []
-    for s, t in rel.pairs():
-        pairs.append((tuple(sorted(space.decode(s).items())),
-                      tuple(sorted(space.decode(t).items()))))
-    return Atom(RelAtom(tuple(pairs)))
 
 
 def test_rel_hyper_agreement_random(bits, view):

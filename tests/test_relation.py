@@ -11,13 +11,7 @@ from hypersem.relation import Rel
 from hypersem.semantics import sem_rel
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer
-from support import is_partial_function
-
-
-def rnd_rel(rng, space, density=0.3):
-    rows = [sum(1 << t for t in space.states() if rng.random() < density)
-            for _ in space.states()]
-    return Rel(space, rows)
+from support import is_partial_function, rnd_rel
 
 
 def body(text):
@@ -34,7 +28,7 @@ UNDERLINED = [(0, 1), (1, 1), (2, 2), (3, 2)]
 def test_compose_identity_law(x8):
     rng = random.Random(0)
     for _ in range(20):
-        r = rnd_rel(rng, x8)
+        r = rnd_rel(rng, x8, 0.3)
         ident = Rel.identity(x8)
         assert r.compose(ident) == r
         assert ident.compose(r) == r
@@ -57,14 +51,14 @@ def test_compose_associative():
     rng = random.Random(1)
     space = StateSpace((("s", 0, 5),))
     for _ in range(30):
-        a, b, c = (rnd_rel(rng, space) for _ in range(3))
+        a, b, c = (rnd_rel(rng, space, 0.3) for _ in range(3))
         assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
 def test_converse_involution(x8):
     rng = random.Random(2)
     for _ in range(20):
-        rows = rnd_rel(rng, x8).rows
+        rows = rnd_rel(rng, x8, 0.3).rows
         assert tuple(_kernels.converse_rows(
             _kernels.converse_rows(rows, 8), 8)) == rows
 

@@ -10,14 +10,7 @@ from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer, psc_check
 from support import (domain, is_disjunctive, is_monotone, is_partial_function,
-                     table_of)
-
-
-def rnd_rel(rng, space, density=None):
-    d = rng.random() if density is None else density
-    rows = [sum(1 << t for t in space.states() if rng.random() < d)
-            for _ in space.states()]
-    return Rel(space, rows)
+                     rnd_rel, table_of)
 
 
 def tr_of(text):
