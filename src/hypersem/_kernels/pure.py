@@ -55,7 +55,9 @@ def maximal_sets(sets):
     contain each other, so each mask is compared with every kept mask
     that could hold it.
     """
-    uniq = sorted(set(sets), key=int.bit_count, reverse=True)
+    if not isinstance(sets, (set, frozenset)):
+        sets = set(sets)
+    uniq = sorted(sets, key=int.bit_count, reverse=True)
     if len(uniq) < 2:
         return uniq
     kept = []

@@ -212,9 +212,9 @@ def _cmd_diff(args):
         report = diff_thm1(cfg, trials=args.trials, queries=queries,
                            cross_check=args.cross_check)
         return _print_report("thm1", report)
-    mism, trials = search_ssc_necessity(seed=args.seed, trials=args.trials,
-                                        size=args.size or 4)
-    print(f"non-closed queries with fixpoint != lift: {mism}/{trials}")
+    mism, checked = search_ssc_necessity(seed=args.seed, trials=args.trials,
+                                         size=args.size or 4)
+    print(f"non-closed queries with fixpoint != lift: {mism}/{checked}")
     return 0
 
 

@@ -28,6 +28,15 @@ product { r | s }).  Each works on antichains when every operand is a
 down-set, and otherwise on member sets, expanded within
 ``DEFAULT_EXPANSION_CAP`` members and ``PAIR_BOUND`` pairs; past either
 bound it raises ``QueryBlowup`` before the result is formed.
+
+Most families the hyper engine builds are principal down-sets ↓{m}
+(``powerset_family``), and those are built without ``downset``'s
+normalization pass: the product of ↓{x} and ↓{y} is ↓{x | y}, and a
+union whose antichain masks collapse to one mask is ↓ of that mask.
+One mask is its own antichain, so the stored form is the canonical one
+and ``==``, ``hash`` and ``key()`` agree with the normalized family.  A
+union of several down-sets reduces its masks with one ``maximal_sets``
+call.
 """
 
 from . import _kernels
@@ -74,7 +83,8 @@ class FamilySet:
     __slots__ = ("kind", "sets")
 
     def __init__(self, kind, sets):
-        # not for direct use: classmethods below canonicalize
+        # not for direct use outside this module: the classmethods below,
+        # powerset_family and family_union build canonical forms
         self.kind = kind
         self.sets = sets
 
@@ -210,7 +220,9 @@ def family_union(*parts):
         masks |= part.sets
     if masks is None:
         return first if first is not None else FamilySet.empty()
-    return FamilySet.downset(masks)
+    if len(masks) == 1:
+        return FamilySet(DOWNSET, frozenset(masks))
+    return FamilySet(DOWNSET, frozenset(_kernels.maximal_sets(masks)))
 
 
 def family_product(a, b):
@@ -218,6 +230,9 @@ def family_product(a, b):
     if not a.sets or not b.sets:
         return FamilySet.empty()
     if a.kind == DOWNSET and b.kind == DOWNSET:
+        if len(a.sets) == 1 and len(b.sets) == 1:
+            (x,), (y,) = a.sets, b.sets
+            return powerset_family(x | y)
         return FamilySet.downset(x | y for x in a.sets for y in b.sets)
     return FamilySet.explicit(bounded_product(a.members(), b.members()))
 

@@ -1,9 +1,15 @@
 """Random program generation, down-set enumeration, differential oracles.
 
-Generated loops guard on a dedicated counter variable that the body only
-increments, so termination is structural; semantics never needs it (the
-fixpoints exist regardless) but stabilization is fast.  Every battery is
-reproducible from its seed.
+Most generated loops are ``while v < bound { body; v := v + 1 }``, where
+v is a program variable frozen for the body: its assignments and havocs
+leave v alone, a nested loop picks another variable, and in total mode
+its relation literals pass v through, so termination is structural
+(outside total mode a relation literal may still reset v).  The rest are
+constant-guarded: 15% of loops, and every loop once no variable is left
+unfrozen, are ``while false { body }`` or, outside total mode and in 3
+of 10 cases, ``while true { skip }``.  Semantics never needs termination
+(the fixpoints exist regardless), but stabilization is fast.  Every
+battery is reproducible from its seed.
 
 Each differential battery checks one program in one function that
 returns the ``DiffReport`` of that trial: ``check_prop1`` (relational
@@ -28,7 +34,6 @@ from .lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice, Cmp,
 from .semantics import sem_rel, sem_tr
 
 _VAR_NAMES = ("x", "y", "z", "w", "v", "u")
-_COUNTER_NAMES = ("k", "j", "i", "m")
 _MAX_DEPTH = 3  # statement nesting of generated program bodies
 
 
@@ -416,10 +421,12 @@ def diff_thm1(cfg, trials=100, queries=None, *, cross_check=False):
 # ---------------------------------------------------------------- searches
 
 def search_ssc_necessity(seed=0, trials=200, size=4):
-    """Sample non-closed queries on deterministic programs and count
-    those where ``check_thm1`` finds the fixpoint and the lift differ."""
+    """Sample one query on each of trials deterministic programs, skip
+    those that are subset closed, and return (mismatches, checked): of the
+    checked non-closed queries, the number where ``check_thm1`` finds the
+    fixpoint and the lift differ."""
     rng = random.Random(seed)
-    mismatches = 0
+    mismatches = checked = 0
     for t in range(trials):
         cfg = GenConfig(seed=seed * 31 + t, allow_choice=False,
                         allow_nondet_atoms=False, max_space=size,
@@ -431,6 +438,7 @@ def search_ssc_necessity(seed=0, trials=200, size=4):
         q = FamilySet.explicit(members)
         if q.is_subset_closed():
             continue
+        checked += 1
         report = check_thm1(pf, [q])
         mismatches += report.failures + report.strict_cases
-    return mismatches, trials
+    return mismatches, checked

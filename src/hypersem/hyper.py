@@ -22,8 +22,12 @@ rule with the rule's arguments (an atom's transformer and PSC flag, a
 join's branches and masks, a loop's guard mask, complement and body) and
 its memo.  Rules are module functions, called with the evaluator, so an
 evaluator is freed when its caller drops it.  Evaluation looks the entry
-up and calls its rule, with no dispatch on the node's type; a down-set
-query whose antichain is one mask is answered by one memo value.
+up and calls its rule, with no dispatch on the node's type.  A down-set
+query whose antichain is one mask m, the usual query, reads or fills the
+one memo entry of m and is itself the rule's argument; a loop's memo miss
+there discovers and solves the equations reachable from m.  Larger
+queries look up each antichain mask and batch a loop's missing ones into
+one discovery.
 
 Loops are least fixpoints of the guarded-join functional.  The equation
 of atomic query m depends on the antichain of the body's value at
@@ -36,11 +40,16 @@ the same equations.
 
 Unions and products of values are ``family.family_union`` and
 ``family.family_product``.  Down-sets are their fast path: when every
-value in sight is subset closed, they work on antichains.  An atom whose
-relation is not a partial function lacks the subset-image property (PSC)
-and breaks closure; evaluation then falls back to explicit members,
-within the family module's cap and pair bound (``QueryBlowup`` past
-them).
+value in sight is subset closed, they work on antichains.  A principal
+value ↓{m} is built as it is (``family.powerset_family``), with no
+normalization: a product of principal values is principal (see
+``family``), and an atom with the subset-image property (PSC) maps ↓{m}
+onto ↓{tr(m)}, as its images of subsets of m lie below tr(m) and every
+subset of tr(m) is one of them.  One mask is its own antichain, so these
+values compare, hash and key like normalized ones.  An atom whose
+relation is not a partial function lacks PSC and breaks closure;
+evaluation then falls back to explicit members, within the family
+module's cap and pair bound (``QueryBlowup`` past them).
 
 ``happly`` and ``loop_iterates`` hand the anomalous ``naive`` and
 ``otimes`` variants to the definitional evaluator in ``reference``.
@@ -56,12 +65,15 @@ from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .reference import LoopVariant
 from .transformer import Transformer, psc_check
 
-_BOTTOM = FamilySet.downset((0,))
+_BOTTOM = powerset_family(0)
 
 
 def _map_family(ev, tr, preserves_closure, fam):
     """Elementwise image { tr(p) | p in fam } of a nonempty family."""
     if fam.kind == DOWNSET and preserves_closure:
+        if len(fam.sets) == 1:
+            (m,) = fam.sets
+            return powerset_family(tr.apply(m))
         return FamilySet.downset(map(tr.apply, fam.sets))
     return FamilySet.explicit(map(tr.apply, fam.members()))
 
@@ -156,6 +168,16 @@ class HEval:
         # equations, from here keeps two stack frames per nesting level.
         if memo is None or (rule is not None and fam.kind != DOWNSET):
             return rule(self, *args, fam)
+        if len(fam.sets) == 1:  # ↓{m}, or {m} at a loop: one memo entry
+            (m,) = fam.sets
+            val = memo.get(m)
+            if val is None:
+                if rule is None:
+                    self._solve_demand(node, self._discover(args, (m,), memo),
+                                       memo)
+                    return memo[m]
+                val = memo[m] = rule(self, *args, fam)
+            return val
         basis = fam.antichain()
         vals = []
         missing = []
@@ -194,18 +216,20 @@ class HEval:
             pending.extend(d for d in deps if d not in known)
         return system
 
-    def _rhs(self, equation, value_of):
+    def _rhs(self, equation, vals, memo):
+        """The equation's value, reading its unknowns from vals and every
+        other atomic query from memo."""
         deps, wrap = equation
-        return family_product(family_union(*map(value_of, deps)), wrap)
+        return family_product(
+            family_union(*[vals[d] if d in vals else memo[d] for d in deps]),
+            wrap)
 
     def _kleene(self, system, memo):
         """Synchronized iterates of system from bottom; other atoms read memo."""
         cur = dict.fromkeys(system, _BOTTOM)
         while True:
             yield cur
-            prev = cur
-            cur = {u: self._rhs(eq, lambda d: prev[d] if d in prev else memo[d])
-                   for u, eq in system.items()}
+            cur = {u: self._rhs(eq, cur, memo) for u, eq in system.items()}
 
     def _kleene_limit(self, system, memo):
         budget = reference.loop_budget(self.space.size, len(system))
@@ -221,10 +245,6 @@ class HEval:
     def _solve_demand(self, node, system, memo):
         """Worklist iteration to the least solution; memoizes every atom."""
         vals = dict.fromkeys(system, _BOTTOM)
-
-        def value_of(d):
-            return vals[d] if d in vals else memo[d]
-
         rdeps = {u: set() for u in system}
         for u, (deps, _) in system.items():
             for d in deps:
@@ -238,7 +258,7 @@ class HEval:
         while work:
             u = work.popleft()
             queued.discard(u)
-            new = self._rhs(system[u], value_of)
+            new = self._rhs(system[u], vals, memo)
             if new != vals[u]:
                 vals[u] = new
                 updates += 1

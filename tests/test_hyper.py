@@ -11,8 +11,9 @@ import pytest
 from hypersem import hyper
 from hypersem._kernels import psc_scan_table
 from hypersem.errors import NonSubsetClosedQuery, QueryBlowup
-from hypersem.family import (FamilySet, family_le, family_union, mask_of,
-                             powerset_family, ssc)
+from hypersem.family import (FamilySet, bounded_product, family_le,
+                             family_product, family_union, mask_of,
+                             powerset_family, ssc, subsets_of)
 from hypersem.harness import (GenConfig, check_thm1, enumerate_downsets,
                               gen_program, lift_family, random_downset)
 from hypersem.hyper import HEval, happly, loop_iterates, strict_gate
@@ -688,3 +689,81 @@ def test_expansion_cap_bounds_unions():
     with pytest.raises(QueryBlowup, match=re.escape(
             "down-set expansion exceeds cap 65536 (antichain [131071])")):
         HEval(pf.space()).eval(pf.body, q)
+
+
+# ---------------------------------------------------------------- shortcuts
+
+def _same(got, want):
+    assert got == want and got.key() == want.key(), (got, want)
+
+
+def test_principal_shortcuts_equal_the_general_path():
+    # the engine builds a principal down-set ↓{m} directly where it makes
+    # one; each such value is the one the general constructors give
+    rng = random.Random(29)
+    seen = set()
+    for n in range(1, 11):
+        space = StateSpace((("s", 0, n - 1),))
+        for _ in range(8):
+            x, y = rng.randrange(1 << n), rng.randrange(1 << n)
+            a, b = powerset_family(x), powerset_family(y)
+            _same(family_product(a, b), FamilySet.downset([x, x | y, y]))
+            _same(family_union(a, b), FamilySet.downset([x, y]))
+            _same(family_union(a, a, b), FamilySet.downset([y, x, x]))
+            _same(family_union(a, powerset_family(x & y)),
+                  FamilySet.downset([x & y, x]))
+            small = x & rng.choice((0xF, 0x3C, 0x3C0))
+            _same(family_product(a, powerset_family(small)),
+                  FamilySet.explicit(bounded_product(
+                      a.members(), powerset_family(small).members())))
+            ev = HEval(space)
+            atom = rel_to_atom(rnd_partial_fn(rng, space), space)
+            _, rule, (tr, psc), _ = ev._compile(atom)
+            assert psc
+            _same(rule(ev, tr, psc, a), FamilySet.downset(
+                [tr.apply(p) for p in (x, x & y, 0)]))
+            _same(rule(ev, tr, psc, powerset_family(small)),
+                  FamilySet.explicit(map(tr.apply, subsets_of(small))))
+        # eval at a one-mask query: kept in the memo, canonical, and the
+        # answer at the explicit query of the same members, which takes
+        # the structural path
+        for j in range(3):
+            pf = gen_program(GenConfig(seed=2900 + 10 * n + j, space_size=n,
+                                       max_space=n, max_range=4))
+            ev = HEval(pf.space())
+            for stmt in statements(pf.body):
+                m = rng.randrange(1 << n) & rng.choice((0xF, 0x3C, 0x3C0))
+                q = powerset_family(m)
+                got = ev.eval(stmt, q)
+                again = ev.eval(stmt, q)
+                _same(again, got)
+                # every construct but an atom answers again from its memo
+                assert isinstance(stmt, Atom) or again is got, stmt
+                if got.kind == "downset":
+                    _same(got, FamilySet.downset(list(got.sets) + [0]))
+                _same(got, HEval(pf.space()).eval(
+                    stmt, FamilySet.explicit(subsets_of(m))))
+                seen.add(type(stmt).__name__)
+    assert seen == {"Atom", "Seq", "Choice", "If", "While", "Skip"}
+
+
+def test_loop_work_counters_on_a_nondeterministic_battery():
+    # a lost memo entry or a changed batching of loop discovery moves
+    # these totals: 30 programs at 6 and 8 states, 10 random down-sets
+    # each, every loop solve cross-checked by Kleene iteration
+    totals = [0] * 5
+    for size in (6, 8):
+        for j in range(15):
+            seed = 1000 * size + j
+            pf = gen_program(GenConfig(seed=seed, space_size=size,
+                                       max_space=size, max_range=4))
+            rng = random.Random(seed)
+            ev = HEval(pf.space(), cross_check=True)
+            for _ in range(10):
+                ev.eval(pf.body, random_downset(rng, size))
+            s = ev.stats
+            for i, v in enumerate((s.demand_loops_solved, s.queries_solved,
+                                   s.value_updates, s.cross_checks,
+                                   len(s.cross_mismatches))):
+                totals[i] += v
+    assert totals == [162, 253, 206, 162, 0]
