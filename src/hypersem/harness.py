@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, replace
 from itertools import product
 
+from . import _kernels
 from .errors import SpaceTooLarge
 from .family import DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet, ssc
 from .hyper import HEval
@@ -331,14 +332,18 @@ def lift_family(tr, fam):
 def check_prop1(pf):
     """One program's direct image of the relational denotation vs its
     transformer denotation, exhaustive over every subset; any gap is a bug.
-    Returns the report of this one trial."""
+    Returns the report of this one trial.
+
+    The relational side is the definitional image, the union of sem_rel's
+    rows over the states of p (``_kernels.dirimg_rows``), so the subset-image
+    tables that ``tr.apply`` reads are checked against the bit walk."""
     report = DiffReport()
     space = pf.space()
-    rel = sem_rel(pf.body, space)
+    rows = sem_rel(pf.body, space).rows
     tr = sem_tr(pf.body, space)
     report.trials = 1
     for p in range(1 << space.size):
-        a = rel.dirimg(p)
+        a = _kernels.dirimg_rows(rows, p)
         b = tr.apply(p)
         if a != b:
             report.record_failure(

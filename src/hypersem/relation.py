@@ -19,10 +19,19 @@ class Rel:
     """Immutable relation: rows[s] is the successor mask of state s.
 
     Up to 16 states, direct images come from two subset-image tables, one
-    per half of the states, built on first use (at most 2 x 256 entries).
+    per half of the states, built on the first image (at most 2 x 256
+    entries).  The tables live in their own slots: ``_low`` holds the
+    images of the subsets of the first ``_half`` states and ``_high`` those
+    of the rest, so the image of p is ``_low[p & _low_mask] | _high[p >>
+    _half]``.  ``_low`` is None until the first image, and stays None above
+    16 states, where an image is the row walk ``_kernels.dirimg_rows``.
+    ``Transformer.apply`` reads the tables too, so a relation builds them
+    once and every transformer of it shares them.  An atom's relation is
+    elaborated once per space, so ``sem_tr``, each ``HEval`` and
+    ``ni_hyper`` image it through one pair of tables.
     """
 
-    __slots__ = ("space", "rows", "_images")
+    __slots__ = ("space", "rows", "_low", "_high", "_half", "_low_mask")
 
     def __init__(self, space, rows):
         rows = tuple(rows)
@@ -34,7 +43,7 @@ class Rel:
                 raise ValueError("row has bits outside the space")
         self.space = space
         self.rows = rows
-        self._images = None
+        self._low = None
 
     @classmethod
     def empty(cls, space):
@@ -76,20 +85,16 @@ class Rel:
 
     def dirimg(self, p):
         """Direct image of mask p."""
-        images = self._images
-        if images is None:
+        low = self._low
+        if low is None:
             rows = self.rows
             if len(rows) > IMAGE_TABLE_MAX_STATES:
-                images = ()
-            else:
-                half = (len(rows) + 1) // 2
-                images = (_subset_images(rows[:half]),
-                          _subset_images(rows[half:]), half, (1 << half) - 1)
-            self._images = images
-        if images:
-            low, high, half, low_mask = images
-            return low[p & low_mask] | high[p >> half]
-        return _kernels.dirimg_rows(self.rows, p)
+                return _kernels.dirimg_rows(rows, p)
+            half = self._half = (len(rows) + 1) // 2
+            self._low_mask = (1 << half) - 1
+            self._high = _subset_images(rows[half:])
+            low = self._low = _subset_images(rows[:half])
+        return low[p & self._low_mask] | self._high[p >> self._half]
 
     def is_subrelation(self, other):
         self._check(other)

@@ -7,14 +7,18 @@ atom and one mask per guard, kept by the space; see ``lang``), and
 nothing else.  Atoms are direct images and every rule
 keeps a map universally disjunctive, so each value is fixed by its images
 of singletons and is stored as the image of the relation they form.
+``;`` threads those rows through each part's ``apply`` in turn, and ``[]``
+ORs each part's images of the singletons into them, so each part is
+applied once per state.
 
 Loops are least fixpoints computed by Kleene iteration from the bottom
 element; on a finite space both chains stabilize within size*size steps
-(each strict step adds at least one pair).
+(each strict step adds at least one pair).  ``sem_tr`` images the loop
+body at each guarded singleton once, before the iteration, so each
+iterate applies only the previous iterate, once per state.
 """
 
 from functools import reduce
-from operator import or_
 
 from .errors import IterationBudgetExceeded
 from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
@@ -62,11 +66,10 @@ def sem_rel(node, space):
     raise TypeError(f"not a statement: {node!r}")
 
 
-def _pointwise(space, rule):
+def _pointwise(space, rows):
     """The universally disjunctive transformer that maps each singleton
-    {s} to rule({s})."""
-    return Transformer.image(
-        Rel(space, [rule(1 << s) for s in space.states()]))
+    {s} to rows[s]."""
+    return Transformer.image(Rel(space, rows))
 
 
 def sem_tr(node, space):
@@ -75,29 +78,39 @@ def sem_tr(node, space):
         return Transformer.identity(space)
     if isinstance(node, Atom):
         return Transformer.image(elaborate_atom(node.atom, space))
+    singletons = [1 << s for s in space.states()]
     if isinstance(node, Seq):
-        parts = [sem_tr(part, space) for part in node.parts]
-        return _pointwise(space, lambda x: reduce(
-            lambda y, tr: tr.apply(y), parts, x))
+        rows = singletons
+        for part in node.parts:
+            tr = sem_tr(part, space)
+            rows = [tr.apply(x) for x in rows]
+        return _pointwise(space, rows)
     if isinstance(node, Choice):
-        parts = [sem_tr(part, space) for part in node.parts]
-        return _pointwise(space, lambda x: reduce(
-            or_, [tr.apply(x) for tr in parts]))
+        rows = [0] * space.size
+        for part in node.parts:
+            tr = sem_tr(part, space)
+            rows = [y | tr.apply(x) for x, y in zip(singletons, rows)]
+        return _pointwise(space, rows)
     if isinstance(node, If):
         g = eval_bool(node.cond, space)
         ng = neg_mask(g, space)
         a = sem_tr(node.then, space)
         b = sem_tr(node.orelse, space)
-        return _pointwise(space, lambda x: a.apply(x & g) | b.apply(x & ng))
+        return _pointwise(space, [a.apply(x & g) | b.apply(x & ng)
+                                  for x in singletons])
     if isinstance(node, While):
         g = eval_bool(node.cond, space)
         ng = neg_mask(g, space)
         body = sem_tr(node.body, space)
+        # the body's image of each guarded singleton is fixed, so it is
+        # taken once; each iterate applies only the previous iterate
+        stay = [x & ng for x in singletons]
+        step = [body.apply(x & g) for x in singletons]
         cur = Transformer.image(Rel.empty(space))
         budget = space.size * space.size + 2
         for _ in range(budget):
-            nxt = _pointwise(space, lambda x, cur=cur: (
-                (x & ng) | cur.apply(body.apply(x & g))))
+            nxt = _pointwise(space, [x | cur.apply(y)
+                                     for x, y in zip(stay, step)])
             if nxt.rel == cur.rel:
                 return cur
             cur = nxt

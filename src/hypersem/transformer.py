@@ -4,7 +4,9 @@ A transformer is the direct image of a relation, which is what every
 program denotes (see ``semantics.sem_tr``): the paper's transformer level
 is the direct image of the relational one, and its coincidence theorem is
 stated for direct images.  A transformer is combined with others only
-through its ``apply``.
+through its ``apply``, which reads the subset-image tables of its relation
+(see ``relation.Rel``) in its own frame: an image is one Python call, and
+every transformer of one relation shares that relation's tables.
 """
 
 from collections import namedtuple
@@ -43,7 +45,14 @@ class Transformer:
         return cls.image(Rel.identity(space))
 
     def apply(self, p):
-        return self.rel.dirimg(p)
+        """Direct image of mask p, read from rel's subset-image tables in
+        this one frame once ``Rel.dirimg`` has built them; until then, and
+        above 16 states, it is ``rel.dirimg(p)``."""
+        rel = self.rel
+        low = rel._low
+        if low is None:
+            return rel.dirimg(p)
+        return low[p & rel._low_mask] | rel._high[p >> rel._half]
 
     def subset_images(self, mask):
         """The principal part of mask, memoized: the pair (images, below)

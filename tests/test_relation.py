@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from hypersem import _kernels
+from hypersem import _kernels, relation
 from hypersem.errors import SpaceMismatch
 from hypersem.family import mask_of, states_of
 from hypersem.harness import GenConfig, gen_program
 from hypersem.lang import parse
-from hypersem.relation import Rel
+from hypersem.relation import IMAGE_TABLE_MAX_STATES, Rel
 from hypersem.semantics import sem_rel
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer
@@ -94,17 +94,38 @@ def test_dirimg_strict_and_pointwise(x8):
     assert states_of(inc.dirimg(mask_of([2, 5]))) == [3, 6]
 
 
-def test_dirimg_tables_match_row_kernel():
-    # spaces on both sides of the 16-state limit of the subset-image tables
+def test_dirimg_tables_match_row_kernel(monkeypatch):
+    # spaces on both sides of the 16-state limit of the subset-image
+    # tables: Rel.dirimg and Transformer.apply both read a relation's two
+    # tables, built once by the first image of either one, and above the
+    # limit both walk the rows
+    built = []
+    subset_images = relation._subset_images
+    monkeypatch.setattr(relation, "_subset_images",
+                        lambda rows: built.append(rows) or subset_images(rows))
     rng = random.Random(5)
     for n in (1, 2, 9, 10, 16, 17, 64):
         space = StateSpace((("s", 0, n - 1),))
         masks = ([0, space.full_mask] + [1 << s for s in range(n)]
                  + [rng.randrange(1 << n) for _ in range(40)])
+        tables = 2 if n <= IMAGE_TABLE_MAX_STATES else 0
         for density in (0.1, 0.5):
-            rel = rnd_rel(rng, space, density)
-            for p in masks:
-                assert rel.dirimg(p) == _kernels.dirimg_rows(rel.rows, p)
+            rows = rnd_rel(rng, space, density).rows
+            want = [_kernels.dirimg_rows(rows, p) for p in masks]
+            # before the tables exist: each mask is a new Rel's first image
+            for p, image in zip(masks, want):
+                for first in (Rel.dirimg,
+                              lambda rel, p: Transformer.image(rel).apply(p)):
+                    del built[:]
+                    assert first(Rel(space, rows), p) == image
+                    assert len(built) == tables
+            # after: two transformers of one relation share its tables
+            del built[:]
+            rel = Rel(space, rows)
+            one, two = Transformer.image(rel), Transformer.image(rel)
+            for image_of in (one.apply, two.apply, rel.dirimg):
+                assert [image_of(p) for p in masks] == want
+            assert len(built) == tables
 
 
 def test_dirimg_of_loop_worked_value():

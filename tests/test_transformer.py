@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from itertools import product
+
+import pytest
 
 from hypersem._kernels import below_set, psc_scan_table
 from hypersem.family import mask_of, states_of, subsets_of
 from hypersem.harness import GenConfig, check_prop1, gen_program
-from hypersem.lang import parse
+from hypersem.lang import elaborate_atom, parse
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
@@ -82,6 +85,44 @@ def test_sem_tr_monotone():
         pf = gen_program(cfg)
         space = pf.space()
         assert is_monotone(table_of(sem_tr(pf.body, space)), space.size)
+
+
+def count_applies(monkeypatch):
+    """Transformer.apply calls, counted by the id of the relation read."""
+    calls = Counter()
+    apply = Transformer.apply
+
+    def counted(tr, p):
+        calls[id(tr.rel)] += 1
+        return apply(tr, p)
+
+    monkeypatch.setattr(Transformer, "apply", counted)
+    return calls
+
+
+def test_sem_tr_loop_images_its_body_once_per_state(monkeypatch):
+    calls = count_applies(monkeypatch)
+    pf = parse("var x: 0..7; while x < 7 { x := x + 1 }")
+    space = pf.space()
+    tr = sem_tr(pf.body, space)
+    body = elaborate_atom(pf.body.body.atom, space)
+    assert calls[id(body)] == space.size
+    # nine iterates, from bottom to the fixpoint, each applied at the 8
+    # body images; the value is still the loop's
+    assert sum(calls.values()) == space.size + 9 * space.size
+    assert tr.apply(0b1) == 1 << 7
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_sem_tr_seq_images_each_part_once_per_state(k, monkeypatch):
+    calls = count_applies(monkeypatch)
+    pf = parse("var x: 0..7; " + "; ".join(["x := x + 1"] * k))
+    space = pf.space()
+    tr = sem_tr(pf.body, space)
+    parts = [elaborate_atom(part.atom, space) for part in pf.body.parts]
+    assert [calls[id(rel)] for rel in parts] == [space.size] * k
+    assert sum(calls.values()) == k * space.size
+    assert tr.apply(0b1) == 1 << k
 
 
 def test_psc_partial_functions_exhaustive(s3):
