@@ -1,11 +1,13 @@
 """Pure-Python bitset kernels.
 
 Masks are plain ints (states fit in one machine word, space cap 64).
-Member sets of families are sets of masks; ``below_set`` is the one bit
-walk that tells whether such a set is down-closed, and ``closed_antichain``
-and ``is_downclosed`` build on it.  The lift oracle's principal parts
-(``Transformer.subset_images``) do not: a part's images all lie below its
-top image, so one count against 2^|top| decides their closure.
+A family's member sets are the frozensets of masks ``FamilySet`` stores,
+and the kernels on them take a set or frozenset and return a frozenset
+(``below_set`` a set), unsorted.  ``below_set`` is the one bit walk that
+tells whether such a set is down-closed; ``is_downclosed`` builds on it.
+The lift oracle's principal parts (``Transformer.subset_images``) do
+not: a part's images all lie below its top image, so one count against
+2^|top| decides their closure.
 """
 
 
@@ -47,32 +49,25 @@ def converse_rows(rows, n):
 
 
 def maximal_sets(sets):
-    """Subset-maximal elements of a list, set, frozenset or tuple of masks,
-    sorted ascending.  (The traced benchmark counts its input with len.)
+    """The subset-maximal masks of a set or frozenset of masks.
 
     One sort, by popcount descending: a mask can only sit inside a mask
     with more states, and two distinct masks of one popcount never
     contain each other, so each mask is compared with every kept mask
     that could hold it.
     """
-    if not isinstance(sets, (set, frozenset)):
-        sets = set(sets)
-    uniq = sorted(sets, key=int.bit_count, reverse=True)
-    if len(uniq) < 2:
-        return uniq
     kept = []
-    for m in uniq:
+    for m in sorted(sets, key=int.bit_count, reverse=True):
         for k in kept:
             if m & ~k == 0:
                 break
         else:
             kept.append(m)
-    kept.sort()
-    return kept
+    return frozenset(kept)
 
 
 def expand_downset(antichain, cap):
-    """All subsets of the antichain's members, sorted; None if > cap."""
+    """Every subset of the antichain's members, or None if > cap."""
     out = set()
     for m in antichain:
         if m.bit_count() >= cap.bit_length():
@@ -86,40 +81,30 @@ def expand_downset(antichain, cap):
             if sub == 0:
                 break
             sub = (sub - 1) & m
-    return sorted(out)
+    return frozenset(out)
 
 
 def below_set(members):
-    """The members exactly one state smaller than another member, or None
-    when the member set is not down-closed.
+    """The members of a set or frozenset of masks exactly one state
+    smaller than another member, or None when the members are not
+    down-closed.
 
     One pass over the members: each member's subsets one state smaller
     must be members.  In a down-closed set a member strictly inside
     another has a member one state larger, so the below set is exactly
     the members that are not maximal.
     """
-    ms = members if isinstance(members, (set, frozenset)) else set(members)
     below = set()
-    for m in ms:
+    for m in members:
         t = m
         while t:
             low = t & -t
             sub = m ^ low
-            if sub not in ms:
+            if sub not in members:
                 return None
             below.add(sub)
             t ^= low
     return below
-
-
-def closed_antichain(members):
-    """The sorted antichain of a down-closed member set, or None when the
-    set is not down-closed: the members less their below set."""
-    ms = members if isinstance(members, (set, frozenset)) else set(members)
-    below = below_set(ms)
-    if below is None:
-        return None
-    return sorted(ms.difference(below))
 
 
 def is_downclosed(members):

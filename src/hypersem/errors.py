@@ -54,11 +54,7 @@ class IterationBudgetExceeded(WorkbenchError):
     cycle."""
 
 
-class ElaborationError(WorkbenchError):
-    """An atom or guard could not be elaborated over the given space."""
-
-
-class UndeclaredVariable(ElaborationError):
+class UndeclaredVariable(WorkbenchError):
     """Program text references a variable that was never declared."""
 
     def __init__(self, name):

@@ -12,15 +12,17 @@ is built:
 
 Down-sets are how subset-closed families stay small: the antichain is
 linear where the expansion is exponential.  ``explicit`` picks the form
-in one pass over the members (``_kernels.closed_antichain``): a nonempty
-set closed under removing one state is a down-set, and its antichain is
-the members that no member one state larger sits above; any other set is
-kept as it is.  ``union_of_parts`` builds the union of member sets that
-come with their closure data (the lift oracle's principal parts) without
-that pass.  ``downset`` reduces its masks to their antichain, and one
-mask is its own antichain.  Since each family has one stored form, ``==``
-and ``hash`` compare that form (kind and stored sets), and ``key()`` is
-the same pair as a sorted tuple.
+in one pass over the members (``_kernels.below_set``): a nonempty set
+closed under removing one state is a down-set, and its antichain is the
+members less those one state smaller than another member; any other set
+is kept as it is.  ``union_of_parts`` builds the union of member sets
+that come with their closure data (the lift oracle's principal parts)
+without that pass.  ``downset`` is the one place that reduces masks to
+their antichain, with ``_kernels.maximal_sets``; one mask is its own
+antichain.  A family's sets are frozensets of masks, and the kernels take
+and return them as they are.  Since each family has one stored form,
+``==`` and ``hash`` compare that form (kind and stored sets), and
+``key()`` is the same pair as a sorted tuple.
 
 The hyper semantics is built from two operations on families, and both
 live here: ``family_union`` and ``family_product`` (the inner-join
@@ -31,12 +33,10 @@ bound it raises ``QueryBlowup`` before the result is formed.
 
 Most families the hyper engine builds are principal down-sets ↓{m}
 (``powerset_family``), and those are built without ``downset``'s
-normalization pass: the product of ↓{x} and ↓{y} is ↓{x | y}, and a
-union whose antichain masks collapse to one mask is ↓ of that mask.
-One mask is its own antichain, so the stored form is the canonical one
-and ``==``, ``hash`` and ``key()`` agree with the normalized family.  A
-union of several down-sets reduces its masks with one ``maximal_sets``
-call.
+normalization pass: the product of ↓{x} and ↓{y} is ↓{x | y}.  One mask
+is its own antichain, so the stored form is the canonical one and ``==``,
+``hash`` and ``key()`` agree with the normalized family.  A union of
+several down-sets hands its masks to ``downset``.
 """
 
 from . import _kernels
@@ -97,21 +97,20 @@ class FamilySet:
         """The family of exactly these masks: a down-set when nonempty and
         subset closed, else explicit."""
         sets = frozenset(members)
-        anti = _kernels.closed_antichain(sets)
-        if anti:
-            return cls(DOWNSET, frozenset(anti))
-        return cls(EXPLICIT, sets)
+        below = _kernels.below_set(sets)
+        if below is None or not sets:
+            return cls(EXPLICIT, sets)
+        return cls(DOWNSET, sets - below)
 
     @classmethod
     def downset(cls, sets):
         """Down-closure of the given masks, stored as their antichain."""
-        sets = list(sets)
-        if len(sets) == 1:
-            return cls(DOWNSET, frozenset(sets))
-        anti = _kernels.maximal_sets(sets)
-        if not anti:
+        sets = frozenset(sets)
+        if not sets:
             return cls.empty()
-        return cls(DOWNSET, frozenset(anti))
+        if len(sets) == 1:
+            return cls(DOWNSET, sets)
+        return cls(DOWNSET, _kernels.maximal_sets(sets))
 
     @classmethod
     def union_of_parts(cls, parts):
@@ -144,19 +143,19 @@ class FamilySet:
         """Maximal members (the stored antichain for down-sets)."""
         if self.kind == DOWNSET:
             return self.sets
-        return frozenset(_kernels.maximal_sets(list(self.sets)))
+        return _kernels.maximal_sets(self.sets)
 
     def members(self):
         """Every member mask; expands a down-set of at most
         DEFAULT_EXPANSION_CAP members, and refuses a larger one."""
         if self.kind == EXPLICIT:
             return self.sets
-        out = _kernels.expand_downset(list(self.sets), DEFAULT_EXPANSION_CAP)
+        out = _kernels.expand_downset(self.sets, DEFAULT_EXPANSION_CAP)
         if out is None:
             raise QueryBlowup(
                 f"down-set expansion exceeds cap {DEFAULT_EXPANSION_CAP} "
                 f"(antichain {sorted(self.sets)})")
-        return frozenset(out)
+        return out
 
     def __contains__(self, mask):
         if self.kind == DOWNSET:
@@ -198,10 +197,10 @@ def powerset_family(mask):
 
 def family_union(*parts):
     """Union of families in one step.  One pass collects the antichain
-    masks of the down-set parts, and their one antichain reduction is the
-    union; at the first nonempty explicit part the union is taken over
-    members instead.  Empty parts are skipped, and a single nonempty part
-    is returned as it is."""
+    masks of the down-set parts, and their down-set is the union; at the
+    first nonempty explicit part the union is taken over members instead.
+    Empty parts are skipped, and a single nonempty part is returned as it
+    is."""
     first = masks = None
     for part in parts:
         if not part.sets:
@@ -220,9 +219,7 @@ def family_union(*parts):
         masks |= part.sets
     if masks is None:
         return first if first is not None else FamilySet.empty()
-    if len(masks) == 1:
-        return FamilySet(DOWNSET, frozenset(masks))
-    return FamilySet(DOWNSET, frozenset(_kernels.maximal_sets(masks)))
+    return FamilySet.downset(masks)
 
 
 def family_product(a, b):

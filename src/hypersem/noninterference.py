@@ -83,12 +83,13 @@ def ni_possibilistic(rel, view, view_out=None):
     out = view_out if view_out is not None else view
     lhs = view.sim_relation().compose(rel)
     rhs = rel.compose(out.sim_relation())
-    if lhs.is_subrelation(rhs):
-        return NIVerdict(True)
-    for s, t in lhs.pairs():
-        if not rhs.rows[s] >> t & 1:
-            return NIVerdict(False, (s, t))
-    raise AssertionError("unreachable")
+    # the witness is the first state with a missing successor, and its
+    # lowest missing target
+    for s, (row, allowed) in enumerate(zip(lhs.rows, rhs.rows)):
+        missing = row & ~allowed
+        if missing:
+            return NIVerdict(False, (s, (missing & -missing).bit_length() - 1))
+    return NIVerdict(True)
 
 
 def ni_hyper(node, view, view_out=None):

@@ -15,13 +15,19 @@ A `[]` chain is joined two branches at a time, nested to the left, as
 the binary definition reads.  The n-ary product that ``hyper`` takes at
 each ↓p equals it when every branch is monotone in the query, as under
 the paper variant; keeping the definition keeps every variant's output
-independent of that fact.
+independent of that fact.  The nesting is folded over a table, not
+built: the first k + 1 branches at ↓q are the union over q' ⊆ q of the
+products of the first k and branch k + 1 at ↓q', which is their product
+at q united with the values at q less one state.  One ascending pass per
+branch over a member's subsets fills it; the last branch is joined at
+the members only.
 """
 
 import enum
 
 from .errors import IterationBudgetExceeded, QueryBlowup
-from .family import DEFAULT_EXPANSION_CAP, bounded_product, subsets_of
+from .family import (DEFAULT_EXPANSION_CAP, bounded_product, states_of,
+                     subsets_of)
 from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
 from .transformer import Transformer
 
@@ -66,14 +72,27 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
             family = ref_eval(part, family, space, variant)
         return family
     if isinstance(node, Choice):
-        *init, last = node.parts
-        left = init[0] if len(init) == 1 else Choice(tuple(init))
+        first, *mid, last = node.parts
         out = set()
         for p in family:
             down = _down(p)
-            a = ref_eval(left, down, space, variant)
+            # the branches before the last at ↓q, for every q ⊆ p (just p
+            # if there is one); ascending, each q follows q less a state
+            subs = sorted(down) if mid else (p,)
+            table = {}
+            for q in subs:
+                table[q] = ref_eval(first, _down(q), space, variant)
+            for part in mid:
+                nxt = {}
+                for q in subs:
+                    acc = set(bounded_product(table[q], ref_eval(
+                        part, _down(q), space, variant)))
+                    for s in states_of(q):
+                        acc |= nxt[q ^ (1 << s)]
+                    nxt[q] = _capped(frozenset(acc))
+                table = nxt
             b = ref_eval(last, down, space, variant)
-            out.update(bounded_product(a, b))
+            out.update(bounded_product(table[p], b))
             _capped(out)
         return frozenset(out)
     if isinstance(node, If):

@@ -12,8 +12,9 @@ from rows; ``is_partial_function`` is the reference for its verdict.
 
 from hypersem import _kernels
 from hypersem.lang import (Atom, BoolBin, BoolConst, Choice, Cmp, If,
-                           IntConst, IntVar, RelAtom, Seq, While,
+                           IntConst, IntVar, RelAtom, Seq, Skip, While,
                            elaborate_atom)
+from hypersem.noninterference import NIVerdict
 from hypersem.relation import Rel
 
 
@@ -125,3 +126,41 @@ def mask_guard(space, bmask):
                 clause = BoolBin("&&", clause, Cmp("=", IntVar(n), IntConst(v)))
             cond = BoolBin("||", cond, clause)
     return cond
+
+
+def ni_possibilistic_by_pairs(rel, view, view_out=None):
+    """Possibilistic NI as a scan of sim;R's pairs, in ``pairs()`` order,
+    for the first one outside R;sim: the reference for
+    ``ni_possibilistic``'s verdict and witness."""
+    out = view_out if view_out is not None else view
+    lhs = view.sim_relation().compose(rel)
+    rhs = rel.compose(out.sim_relation())
+    if lhs.is_subrelation(rhs):
+        return NIVerdict(True)
+    for s, t in lhs.pairs():
+        if not rhs.rows[s] >> t & 1:
+            return NIVerdict(False, (s, t))
+    raise AssertionError("sim;R is not inside R;sim, yet has no pair outside")
+
+
+def binary_chains(node):
+    """node with every `[]` chain of three or more branches nested to the
+    left, two branches at a time, as the binary definition reads.  Each
+    left operand sits behind `skip ;`, which keeps the Choice constructor
+    from splicing it back into one chain, so the definitional evaluator
+    reads every chain with its two-branch rule: the reference for its
+    fold over longer chains."""
+    if isinstance(node, Choice):
+        parts = [binary_chains(part) for part in node.parts]
+        left = parts[0]
+        for part in parts[1:-1]:
+            left = Seq((Skip(), Choice((left, part))))
+        return Choice((left, parts[-1]))
+    if isinstance(node, Seq):
+        return Seq(tuple(binary_chains(part) for part in node.parts))
+    if isinstance(node, If):
+        return If(node.cond, binary_chains(node.then),
+                  binary_chains(node.orelse))
+    if isinstance(node, While):
+        return While(node.cond, binary_chains(node.body))
+    return node

@@ -654,6 +654,11 @@ def test_long_choice_chain_answers(capsys, tmp_path):
         code, out, _ = run(capsys, "eval", str(p), "--level", level,
                            "--input", literal)
         assert (code, out) == (0, want)
+    # the definitional evaluator folds the chain instead of nesting it
+    for variant in ("naive", "otimes"):
+        assert run(capsys, "eval", str(p), "--level", "hyper", "--variant",
+                   variant, "--input", "[[],[{x=0}]]") == (
+            0, "[[],[{x=1}]]\n", ""), variant
 
 
 BAD_DECLS = {

@@ -218,11 +218,11 @@ def _assert_canonical(members):
     fam = FamilySet.explicit(members)
     closed = bool(members) and _closed(members)
     assert (fam.kind == DOWNSET) == closed
-    assert fam.sets == (set(_brute_maximal(members)) if closed else members)
+    assert fam.sets == (_brute_maximal(members) if closed else members)
     assert fam.members() == members
-    assert sorted(fam.antichain()) == _brute_maximal(members)
+    assert fam.antichain() == _brute_maximal(members)
     # the semantic key: a subset-closed family keys as its down-set
-    want = ((DOWNSET, tuple(_brute_maximal(members))) if closed
+    want = ((DOWNSET, tuple(sorted(_brute_maximal(members)))) if closed
             else (EXPLICIT, tuple(sorted(members))))
     assert fam.key() == want
 
@@ -312,8 +312,8 @@ def test_family_eq_matches_its_definition():
 
 def _brute_maximal(masks):
     uniq = set(masks)
-    return sorted(m for m in uniq
-                  if not any(m != k and m & ~k == 0 for k in uniq))
+    return frozenset(m for m in uniq
+                     if not any(m != k and m & ~k == 0 for k in uniq))
 
 
 def _kernel_cases():
@@ -327,24 +327,22 @@ def _kernel_cases():
 
 def test_maximal_sets_matches_brute_force():
     for masks in _kernel_cases():
-        assert _kernels.maximal_sets(list(masks)) == _brute_maximal(masks)
+        for sets in (set(masks), frozenset(masks)):
+            got = _kernels.maximal_sets(sets)
+            assert type(got) is frozenset
+            assert got == _brute_maximal(masks), masks
 
 
-def test_closed_antichain_matches_brute_force():
-    # each case as given (rarely closed), the closure of its first masks
-    # (closed), and that closure less one random member (closed only if
-    # that member was maximal)
-    rng = random.Random(5)
-    seen = set()
+def test_expand_downset_matches_brute_force():
+    # every subset of the antichain's members, or None past the cap
     for masks in _kernel_cases():
-        closure = brute_ssc(masks[:3])
-        less = closure - {rng.choice(sorted(closure))} if closure else closure
-        for members in (set(masks), closure, less):
-            want = _brute_maximal(members) if _closed(members) else None
-            assert _kernels.closed_antichain(members) == want, members
-            assert _kernels.closed_antichain(list(members)) == want
-            seen.add((bool(members), want is None))
-    assert seen == {(False, False), (True, False), (True, True)}
+        anti = _brute_maximal(masks)
+        want = frozenset(brute_ssc(anti))
+        got = _kernels.expand_downset(anti, 1 << 8)
+        assert type(got) is frozenset and got == want, masks
+        assert _kernels.expand_downset(anti, len(want)) == want
+        if want:
+            assert _kernels.expand_downset(anti, len(want) - 1) is None
 
 
 def _brute_below(members):
@@ -354,8 +352,9 @@ def _brute_below(members):
 
 
 def test_below_set_matches_brute_force():
-    # closed, non-closed and empty member sets, as in the closed_antichain
-    # test; closed_antichain is the members less their below set
+    # closed, non-closed and empty member sets; a closed nonempty set is
+    # the down-set FamilySet.explicit stores as its members less their
+    # below set, which are its maximal members
     rng = random.Random(6)
     seen = set()
     for masks in _kernel_cases():
@@ -365,11 +364,14 @@ def test_below_set_matches_brute_force():
             below = _kernels.below_set(members)
             want = _brute_below(members) if _closed(members) else None
             assert below == want, members
-            assert _kernels.below_set(list(members)) == want
+            assert _kernels.below_set(frozenset(members)) == want
             assert _kernels.is_downclosed(members) == (want is not None)
-            anti = _kernels.closed_antichain(members)
-            assert anti == (None if below is None
-                            else sorted(members - below))
+            fam = FamilySet.explicit(members)
+            if below is None or not members:
+                assert (fam.kind, fam.sets) == (EXPLICIT, members)
+            else:
+                assert members - below == _brute_maximal(members)
+                assert (fam.kind, fam.sets) == (DOWNSET, members - below)
             seen.add((bool(members), want is None))
     assert seen == {(False, False), (True, False), (True, True)}
 
@@ -385,7 +387,7 @@ def test_union_of_closed_parts_is_members_less_their_below_sets():
                   for _ in range(rng.randint(1, 5))]
         union = frozenset().union(*closed)
         below = set().union(*map(_kernels.below_set, closed))
-        assert sorted(union - below) == _brute_maximal(union)
+        assert union - below == _brute_maximal(union)
         parts = list(closed)
         for _ in range(rng.randint(0, 2)):
             parts.insert(rng.randrange(len(parts) + 1), frozenset(

@@ -25,8 +25,9 @@ from hypersem.reference import (LoopVariant, ref_eval, ref_iterates,
 from hypersem.notation import format_family, parse_family
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
-from support import (is_monotone, is_partial_function, mask_guard,
-                     rel_to_atom, rnd_partial_fn, rnd_rel, statements)
+from support import (binary_chains, is_monotone, is_partial_function,
+                     mask_guard, rel_to_atom, rnd_partial_fn, rnd_rel,
+                     statements)
 
 PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
@@ -512,6 +513,41 @@ def test_every_variant_matches_reference_evaluator(variant):
                         for _, vals in zip(range(6), iters)]
                 got = loop_iterates(loop.cond, loop.body, q, 5, space)
                 assert got == want, loop
+
+
+def test_chain_fold_matches_the_nested_binary_definition():
+    # the reference folds a `[]` chain over a table of subsets; that is
+    # the chain nested to the left two branches at a time, under every
+    # variant, on chains of 3-6 sub-statements of generated programs
+    rng = random.Random(13)
+    for seed in range(50):
+        pf = gen_program(GenConfig(seed=seed, max_space=5))
+        space = pf.space()
+        subs = list(statements(pf.body))
+        chain = Choice(tuple(rng.choice(subs)
+                             for _ in range(rng.randint(3, 6))))
+        nested = binary_chains(chain)
+        assert nested != chain
+        for variant in LoopVariant:
+            members = frozenset(rng.randrange(1 << space.size)
+                                for _ in range(rng.randint(1, 3)))
+            assert (ref_eval(chain, members, space, variant)
+                    == ref_eval(nested, members, space, variant)), (
+                        seed, variant)
+
+
+def test_long_atom_chain_answers_under_every_variant():
+    # a 1,500-branch chain costs the reference no recursion depth; atoms
+    # are monotone, so its binary join agrees with the engine's n-ary one
+    pf = parse("var x: 0..3;\n" + " [] ".join(
+        "x := 3 - x" if i % 5 == 0 else f"x := {i % 4}"
+        for i in range(1500)))
+    space = pf.space()
+    q = powerset_family(0b0011)
+    want = happly(pf.body, q, space)
+    assert len(want.members()) > 4
+    for variant in (LoopVariant.NAIVE, LoopVariant.OTIMES):
+        assert happly(pf.body, q, space, variant) == want, variant
 
 
 # ---------------------------------------------------------------- metamorphic

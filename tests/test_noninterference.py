@@ -11,7 +11,7 @@ from hypersem.noninterference import (LowView, NIVerdict, agr, ni_hyper,
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel
 from hypersem.space import StateSpace
-from support import rel_to_atom
+from support import ni_possibilistic_by_pairs, rel_to_atom, rnd_rel
 
 EIGHT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 UNDERLINED = [(0, 1), (1, 1), (2, 2), (3, 2)]
@@ -124,6 +124,27 @@ def test_ni_possibilistic_equals_relational_for_total_functions(bits, view):
         rel = Rel(bits, rows)
         assert bool(ni_relational(rel, view)) == \
             bool(ni_possibilistic(rel, view))
+
+
+def test_ni_possibilistic_witness_is_the_first_pair_outside():
+    # the row comparison gives the verdict and witness of the pairs scan,
+    # on random relations, views and output views over up to 12 states
+    rng = random.Random(12)
+    spaces = [StateSpace((("a", 0, 1), ("b", 0, 2))),
+              StateSpace((("a", 0, 2), ("b", 0, 1), ("c", 0, 1))),
+              StateSpace((("a", 0, 3),))]
+    outcomes = set()
+    for _ in range(600):
+        space = rng.choice(spaces)
+        names = [name for name, _, _ in space.vars]
+        view = LowView(space, rng.sample(names, rng.randint(0, len(names))))
+        out = (None if rng.random() < 0.5 else
+               LowView(space, rng.sample(names, rng.randint(0, len(names)))))
+        rel = rnd_rel(rng, space)
+        got = ni_possibilistic(rel, view, out)
+        assert got == ni_possibilistic_by_pairs(rel, view, out), rel
+        outcomes.add(got.ok)
+    assert outcomes == {True, False}
 
 
 def test_rel_hyper_agreement_random(bits, view):
