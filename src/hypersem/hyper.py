@@ -2,12 +2,14 @@
 sets.
 
 Programs denote maps over the double powerset.  Atoms and guards lift
-elementwise.  `[]` and `if` share the inner join: at each maximal member
-p of the query, the product of every branch's value at ↓(p & mask),
-united over p.  A `[]` branch's mask is full; an `if` splits p by its
-guard, as `(assume b; c) [] (assume !b; d)` does.  An n-ary `[]` equals
-the nested binary joins because a join reads only its query's antichain,
-and ↓p's is {p}.
+elementwise.  `[]` and `if` share the inner join, over the (branch,
+mask) pairs of ``lang.join_branches``: at each maximal member p of the
+query, the product of every branch's value at ↓(p & mask), united over
+p.  A `[]` branch's mask is full; an `if` splits p by its guard, as
+`(assume b; c) [] (assume !b; d)` does.  An n-ary `[]` equals the nested
+binary joins because a join reads only its query's antichain, and ↓p's
+is {p}; ``reference`` takes the same n-ary product under every variant,
+by the monotonicity its docstring proves.
 
 Every construct reads only the maximal members of its query, so values
 are memoized per node at *atomic queries*: a memo key is a mask m and
@@ -19,8 +21,8 @@ structurally; atoms map elementwise.  Each node is compiled once per
 evaluator into one entry, keyed by node identity: the node itself (so no
 AST node is hashed, and its id is not reused while the entry lives), its
 rule with the rule's arguments (an atom's transformer and PSC flag, a
-join's branches and masks, a loop's guard mask, complement and body) and
-its memo.  Rules are module functions, called with the evaluator, so an
+join's (branch, mask) pairs, a loop's guard mask, complement and body)
+and its memo.  Rules are module functions, called with the evaluator, so an
 evaluator is freed when its caller drops it.  Evaluation looks the entry
 up and calls its rule, with no dispatch on the node's type.  A down-set
 query whose antichain is one mask m, the usual query, reads or fills the
@@ -61,7 +63,8 @@ from . import reference
 from .errors import IterationBudgetExceeded, NonSubsetClosedQuery
 from .family import (DOWNSET, FamilySet, family_product, family_union,
                      powerset_family)
-from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
+from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
+                   eval_bool, join_branches)
 from .reference import LoopVariant
 from .transformer import Transformer, psc_check
 
@@ -84,15 +87,15 @@ def _seq(ev, parts, fam):
     return fam
 
 
-def _join(ev, branches, masks, fam):
-    """Inner join: at each maximal member p of the query, the product
-    of every branch's value at ↓(p & its mask), then the union over p.
-    Plain loops: a comprehension (on Python 3.11) or a `map` would add
-    to each nesting level's share of the stack."""
+def _join(ev, branches, fam):
+    """Inner join over (branch, mask) pairs: at each maximal member p of
+    the query, the product of every branch's value at ↓(p & its mask),
+    then the union over p.  Plain loops: a comprehension (on Python 3.11)
+    or a `map` would add to each nesting level's share of the stack."""
     parts = []
     for p in fam.antichain():
         val = None
-        for branch, mask in zip(branches, masks):
+        for branch, mask in branches:
             v = ev.eval(branch, powerset_family(p & mask))
             val = v if val is None else family_product(val, v)
         parts.append(val)
@@ -138,17 +141,12 @@ class HEval:
             entry = (node, _seq, ((),), None)  # the empty sequence
         elif isinstance(node, Seq):
             entry = (node, _seq, (node.parts,), {})
-        elif isinstance(node, Choice):
-            full = (self.space.full_mask,) * len(node.parts)
-            entry = (node, _join, (node.parts, full), {})
-        elif isinstance(node, (If, While)):
+        elif isinstance(node, (Choice, If)):
+            entry = (node, _join, (join_branches(node, self.space),), {})
+        elif isinstance(node, While):
             bmask = eval_bool(node.cond, self.space)
-            masks = (bmask, self.space.full_mask & ~bmask)
-            if isinstance(node, If):
-                branches = (node.then, node.orelse)
-                entry = (node, _join, (branches, masks), {})
-            else:
-                entry = (node, None, masks + (node.body,), {})
+            entry = (node, None, (bmask, self.space.full_mask & ~bmask,
+                                  node.body), {})
         else:
             raise TypeError(f"not a statement: {node!r}")
         self._entries[id(node)] = entry

@@ -788,6 +788,18 @@ def eval_bool(b, space):
     return space.elaborated(b, _guard_mask)
 
 
+def join_branches(node, space):
+    """The (branch, mask) pairs a `[]` or `if` node joins: every `[]`
+    branch with the full mask, and an `if`'s two branches with its guard's
+    mask and that mask's complement, for `if b { c } else { d }` is
+    `(assume b; c) [] (assume !b; d)`.  Every evaluator reads a join's
+    masks from here, and nowhere else."""
+    if isinstance(node, If):
+        b = eval_bool(node.cond, space)
+        return ((node.then, b), (node.orelse, space.full_mask & ~b))
+    return tuple((part, space.full_mask) for part in node.parts)
+
+
 # ---------------------------------------------------------------- elaboration
 
 def elaborate_atom(a, space):

@@ -11,24 +11,28 @@ it is enumerated: a member set of more than 16 states under a choice, or
 on one side of the guard of a conditional or a paper loop.  A product of
 more than ``PAIR_BOUND`` pairs is refused before it is formed.
 
-A `[]` chain is joined two branches at a time, nested to the left, as
-the binary definition reads.  The n-ary product that ``hyper`` takes at
-each ↓p equals it when every branch is monotone in the query, as under
-the paper variant; keeping the definition keeps every variant's output
-independent of that fact.  The nesting is folded over a table, not
-built: the first k + 1 branches at ↓q are the union over q' ⊆ q of the
-products of the first k and branch k + 1 at ↓q', which is their product
-at q united with the values at q less one state.  One ascending pass per
-branch over a member's subsets fills it; the last branch is joined at
-the members only.
+`[]` and `if` share one join, over the (branch, mask) pairs of
+``lang.join_branches``: at each member p, the n-ary product of every
+branch's value at ↓(p & its mask), as ``hyper`` takes it.  The binary
+definition nests a chain to the left two branches at a time; the two
+agree under every variant because ``ref_eval`` is monotone in its query
+(F ⊆ G gives ref(F) ⊆ ref(G)), by structural induction: atoms and skip
+map members one by one, `;` composes monotone maps, and a join unites
+over the query's members; a paper or naive loop's value is the limit of
+an increasing chain from {{}} with a monotone right-hand side; an otimes
+iterate unites over the query's members, the key each member reads
+depends on that member alone, and the value is read once the whole
+system is stable.  So the nested join at ↓p, the union over q ⊆ p of
+a(↓q) ⊗ b(↓q), is a(↓p) ⊗ b(↓p), and by induction on the chain the
+nesting is the n-ary product.
 """
 
 import enum
 
 from .errors import IterationBudgetExceeded, QueryBlowup
-from .family import (DEFAULT_EXPANSION_CAP, bounded_product, states_of,
-                     subsets_of)
-from .lang import Atom, Choice, If, Seq, Skip, While, elaborate_atom, eval_bool
+from .family import DEFAULT_EXPANSION_CAP, bounded_product, subsets_of
+from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
+                   eval_bool, join_branches)
 from .transformer import Transformer
 
 
@@ -71,38 +75,18 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
         for part in node.parts:
             family = ref_eval(part, family, space, variant)
         return family
-    if isinstance(node, Choice):
-        first, *mid, last = node.parts
+    if isinstance(node, (Choice, If)):
+        *init, (last, lmask) = join_branches(node, space)
         out = set()
         for p in family:
-            down = _down(p)
-            # the branches before the last at ↓q, for every q ⊆ p (just p
-            # if there is one); ascending, each q follows q less a state
-            subs = sorted(down) if mid else (p,)
-            table = {}
-            for q in subs:
-                table[q] = ref_eval(first, _down(q), space, variant)
-            for part in mid:
-                nxt = {}
-                for q in subs:
-                    acc = set(bounded_product(table[q], ref_eval(
-                        part, _down(q), space, variant)))
-                    for s in states_of(q):
-                        acc |= nxt[q ^ (1 << s)]
-                    nxt[q] = _capped(frozenset(acc))
-                table = nxt
-            b = ref_eval(last, down, space, variant)
-            out.update(bounded_product(table[p], b))
-            _capped(out)
-        return frozenset(out)
-    if isinstance(node, If):
-        bmask = eval_bool(node.cond, space)
-        nb = space.full_mask & ~bmask
-        out = set()
-        for p in family:
-            a = ref_eval(node.then, _down(p & bmask), space, variant)
-            b = ref_eval(node.orelse, _down(p & nb), space, variant)
-            out.update(bounded_product(a, b))
+            # the n-ary product at p, from its unit {{}}: each branch at
+            # ↓(p & its mask), capped as it grows until the last branch
+            val = frozenset((0,))
+            for part, mask in init:
+                val = _capped(frozenset(bounded_product(val, ref_eval(
+                    part, _down(p & mask), space, variant))))
+            out.update(bounded_product(val, ref_eval(
+                last, _down(p & lmask), space, variant)))
             _capped(out)
         return frozenset(out)
     if isinstance(node, While):

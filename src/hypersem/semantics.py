@@ -3,13 +3,21 @@
 ``sem_rel`` uses the relation algebra; ``sem_tr`` applies each construct's
 transformer rule and reads its operands only through ``apply``, so the
 two share the per-space atom and guard elaborations (one relation per
-atom and one mask per guard, kept by the space; see ``lang``), and
-nothing else.  Atoms are direct images and every rule
-keeps a map universally disjunctive, so each value is fixed by its images
-of singletons and is stored as the image of the relation they form.
-``;`` threads those rows through each part's ``apply`` in turn, and ``[]``
-ORs each part's images of the singletons into them, so each part is
-applied once per state.
+atom and one mask per guard, kept by the space; see ``lang``) and the
+join masks of ``lang.join_branches``, and nothing else.  Atoms are
+direct images and every rule keeps a map universally disjunctive, so
+each value is fixed by its images of singletons and is stored as the
+image of the relation they form.  ``;`` threads those rows through each
+part's ``apply`` in turn.
+
+``[]`` and ``if`` share one join arm, over the (branch, mask) pairs of
+``lang.join_branches``: a ``[]`` branch has the full mask, and an ``if``
+reads its branches on its guard's mask and the complement.  ``sem_rel``
+restricts each branch's relation to the pairs whose source lies in its
+mask (``coreflexive(mask) ; R``, computed as a row filter; a loop's
+step restricts its body to the guard the same way) and unites them;
+``sem_tr`` ORs each branch's images of the masked singletons, so each
+branch is applied once per state.
 
 Loops are least fixpoints computed by Kleene iteration from the bottom
 element; on a finite space both chains stabilize within size*size steps
@@ -22,13 +30,17 @@ from functools import reduce
 
 from .errors import IterationBudgetExceeded
 from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
-                   eval_bool)
+                   eval_bool, join_branches)
 from .relation import Rel
 from .transformer import Transformer
 
 
-def neg_mask(mask, space):
-    return space.full_mask & ~mask
+def _restrict(rel, mask):
+    """coreflexive(mask) ; rel: the pairs of rel whose source is in mask."""
+    if mask == rel.space.full_mask:
+        return rel
+    return Rel(rel.space, [row if mask >> s & 1 else 0
+                           for s, row in enumerate(rel.rows)])
 
 
 def sem_rel(node, space):
@@ -40,21 +52,14 @@ def sem_rel(node, space):
     if isinstance(node, Seq):
         rels = [sem_rel(part, space) for part in node.parts]
         return reduce(lambda out, rel: rel.compose(out), reversed(rels))
-    if isinstance(node, Choice):
-        return reduce(Rel.union, [sem_rel(part, space)
-                                  for part in node.parts])
-    if isinstance(node, If):
-        b = eval_bool(node.cond, space)
-        then = Rel.coreflexive(space, b).compose(sem_rel(node.then, space))
-        els = Rel.coreflexive(space, neg_mask(b, space)).compose(
-            sem_rel(node.orelse, space))
-        return then.union(els)
+    if isinstance(node, (Choice, If)):
+        return reduce(Rel.union, [
+            _restrict(sem_rel(part, space), mask)
+            for part, mask in join_branches(node, space)])
     if isinstance(node, While):
         b = eval_bool(node.cond, space)
-        guard = Rel.coreflexive(space, b)
-        notb = Rel.coreflexive(space, neg_mask(b, space))
-        body = sem_rel(node.body, space)
-        step = guard.compose(body)
+        notb = Rel.coreflexive(space, space.full_mask & ~b)
+        step = _restrict(sem_rel(node.body, space), b)
         cur = Rel.empty(space)
         budget = space.size * space.size + 2
         for _ in range(budget):
@@ -85,22 +90,15 @@ def sem_tr(node, space):
             tr = sem_tr(part, space)
             rows = [tr.apply(x) for x in rows]
         return _pointwise(space, rows)
-    if isinstance(node, Choice):
+    if isinstance(node, (Choice, If)):
         rows = [0] * space.size
-        for part in node.parts:
+        for part, mask in join_branches(node, space):
             tr = sem_tr(part, space)
-            rows = [y | tr.apply(x) for x, y in zip(singletons, rows)]
+            rows = [y | tr.apply(x & mask) for x, y in zip(singletons, rows)]
         return _pointwise(space, rows)
-    if isinstance(node, If):
-        g = eval_bool(node.cond, space)
-        ng = neg_mask(g, space)
-        a = sem_tr(node.then, space)
-        b = sem_tr(node.orelse, space)
-        return _pointwise(space, [a.apply(x & g) | b.apply(x & ng)
-                                  for x in singletons])
     if isinstance(node, While):
         g = eval_bool(node.cond, space)
-        ng = neg_mask(g, space)
+        ng = space.full_mask & ~g
         body = sem_tr(node.body, space)
         # the body's image of each guarded singleton is fixed, so it is
         # taken once; each iterate applies only the previous iterate

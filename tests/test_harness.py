@@ -53,6 +53,16 @@ def test_gen_space_bounds():
         assert pf.space().size == size
 
 
+def test_gen_tiny_spaces_fall_back_to_one_variable():
+    # at max_space=2 a first factor of 3 or more leaves no variable (35 of
+    # these 50 seeds), and the generator falls back to one variable that
+    # spans the space; prop1 holds on those programs
+    for seed in range(50):
+        assert gen_program(GenConfig(seed=seed, max_space=2)).space().size <= 2
+    report = diff_prop1(GenConfig(max_space=2), trials=3)
+    assert (report.trials, report.failures) == (3, 0)
+
+
 def test_generated_programs_roundtrip():
     # the generator builds the chains the parser builds: a `;` ending in a
     # `;` and a `[]` beginning with a `[]` are spliced into one node.  The

@@ -515,10 +515,10 @@ def test_every_variant_matches_reference_evaluator(variant):
                 assert got == want, loop
 
 
-def test_chain_fold_matches_the_nested_binary_definition():
-    # the reference folds a `[]` chain over a table of subsets; that is
-    # the chain nested to the left two branches at a time, under every
-    # variant, on chains of 3-6 sub-statements of generated programs
+def test_n_ary_join_matches_the_nested_binary_definition():
+    # the reference joins a `[]` chain as one n-ary product at each member;
+    # that is the chain nested to the left two branches at a time, under
+    # every variant, on chains of 3-6 sub-statements of generated programs
     rng = random.Random(13)
     for seed in range(50):
         pf = gen_program(GenConfig(seed=seed, max_space=5))
@@ -598,8 +598,12 @@ def test_every_value_is_additive_over_its_basis():
 
 
 def test_every_construct_is_monotone_in_the_query():
+    # F ⊆ G gives eval(F) ⊆ eval(G), in the engine and in the reference
+    # under every variant: the lemma by which the reference's n-ary join
+    # equals the nested binary joins
     rng = random.Random(14)
     seen = set()
+    checks = 0
     for kind, stmt, space, small in _construct_cases(rng):
         extra = {rng.randrange(1 << space.size) for _ in range(2)}
         if small.is_subset_closed():
@@ -610,8 +614,14 @@ def test_every_construct_is_monotone_in_the_query():
         lo = HEval(space).eval(stmt, small)
         hi = HEval(space).eval(stmt, big)
         assert family_le(lo, hi), stmt
+        for variant in LoopVariant:
+            lo = ref_eval(stmt, small.members(), space, variant)
+            hi = ref_eval(stmt, big.members(), space, variant)
+            assert lo <= hi, (stmt, variant)
+            checks += 1
         seen.add(kind)
     assert seen >= _CONSTRUCTS_SEEN
+    assert checks == 2508
 
 
 def test_every_construct_is_additive_over_maximal_members():
@@ -668,7 +678,9 @@ def test_shared_evaluator_matches_fresh_ones():
 
 def test_each_atom_and_guard_is_compiled_once(monkeypatch):
     # one evaluator answers every down-set at 4 states of a thm1-style
-    # program: each atom is elaborated, and each guard computed, once
+    # program: each atom is elaborated, and each guard computed, once.  A
+    # loop's guard is computed by the engine, and an `if`'s (the program
+    # has no `[]`) when the engine reads its join branches from lang
     for seed in range(100):
         pf = gen_program(GenConfig(seed=seed, space_size=4, max_range=3,
                                    allow_choice=False,
@@ -681,15 +693,17 @@ def test_each_atom_and_guard_is_compiled_once(monkeypatch):
         pytest.fail("no generated program has both an if and a while")
     calls = {"atom": [], "guard": []}
 
-    def counted(key, fn):
+    def counted(key, fn, arg=lambda node: node):
         def wrapper(node, space):
-            calls[key].append(node)
+            calls[key].append(arg(node))
             return fn(node, space)
         return wrapper
 
     monkeypatch.setattr(hyper, "elaborate_atom",
                         counted("atom", hyper.elaborate_atom))
     monkeypatch.setattr(hyper, "eval_bool", counted("guard", hyper.eval_bool))
+    monkeypatch.setattr(hyper, "join_branches", counted(
+        "guard", hyper.join_branches, lambda node: node.cond))
     space = pf.space()
     ev = HEval(space)
     downsets = list(enumerate_downsets(space.size))

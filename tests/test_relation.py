@@ -70,6 +70,21 @@ def test_coreflexive_empty(x8):
     assert sorted(cor.pairs()) == [(1, 1), (3, 3)]
 
 
+def test_rows_must_fit_the_space(x8):
+    with pytest.raises(ValueError, match="expected 8 rows, got 7"):
+        Rel(x8, (0,) * 7)
+    with pytest.raises(ValueError, match="outside the space"):
+        Rel(x8, (1 << 8,) + (0,) * 7)
+
+
+def test_equal_relations_hash_equal(x8):
+    inc = sem_rel(parse("var x: 0..7; x := x + 1").body, x8)
+    same = Rel.from_pairs(x8, [(s, s + 1) for s in range(7)])
+    assert inc == same and inc is not same
+    assert hash(inc) == hash(same)
+    assert len({inc, same, Rel.identity(x8)}) == 2
+
+
 def test_union_reconstructs_refinement_example(bits):
     full = Rel.from_pairs(bits, EIGHT_PAIRS)
     kept = Rel.from_pairs(bits, [p for p in EIGHT_PAIRS if p not in UNDERLINED])
