@@ -133,14 +133,13 @@ def _cmd_iterates(args):
     return 0
 
 
-def ni_verdicts(pf, forms):
+def ni_verdicts(pf, space, forms):
     """Yield (form, NIVerdict) for each NI form of a program's low policy,
     in order, over one state space.  Each verdict is computed when asked
     for, so a caller that prints as it goes shows the earlier verdicts
     before a later form fails.  ``low`` counts on both sides: the input
     view is low + lowin and the output view low + lowout.  A program with
     no low variables on a side is refused before the first verdict."""
-    space = pf.space()
     low_in = tuple(dict.fromkeys(pf.low + pf.low_in))
     low_out = tuple(dict.fromkeys(pf.low + pf.low_out))
     if not low_in and not low_out:
@@ -166,13 +165,13 @@ def ni_verdicts(pf, forms):
 def _cmd_check_ni(args):
     pf = _read_program(args.file)
     forms = ("rel", "poss", "hyper") if args.form == "all" else (args.form,)
+    space = pf.space()
     ok = True
-    for form, verdict in ni_verdicts(pf, forms):
+    for form, verdict in ni_verdicts(pf, space, forms):
         if verdict:
             print(f"{form}: secure")
             continue
         ok = False
-        space = pf.space()  # names the witness's states
         if form == "hyper":
             cls, img = verdict.witness
             print(f"{form}: insecure  class={format_state_set(space, cls)} "

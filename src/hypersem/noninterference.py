@@ -6,7 +6,7 @@ check additionally demands that the domain not split an agreement class
 (automatic for total denotations), so all three coincide on total
 deterministic programs and are cross-tested against one another:
 
-* relational — the four-state quantifier, checked by enumeration;
+* relational — the four-state quantifier on the relation's rows;
 * possibilistic — the simulation inequality sim;R <= R;sim;
 * hyper — agreement classes stay agreement classes under the forward
   transformer (only the maximal sets, i.e. the classes, need checking).
@@ -27,11 +27,10 @@ from .semantics import sem_tr
 class LowView:
     """Partition of a state space by equality on chosen low variables."""
 
-    __slots__ = ("space", "low_vars", "classes", "class_of")
+    __slots__ = ("space", "classes", "class_of")
 
     def __init__(self, space, low_vars):
-        low = tuple(low_vars)
-        cols = [space.column(v) for v in low]
+        cols = [space.column(v) for v in low_vars]
         buckets = {}
         for s in space.states():
             key = tuple(col[s] for col in cols)
@@ -42,12 +41,8 @@ class LowView:
             for s in _kernels.states_of(mask):
                 class_of[s] = mask
         self.space = space
-        self.low_vars = low
         self.classes = classes
         self.class_of = tuple(class_of)
-
-    def agrees(self, s, t):
-        return self.class_of[s] == self.class_of[t]
 
     def sim_relation(self):
         """The agreement relation as a Rel (s related to its whole class)."""
@@ -68,14 +63,20 @@ NIVerdict.__bool__ = lambda self: self.ok
 
 def ni_relational(rel, view, view_out=None):
     """Deterministic-style NI: related agreeing sources force agreeing
-    targets.  Witness is (s, s', t, t') on failure."""
+    targets, so each class's image lies in one output class.  Witness is
+    (s, s', t, t') on failure, the first of the scan over pairs of pairs."""
     out = view_out if view_out is not None else view
-    pairs = list(rel.pairs())
-    for s, s2 in pairs:
-        for t, t2 in pairs:
-            if view.agrees(s, t) and not out.agrees(s2, t2):
-                return NIVerdict(False, (s, s2, t, t2))
-    return NIVerdict(True)
+    leaky = sum(cls for cls in view.classes
+                if not agr(_kernels.dirimg_rows(rel.rows, cls), out))
+    if not leaky:
+        return NIVerdict(True)
+    s = next(s for s in _kernels.states_of(leaky) if rel.rows[s])
+    # every (s, s') from a failing class fails: s is its lowest source
+    s2 = _kernels.states_of(rel.rows[s])[0]
+    t = next(t for t in _kernels.states_of(view.class_of[s])
+             if rel.rows[t] & ~out.class_of[s2])
+    t2 = _kernels.states_of(rel.rows[t] & ~out.class_of[s2])[0]
+    return NIVerdict(False, (s, s2, t, t2))
 
 
 def ni_possibilistic(rel, view, view_out=None):

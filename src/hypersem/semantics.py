@@ -19,15 +19,16 @@ step restricts its body to the guard the same way) and unites them;
 ``sem_tr`` ORs each branch's images of the masked singletons, so each
 branch is applied once per state.
 
-Loops are least fixpoints computed by Kleene iteration from the bottom
-element; on a finite space both chains stabilize within size*size steps
-(each strict step adds at least one pair).  ``sem_tr`` images the loop
-body at each guarded singleton once, before the iteration, so each
-iterate applies only the previous iterate, once per state.
+A loop is the least fixpoint of X = (b; c); X u !b.  ``sem_rel`` takes
+the star (b; c)* ; !b (Kozen, TOPLAS 1997): from each state it walks the
+guarded body's rows to the states outside the guard.  ``sem_tr`` keeps
+Kleene iteration from bottom (each strict step adds a pair, so it stops
+within size*size steps) and images the body at each guarded state once.
 """
 
 from functools import reduce
 
+from . import _kernels
 from .errors import IterationBudgetExceeded
 from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
                    eval_bool, join_branches)
@@ -58,16 +59,14 @@ def sem_rel(node, space):
             for part, mask in join_branches(node, space)])
     if isinstance(node, While):
         b = eval_bool(node.cond, space)
-        notb = Rel.coreflexive(space, space.full_mask & ~b)
-        step = _restrict(sem_rel(node.body, space), b)
-        cur = Rel.empty(space)
-        budget = space.size * space.size + 2
-        for _ in range(budget):
-            nxt = step.compose(cur).union(notb)
-            if nxt == cur:
-                return cur
-            cur = nxt
-        raise IterationBudgetExceeded("relational loop fixpoint")
+        step = _restrict(sem_rel(node.body, space), b).rows
+        rows = []
+        for s in space.states():
+            reached = frontier = 1 << s
+            while frontier := _kernels.dirimg_rows(step, frontier) & ~reached:
+                reached |= frontier
+            rows.append(reached & ~b)
+        return Rel(space, rows)
     raise TypeError(f"not a statement: {node!r}")
 
 
@@ -112,5 +111,6 @@ def sem_tr(node, space):
             if nxt.rel == cur.rel:
                 return cur
             cur = nxt
+        # unreachable while the iterates grow: each strict step adds a pair
         raise IterationBudgetExceeded("transformer loop fixpoint")
     raise TypeError(f"not a statement: {node!r}")

@@ -1,6 +1,7 @@
 """Test-side machinery: transformers as plain subset tables, walks over
-statements, and the random relations and hand-built atoms and guards that
-several test modules share.
+statements, the random relations and hand-built atoms and guards that
+several test modules share, and the definitional forms (the Kleene loop
+and the NI scans over pairs) that ``src/`` computes in closed form.
 
 A subset table over n states lists the image of every mask q, for q in
 range(1 << n).  Tables host the lemma tests' transformers that are no
@@ -13,9 +14,10 @@ from rows; ``is_partial_function`` is the reference for its verdict.
 from hypersem import _kernels
 from hypersem.lang import (Atom, BoolBin, BoolConst, Choice, Cmp, If,
                            IntConst, IntVar, RelAtom, Seq, Skip, While,
-                           elaborate_atom)
+                           elaborate_atom, eval_bool)
 from hypersem.noninterference import NIVerdict
 from hypersem.relation import Rel
+from hypersem.semantics import sem_rel
 
 
 def table_of(tr):
@@ -128,6 +130,21 @@ def mask_guard(space, bmask):
     return cond
 
 
+def ni_relational_by_pairs(rel, view, view_out=None):
+    """Relational NI as a scan over pairs of ``pairs()``, each in
+    ``pairs()`` order, for the first two with agreeing sources and
+    disagreeing targets: the reference for ``ni_relational``'s verdict and
+    witness."""
+    out = view_out if view_out is not None else view
+    pairs = list(rel.pairs())
+    for s, s2 in pairs:
+        for t, t2 in pairs:
+            if (view.class_of[s] == view.class_of[t]
+                    and out.class_of[s2] != out.class_of[t2]):
+                return NIVerdict(False, (s, s2, t, t2))
+    return NIVerdict(True)
+
+
 def ni_possibilistic_by_pairs(rel, view, view_out=None):
     """Possibilistic NI as a scan of sim;R's pairs, in ``pairs()`` order,
     for the first one outside R;sim: the reference for
@@ -141,6 +158,23 @@ def ni_possibilistic_by_pairs(rel, view, view_out=None):
         if not rhs.rows[s] >> t & 1:
             return NIVerdict(False, (s, t))
     raise AssertionError("sim;R is not inside R;sim, yet has no pair outside")
+
+
+def sem_rel_loop_by_kleene(node, space):
+    """A `while` node's relation as the least fixpoint of
+    X = (b; c); X u !b, by Kleene iteration from the empty relation: the
+    reference for ``sem_rel``'s closed form (b; c)* ; !b.  Each strict
+    step adds a pair, so the chain stops within size*size steps."""
+    b = eval_bool(node.cond, space)
+    notb = Rel.coreflexive(space, space.full_mask & ~b)
+    step = Rel.coreflexive(space, b).compose(sem_rel(node.body, space))
+    cur = Rel.empty(space)
+    for _ in range(space.size * space.size + 2):
+        nxt = step.compose(cur).union(notb)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise AssertionError("the Kleene chain did not stabilize")
 
 
 def binary_chains(node):

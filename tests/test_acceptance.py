@@ -313,7 +313,7 @@ def test_criterion_8_cross_oracle_ni():
         pf = gen_program(replace(base, seed=seed))
         text = pp_stmt(pf.body).replace("x", "hi").replace("y", "lo")
         pf = parse("var hi: 0..1; var lo: 0..1; low lo;\n" + text)
-        verdicts = ni_verdicts(pf, ("rel", "poss", "hyper"))
+        verdicts = ni_verdicts(pf, pf.space(), ("rel", "poss", "hyper"))
         if len({bool(v) for _, v in verdicts}) != 1:
             disagreements += 1
     assert disagreements == 0

@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from hypersem import cli, harness, lang
+from hypersem import cli, harness, lang, semantics
 from hypersem.cli import main
 from hypersem.family import FamilySet
 from hypersem.harness import GenConfig, gen_program
@@ -14,6 +14,7 @@ from hypersem.lang import ProgramFile, parse, pp_program
 from hypersem.noninterference import LowView
 from hypersem.notation import format_family, format_state, format_state_set
 from hypersem.relation import Rel
+from hypersem.transformer import Transformer
 from support import statements
 
 LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
@@ -56,6 +57,25 @@ def test_eval_tr_level_worked_value(capsys, loop_file):
                        "--input", "[{x=2},{x=5}]")
     assert code == 0
     assert out.strip() == "[{x=4},{x=5}]"
+
+
+def test_eval_tr_reports_a_loop_whose_iterates_never_settle(
+        capsys, loop_file, monkeypatch):
+    # a program's iterates grow, so the budget is reached only through an
+    # iterate that oscillates between the identity and the empty map
+    built = []
+
+    def oscillating(space, rows):
+        built.append(rows)
+        return Transformer.image(Rel.identity(space) if len(built) % 2
+                                 else Rel.empty(space))
+
+    monkeypatch.setattr(semantics, "_pointwise", oscillating)
+    code, out, err = run(capsys, "eval", loop_file, "--level", "tr",
+                         "--input", "[{x=2}]")
+    assert (code, out) == (2, "")
+    assert err == "error: transformer loop fixpoint\n"
+    assert len(built) == 8 * 8 + 2
 
 
 def test_eval_hyper_strict_rejects_open_query(capsys, loop_file):

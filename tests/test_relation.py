@@ -6,12 +6,13 @@ from hypersem import _kernels, relation
 from hypersem.errors import SpaceMismatch
 from hypersem.family import mask_of, states_of
 from hypersem.harness import GenConfig, gen_program
-from hypersem.lang import parse
+from hypersem.lang import While, parse, pp_stmt
 from hypersem.relation import IMAGE_TABLE_MAX_STATES, Rel
 from hypersem.semantics import sem_rel
 from hypersem.space import StateSpace
 from hypersem.transformer import Transformer
-from support import is_partial_function, rnd_rel
+from support import (is_partial_function, rnd_rel, sem_rel_loop_by_kleene,
+                     statements)
 
 
 def body(text):
@@ -202,6 +203,38 @@ def test_sem_rel_loop_golden():
 def test_sem_rel_divergence_is_empty():
     node, space = body("var x: 0..7; while true { skip }")
     assert sem_rel(node, space) == Rel.empty(space)
+
+
+@pytest.mark.parametrize("deterministic", [True, False],
+                         ids=["deterministic", "nondeterministic"])
+def test_sem_rel_loop_is_the_least_fixpoint(deterministic):
+    # the star (b; c)* ; !b against the Kleene chain at every `while` of
+    # generated programs, whose atoms may be partial or relation literals
+    loops = 0
+    for seed in range(1000):
+        cfg = GenConfig(seed=seed, max_space=12,
+                        allow_choice=not deterministic,
+                        allow_nondet_atoms=not deterministic)
+        pf = gen_program(cfg)
+        space = pf.space()
+        for node in statements(pf.body):
+            if isinstance(node, While):
+                assert sem_rel(node, space) == \
+                    sem_rel_loop_by_kleene(node, space), pp_stmt(node)
+                loops += 1
+    assert loops >= 700
+
+
+@pytest.mark.parametrize("text", [
+    "var x: 0..7; while true { skip }",
+    "var x: 0..7; while false { x := x + 1 }",
+    "var x: 0..63; while 0 < x { x := x - 1 }",
+    "var hi: 0..7; var lo: 0..7; low lo; "
+    "while 0 < hi { hi := hi - 1 ; lo := lo + 1 [] skip }",
+], ids=["diverge", "exit", "countdown-64", "havoc-like-64"])
+def test_sem_rel_loop_is_the_least_fixpoint_by_hand(text):
+    node, space = body(text)
+    assert sem_rel(node, space) == sem_rel_loop_by_kleene(node, space)
 
 
 def test_dirimg_distributes():
