@@ -236,6 +236,9 @@ class HEval:
             if prev is not None and all(v == prev[u] for u, v in cur.items()):
                 return cur
             if i == budget:
+                # unreachable unless monotonicity breaks: values only grow
+                # from bottom, at most 2^n times per unknown, which stays
+                # within loop_budget up to 20 states
                 raise IterationBudgetExceeded(
                     f"loop iteration did not stabilize within {budget} steps")
             prev = cur
@@ -261,6 +264,9 @@ class HEval:
                 vals[u] = new
                 updates += 1
                 if updates > budget:
+                    # unreachable unless monotonicity breaks: values only
+                    # grow from bottom, at most 2^n times per unknown,
+                    # which stays within loop_budget up to 20 states
                     raise IterationBudgetExceeded(
                         f"loop solve exceeded {budget} updates")
                 for d in rdeps[u]:

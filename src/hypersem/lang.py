@@ -23,6 +23,7 @@ space keeps each atom's relation and each guard's mask once computed,
 so a space serves one program (see ``space``).
 """
 
+import itertools
 import operator
 import re
 
@@ -254,48 +255,63 @@ _SYMBOLS = [":=", ":in", "..", "[]", "->", "!=", "<=", ">=", "&&", "||",
             ";", "{", "}", "(", ")", "[", "]", ",", "=", "<", ">", "+",
             "-", "*", "!", ":"]
 
-# Blanks and comments, then one token.  A line break is \r\n, \r or \n,
-# in the lexer and in positions alike, and a comment runs to the next
-# one.  Symbols are tried in _SYMBOLS order; a keyword is a name-shaped
-# word, so one followed by a name character is part of a longer name.
-# `eof` and `bad` (any other character) make the pattern match at every
-# position.
+# Blanks and comments, then one token in the one capturing group.  A line
+# break is \r\n, \r or \n, in the lexer and in positions alike, and a
+# comment runs to the next one.  A word is a name, or a keyword if its
+# text is in KEYWORDS; it takes every name character, so a keyword
+# followed by one is part of a longer name.  Symbols are tried in
+# _SYMBOLS order.  `\Z` (eof, whose text is "") and `.` (any other
+# character, a bad one) make the pattern match at every position.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?://[^\r\n]*(?![^\r\n])[ \t\r\n]*)*"
-    r"(?:(?P<kw>(?:" + "|".join(sorted(KEYWORDS)) + r")(?![A-Za-z0-9_]))"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
-    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
-    r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
+    r"([A-Za-z_][A-Za-z0-9_]*|[0-9]+|"
+    + "|".join(map(re.escape, _SYMBOLS)) + r"|\Z|.)", re.DOTALL)
+
+# Every one-character text a token may have: a one-character symbol, or
+# an ASCII letter, digit or `_`.  `.` matches only one character, so any
+# other one-character text is a bad character.
+_ONE_CHAR_TOKENS = frozenset(
+    [s for s in _SYMBOLS if len(s) == 1]
+    + [c for c in map(chr, range(128)) if c.isalnum() or c == "_"])
 
 
 def _lex(text):
-    """Text as three parallel lists: token kinds, texts and start offsets.
-    They end with eof, whose text is "".
+    """Text as its list of token texts, which ends with eof's, "".
 
-    One match of _TOKEN_RE per token covers the blanks and comments before
-    it, then the token; the pattern matches at every position, so the
-    scan skips no character.  No token object is built and no line or
-    column is computed: positions come from start offsets, through
-    _position, only when an error is reported.
+    One C-level findall of _TOKEN_RE covers the text: each match is the
+    blanks and comments before a token, then the token.  A text that ends
+    in blanks or a comment gives eof a non-empty match, and findall then
+    takes one more, empty, match at the end; that second eof is dropped.
+    A bad character is looked for once per distinct text, and the first
+    one in the list is reported.  No token object, kind or offset is
+    built: the parser reads a token's kind off its text (see _Parser),
+    and _offset rescans the text for a token's offset only when an error
+    is reported.
 
     The pattern stays linear on any input because no nested quantifier is
     ambiguous: blanks are read as runs between comments, and a comment
     runs to the end of its line and cannot give characters back (the
-    lookahead after it fails on any shorter match).  It needs neither
-    possessive quantifiers nor atomic groups, which Python 3.10, the
-    oldest supported version, lacks.
+    lookahead after it fails on any shorter match).  After the blanks the
+    group always matches, by `.` or at the end, so no match backtracks into
+    them.  It needs neither possessive quantifiers nor atomic groups,
+    which Python 3.10, the oldest supported version, lacks.
     """
-    kinds, texts, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        kinds.append(kind)
-        texts.append(m[kind])
-        starts.append(m.start(kind))
-        if kind == "eof":
-            return kinds, texts, starts
-        if kind == "bad":
-            raise ParseError(f"unexpected character {texts[-1]!r}",
-                             *_position(text, starts[-1]))
+    texts = _TOKEN_RE.findall(text)
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()
+    bad = [t for t in set(texts) if len(t) == 1 and t not in _ONE_CHAR_TOKENS]
+    if bad:
+        index = min(map(texts.index, bad))
+        raise ParseError(f"unexpected character {texts[index]!r}",
+                         *_position(text, _offset(text, index)))
+    return texts
+
+
+def _offset(text, index):
+    """Start offset of the token at index in _lex(text), found by
+    rescanning the text up to that token."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    return m.start(1)
 
 
 def _position(text, offset):
@@ -327,19 +343,25 @@ class _Parser:
     ``tentative`` counts the tentative parses (``batom``'s parenthesized
     guard) in progress: inside one, every syntax error is caught, so it
     is raised as a bare _Retry, and no position is computed for it.
+
+    A token's kind is read off its text, at the few sites that ask for
+    one: "" is eof; a digit-led text is an int (``isdigit``); a word is a
+    keyword if its text is in KEYWORDS and a name otherwise
+    (``isidentifier``).  These string tests are exact on token texts,
+    because _lex lets no character outside ASCII through.
     """
 
     def __init__(self, text):
         self.text = text
-        self.kinds, self.texts, self.starts = _lex(text)
+        self.texts = _lex(text)
         self.pos = 0
         self.declared = None
         self.tentative = 0
 
     def at(self, text):
         """Whether the current token is the keyword or symbol text.  The
-        text alone decides: no name or int token has a keyword's or a
-        symbol's text, and eof's is empty."""
+        text alone decides: a word with a keyword's text is that keyword,
+        no int has a symbol's text, and eof's is empty."""
         return self.texts[self.pos] == text
 
     def next(self):
@@ -349,7 +371,7 @@ class _Parser:
 
     def found(self):
         """The current token, as error messages name it."""
-        if self.kinds[self.pos] == "eof":
+        if not self.texts[self.pos]:
             return "end of input"
         return repr(self.texts[self.pos])
 
@@ -362,13 +384,15 @@ class _Parser:
         """Raise msg at the current token, or at the token at index."""
         if self.tentative:
             raise _Retry
-        start = self.starts[self.pos if index is None else index]
-        raise ParseError(msg, *_position(self.text, start))
+        offset = _offset(self.text, self.pos if index is None else index)
+        raise ParseError(msg, *_position(self.text, offset))
 
     def name(self):
-        if self.kinds[self.pos] != "name":
+        t = self.texts[self.pos]
+        if not t.isidentifier() or t in KEYWORDS:
             self.fail(f"expected identifier, found {self.found()}")
-        return self.next()
+        self.pos += 1
+        return t
 
     def ref(self):
         """A variable reference: a name that must be declared."""
@@ -381,7 +405,7 @@ class _Parser:
         neg = self.at("-")
         if neg:
             self.pos += 1
-        if self.kinds[self.pos] != "int":
+        if not self.texts[self.pos].isdigit():
             self.fail(f"expected integer, found {self.found()}")
         v = self.int_token()
         return -v if neg else v
@@ -398,10 +422,9 @@ class _Parser:
         try:
             v = int(text)
         except ValueError:
-            start = self.starts[self.pos]
             raise ParseError(
                 f"integer literal of {len(text)} digits is too long",
-                *_position(self.text, start)) from None
+                *_position(self.text, _offset(self.text, self.pos))) from None
         self.pos += 1
         return v
 
@@ -422,7 +445,7 @@ class _Parser:
         return out
 
     def end(self):
-        if self.kinds[self.pos] != "eof":
+        if self.texts[self.pos]:
             self.fail(f"unexpected trailing input {self.texts[self.pos]!r}")
 
     # ---- program
@@ -492,7 +515,7 @@ class _Parser:
     def unit(self):
         pos = self.pos
         t = self.texts[pos]
-        if self.kinds[pos] == "name":
+        if t.isidentifier() and t not in KEYWORDS:
             # check the target only once this is an assignment, so a
             # misspelled keyword keeps its syntax error
             op = self.texts[pos + 1]
@@ -622,12 +645,11 @@ class _Parser:
         return node
 
     def factor(self):
-        kind = self.kinds[self.pos]
-        if kind == "int":
-            return IntConst(self.int_token())
-        if kind == "name":
-            return IntVar(self.ref())
         t = self.texts[self.pos]
+        if t.isdigit():
+            return IntConst(self.int_token())
+        if t.isidentifier() and t not in KEYWORDS:
+            return IntVar(self.ref())
         if t == "-":
             self.pos += 1
             return IntNeg(self.factor())

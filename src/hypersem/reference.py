@@ -97,9 +97,10 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
         for i, vals in enumerate(ref_iterates(systems)):
             if vals == prev:
                 return vals[frozenset(family)]
-            # the otimes iterates need not increase, so they may cycle
             budget = loop_budget(space.size, len(vals))
             if i == budget:
+                # the naive and otimes iterates are not monotone and may
+                # cycle, so the budget is their guard
                 raise IterationBudgetExceeded(
                     f"loop iteration did not stabilize within {budget} steps")
             prev = vals

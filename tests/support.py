@@ -1,7 +1,8 @@
 """Test-side machinery: transformers as plain subset tables, walks over
 statements, the random relations and hand-built atoms and guards that
-several test modules share, and the definitional forms (the Kleene loop
-and the NI scans over pairs) that ``src/`` computes in closed form.
+several test modules share, the definitional forms (the Kleene loop
+and the NI scans over pairs) that ``src/`` computes in closed form, and
+the token-at-a-time lexer that ``lang._lex``'s one scan replaces.
 
 A subset table over n states lists the image of every mask q, for q in
 range(1 << n).  Tables host the lemma tests' transformers that are no
@@ -11,10 +12,14 @@ with ``_kernels.psc_scan_table``, the reference for ``psc_check``'s answer
 from rows; ``is_partial_function`` is the reference for its verdict.
 """
 
+import re
+import string
+
 from hypersem import _kernels
-from hypersem.lang import (Atom, BoolBin, BoolConst, Choice, Cmp, If,
-                           IntConst, IntVar, RelAtom, Seq, Skip, While,
-                           elaborate_atom, eval_bool)
+from hypersem.errors import ParseError
+from hypersem.lang import (KEYWORDS, Atom, BoolBin, BoolConst, Choice, Cmp,
+                           If, IntConst, IntVar, RelAtom, Seq, Skip, While,
+                           _SYMBOLS, _position, elaborate_atom, eval_bool)
 from hypersem.noninterference import NIVerdict
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel
@@ -198,3 +203,57 @@ def binary_chains(node):
     if isinstance(node, While):
         return While(node.cond, binary_chains(node.body))
     return node
+
+
+FUZZ_ALPHABET = " ;{}[](),=<>-+*:.!&|xyz019"
+
+
+def mutate(rng, text, alphabet=FUZZ_ALPHABET):
+    """text with one character deleted, inserted or replaced at a random
+    place; an inserted or replacing character is drawn from alphabet."""
+    i = rng.randrange(len(text) + 1)
+    c = rng.choice(alphabet)
+    return rng.choice((text[:i] + text[i + 1:], text[:i] + c + text[i:],
+                       text[:i] + c + text[i + 1:]))
+
+
+# The lexer's pattern with one named group per token kind: the reference
+# for ``lang._lex``, which reads one list of texts in one findall.
+_REF_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?://[^\r\n]*(?![^\r\n])[ \t\r\n]*)*"
+    r"(?:(?P<kw>(?:" + "|".join(sorted(KEYWORDS)) + r")(?![A-Za-z0-9_]))"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
+    r"|(?P<eof>\Z)|(?P<bad>.))", re.DOTALL)
+
+
+def ref_lex(text):
+    """Text as three parallel lists, token kinds, texts and start offsets,
+    ending with eof, whose text is "": one match of the named-group
+    pattern per token, read up to eof or to the first bad character,
+    which raises the ParseError the front end reports."""
+    kinds, texts, starts = [], [], []
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        kinds.append(kind)
+        texts.append(m[kind])
+        starts.append(m.start(kind))
+        if kind == "eof":
+            return kinds, texts, starts
+        if kind == "bad":
+            raise ParseError(f"unexpected character {texts[-1]!r}",
+                             *_position(text, starts[-1]))
+
+
+def token_kind(text):
+    """A token's kind read off its text: "" is eof, a token that starts
+    with an ASCII digit is an int, one that starts with an ASCII word
+    character is a keyword if its text is in KEYWORDS and a name
+    otherwise, and any other token is a symbol."""
+    if not text:
+        return "eof"
+    if text[0] in string.digits:
+        return "int"
+    if text[0] in string.ascii_letters + "_":
+        return "kw" if text in KEYWORDS else "name"
+    return "sym"

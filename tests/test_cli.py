@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from hypersem import cli, harness, lang, semantics
+from hypersem import cli, harness, lang, reference, semantics
 from hypersem.cli import main
 from hypersem.family import FamilySet
 from hypersem.harness import GenConfig, gen_program
@@ -15,7 +15,7 @@ from hypersem.noninterference import LowView
 from hypersem.notation import format_family, format_state, format_state_set
 from hypersem.relation import Rel
 from hypersem.transformer import Transformer
-from support import statements
+from support import mutate, statements
 
 LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
 LEAK = "var hi: 0..1;\nvar lo: 0..1;\nlow lo;\nlo := hi\n"
@@ -76,6 +76,28 @@ def test_eval_tr_reports_a_loop_whose_iterates_never_settle(
     assert (code, out) == (2, "")
     assert err == "error: transformer loop fixpoint\n"
     assert len(built) == 8 * 8 + 2
+
+
+HYPER_LOOP = ["eval", str(PROGRAMS / "loop.imp"), "--level", "hyper",
+              "--input", "[[],[{x=2}]]"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (HYPER_LOOP, "loop solve exceeded 0 updates"),
+    (HYPER_LOOP + ["--variant", "naive"],
+     "loop iteration did not stabilize within 0 steps"),
+    (["diff", "--thm1", "--trials", "5", "--cross-check"],
+     "loop iteration did not stabilize within 0 steps"),
+], ids=["demand-solve", "reference-iteration", "cross-check-kleene"])
+def test_a_zero_loop_budget_is_reported(capsys, monkeypatch, argv, message):
+    # a zero budget reaches each hyper-level budget's raise: the demand
+    # solve's (paper), ref_eval's iteration's (naive), and the cross-check's
+    # Kleene iteration's (diff's first loop, whose demand solve makes no
+    # update).  The comment at each raise says what bounds a real budget.
+    monkeypatch.setattr(reference, "loop_budget", lambda size, nqueries: 0)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_eval_hyper_strict_rejects_open_query(capsys, loop_file):
@@ -806,13 +828,6 @@ def test_repeated_name_in_a_literal_is_an_error(capsys, loop_file, tmp_path):
         assert "repeated variable 'x'" in err
 
 
-def _mutate(rng, text):
-    i = rng.randrange(len(text) + 1)
-    c = rng.choice(" ;{}[](),=<>-+*:.!&|xyz019")
-    return rng.choice((text[:i] + text[i + 1:], text[:i] + c + text[i:],
-                       text[:i] + c + text[i + 1:]))
-
-
 def test_front_end_fuzz(capsys, tmp_path):
     # generator programs and one-character mutations of them, through
     # parse, check-ni, psc and eval with (mutated) literals: the exit-code
@@ -831,8 +846,8 @@ def test_front_end_fuzz(capsys, tmp_path):
             ("hyper", format_family(space, FamilySet.downset(
                 (rng.randrange(1 << space.size),))))))
         if seed % 2:
-            text = _mutate(rng, text)
-            literal = _mutate(rng, literal)
+            text = mutate(rng, text)
+            literal = mutate(rng, literal)
         path.write_text(text)
         for argv in (["parse", str(path)], ["check-ni", str(path)],
                      ["psc", str(path)],

@@ -10,7 +10,8 @@ import pytest
 
 from hypersem import hyper
 from hypersem._kernels import psc_scan_table
-from hypersem.errors import NonSubsetClosedQuery, QueryBlowup
+from hypersem.errors import (IterationBudgetExceeded, NonSubsetClosedQuery,
+                             QueryBlowup)
 from hypersem.family import (FamilySet, bounded_product, family_le,
                              family_product, family_union, mask_of,
                              powerset_family, ssc, subsets_of)
@@ -48,6 +49,22 @@ def test_engine_computes_the_paper_variant_only(x8):
     for variant in (LoopVariant.NAIVE, LoopVariant.OTIMES):
         with pytest.raises(ValueError):
             HEval(x8, variant)
+
+
+def test_cross_check_reports_an_exceeded_kleene_budget(monkeypatch):
+    # `while true { skip }` leaves the demand solve at bottom with no
+    # update, so a zero budget is first exceeded in the cross-check's
+    # Kleene iteration; the CLI reaches it through `diff --thm1
+    # --cross-check` (test_cli)
+    monkeypatch.setattr(hyper.reference, "loop_budget",
+                        lambda size, nqueries: 0)
+    pf = parse("var x: 0..1; while true { skip }")
+    ev = HEval(pf.space(), cross_check=True)
+    with pytest.raises(IterationBudgetExceeded,
+                       match="^loop iteration did not stabilize within 0 "
+                             "steps$"):
+        ev.eval(pf.body, FamilySet.downset((0b11,)))
+    assert ev.stats.value_updates == 0
 
 
 # ---------------------------------------------------------------- operators

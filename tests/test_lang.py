@@ -9,18 +9,20 @@ import pytest
 
 from hypersem import lang
 from hypersem.errors import MissingVariable, ParseError, UndeclaredVariable
-from hypersem.family import mask_of, powerset_family
-from hypersem.harness import GenConfig, _Gen
+from hypersem.family import FamilySet, mask_of, powerset_family
+from hypersem.harness import GenConfig, _Gen, gen_program
 from hypersem.hyper import happly
 from hypersem.lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice,
                            Cmp, Havoc, If, IntBin, IntConst, IntNeg, IntVar,
                            NondetAssign, Not, RelAtom, Seq, Skip, While,
                            elaborate_atom, eval_bool, eval_int, parse,
                            pp_program, pp_stmt)
-from hypersem.notation import parse_family, parse_state
+from hypersem.notation import (format_family, format_state, format_state_set,
+                               parse_family, parse_state)
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
-from support import atoms_deterministic, is_choice_free, kept
+from support import (FUZZ_ALPHABET, atoms_deterministic, is_choice_free,
+                     kept, mutate, ref_lex, token_kind)
 
 PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
 
@@ -46,10 +48,11 @@ def test_parse_error_position():
 
 
 def tokenize(text):
-    """Tokens of text as (kind, text, line, col) tuples, then eof."""
-    kinds, texts, starts = lang._lex(text)
-    return [(kind, word, *lang._position(text, start))
-            for kind, word, start in zip(kinds, texts, starts)]
+    """Tokens of text as (kind, text, line, col) tuples, then eof: each
+    kind read off its text, each position from the offset a rescan gives."""
+    return [(token_kind(word), word,
+             *lang._position(text, lang._offset(text, index)))
+            for index, word in enumerate(lang._lex(text))]
 
 
 def test_token_positions():
@@ -99,9 +102,12 @@ TOO_LONG = "integer literal of 5000 digits is too long"
     (parse, "var x: 0..1;\nif x < 1 { skip } skip",
      "2:19: expected 'else', found 'skip'"),
     (parse, "var 1: 0..1; skip", "1:5: expected identifier, found '1'"),
+    (parse, "var if: 0..1; skip", "1:5: expected identifier, found 'if'"),
     (parse, "var x: 0..y; skip", "1:11: expected integer, found 'y'"),
     (parse, "var x: 0..1; x := *",
      "1:19: expected integer expression, found '*'"),
+    (parse, "var x: 0..1; x := true",
+     "1:19: expected integer expression, found 'true'"),
     (parse, "var x: 0..1; assume x ; skip",
      "1:23: expected comparison operator, found ';'"),
     (parse, "var x: 0..1; x := 1 ; ;", "1:23: expected statement, found ';'"),
@@ -139,9 +145,10 @@ TOO_LONG = "integer literal of 5000 digits is too long"
     (lambda text: parse_state(X01, text), f"{{x={BIG}}}", f"1:4: {TOO_LONG}"),
     (parse, f"var x: 0..1;\nrel {{ {{x=0}} -> {{x={BIG}}} }}\n",
      f"2:19: {TOO_LONG}"),
-], ids=["expected-symbol", "identifier", "integer", "integer-expression",
-        "comparison", "statement", "assignment", "trailing", "repeated",
-        "no-declaration", "guard-backtrack", "character-after-crlf-tab",
+], ids=["expected-symbol", "identifier", "keyword-identifier", "integer",
+        "integer-expression", "keyword-expression", "comparison",
+        "statement", "assignment", "trailing", "repeated", "no-declaration",
+        "guard-backtrack", "character-after-crlf-tab",
         "eof-after-comment", "eof-identifier", "bare-cr", "comment-to-cr",
         "rel-pair-line", "rel-indented-line", "rel-bare-cr",
         "rel-form-feed-is-no-line-break",
@@ -155,12 +162,17 @@ def test_parse_error_messages_and_positions(read, text, message):
 
 
 def test_successful_parse_computes_no_position(monkeypatch):
-    # positions come from token offsets only when an error is reported;
-    # the failed first reading of `(x + 1)` as a guard reports none
+    # offsets, and positions from them, are computed only when an error is
+    # reported; the failed first reading of `(x + 1)` as a guard reports
+    # none
     def no_position(text, offset):
         raise AssertionError("a successful parse computed a position")
 
+    def no_offset(text, index):
+        raise AssertionError("a successful parse rescanned for an offset")
+
     monkeypatch.setattr(lang, "_position", no_position)
+    monkeypatch.setattr(lang, "_offset", no_offset)
     texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.imp"))]
     texts.append("var x: 0..1;\nassume "
                  + " && ".join(["(x + 1) = 1"] * 2000) + "\n")
@@ -169,7 +181,7 @@ def test_successful_parse_computes_no_position(monkeypatch):
         parse(text)
 
 
-@pytest.mark.parametrize("text, message", [
+HOSTILE = [
     (" " * 200_000 + "@", "1:200001: unexpected character '@'"),
     ("// note\n" * 50_000,
      "50001:1: program must declare at least one variable"),
@@ -177,8 +189,11 @@ def test_successful_parse_computes_no_position(monkeypatch):
      "50001:1: program must declare at least one variable"),
     ("var x: 0..1; skip " + "/" * 100_000, None),
     ("x" * 100_000 + "@", "1:100001: unexpected character '@'"),
-], ids=["blanks", "comment-lines", "comment-lines-cr", "slashes",
-        "long-name"])
+]
+
+
+@pytest.mark.parametrize("text, message", HOSTILE, ids=[
+    "blanks", "comment-lines", "comment-lines-cr", "slashes", "long-name"])
 def test_hostile_inputs_parse_in_linear_time(text, message):
     start = time.perf_counter()
     if message is None:
@@ -188,6 +203,57 @@ def test_hostile_inputs_parse_in_linear_time(text, message):
             parse(text)
         assert str(exc.value) == message
     assert time.perf_counter() - start < 2.0
+
+
+def _lexed(lex, text):
+    """lex(text), or the text of the ParseError it raises."""
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_one_scan_lexer_matches_the_token_at_a_time_lexer():
+    # the same token texts, a kind read off each text that is the kind the
+    # named-group pattern gives, the offsets that pattern gives, and the
+    # same error wherever it raises: on the programs, generated programs,
+    # literals, one-character mutations of both and the hostile inputs
+    rng = random.Random(34)
+    texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.imp"))]
+    texts += [text for text, _ in HOSTILE]
+    alphabet = FUZZ_ALPHABET + "@\u00e9\x0c/&|."
+    for seed in range(200):
+        pf = gen_program(GenConfig(seed=seed, max_space=6))
+        space = pf.space()
+        fam = FamilySet.downset((rng.randrange(1 << space.size),))
+        for text in (pp_program(pf),
+                     format_state(space, rng.randrange(space.size)),
+                     format_state_set(space, rng.randrange(1 << space.size)),
+                     format_family(space, fam)):
+            texts += [text, mutate(rng, text, alphabet),
+                      mutate(rng, text, alphabet)]
+    errors = 0
+    for text in texts:
+        ref = _lexed(ref_lex, text)
+        got = _lexed(lang._lex, text)
+        if isinstance(ref, str):
+            assert got == ref, text
+            errors += 1
+            continue
+        kinds, words, starts = ref
+        assert got == words, text
+        assert [token_kind(word) for word in got] == kinds, text
+        offsets = [m.start(1) for m in lang._TOKEN_RE.finditer(text)]
+        assert offsets[:len(got)] == starts, text
+        assert lang._offset(text, len(got) - 1) == starts[-1]
+        # the parser's own kind tests: isdigit for an int, isidentifier
+        # for a word, and KEYWORDS for a keyword
+        for word, kind in zip(got, kinds):
+            assert word.isdigit() == (kind == "int")
+            assert (word.isidentifier() and word not in lang.KEYWORDS) \
+                == (kind == "name")
+    # both outcomes are well represented: 330 of 2,412 texts raise
+    assert 200 < errors < len(texts) // 2
 
 
 def test_choice_binds_looser_than_seq():
