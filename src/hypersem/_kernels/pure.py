@@ -5,9 +5,9 @@ A family's member sets are the frozensets of masks ``FamilySet`` stores,
 and the kernels on them take a set or frozenset and return a frozenset
 (``below_set`` a set), unsorted.  ``below_set`` is the one bit walk that
 tells whether such a set is down-closed; ``is_downclosed`` builds on it.
-The lift oracle's principal parts (``Transformer.subset_images``) do
-not: a part's images all lie below its top image, so one count against
-2^|top| decides their closure.
+The lift oracle's principal parts (``Rel.subset_images``) do not: a
+part's images all lie below its top image, so one count against 2^|top|
+decides their closure.
 """
 
 

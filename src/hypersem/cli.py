@@ -24,7 +24,7 @@ from .notation import (family_json, format_family, format_state,
                        parse_state_set, state_set_json, to_json_text)
 from .semantics import sem_rel, sem_tr
 from .space import StateSpace
-from .transformer import Transformer, psc_check
+from .transformer import psc_check
 
 _VARIANTS = {v.value: v for v in LoopVariant}
 
@@ -220,7 +220,7 @@ def _cmd_diff(args):
 def _cmd_psc(args):
     pf = _read_program(args.file)
     space = pf.space()
-    result = psc_check(Transformer.image(sem_rel(pf.body, space)))
+    result = psc_check(sem_rel(pf.body, space))
     if result:
         print("psc: holds")
         return 0

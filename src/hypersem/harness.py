@@ -302,15 +302,15 @@ def lift_family(tr, fam):
     A down-set is the union of the principal down-sets of its antichain
     elements, so its members are imaged one antichain element m at a time:
     ``tr.subset_images(m)`` gives the images of all subsets of m with
-    their closure data, from the transformer's own memo or, on a miss,
-    from the subset-image recurrence.  Every member is still imaged, with
-    no monotonicity shortcut.  A part's closure costs one count: each
-    image lies inside tr(m), itself an image, so the part is down-closed
-    exactly when it has 2^|tr(m)| images, and then every image but tr(m)
-    is one state smaller than another.  ``FamilySet.union_of_parts``
-    unions the parts; when every part is down-closed it reads the
-    antichain off their closure data, without a pass over the union's
-    members.
+    their closure data, from the memo of tr (a ``Rel``, read as its direct
+    image) or, on a miss, from the subset-image recurrence.  Every member
+    is still imaged, with no monotonicity shortcut.  A part's closure
+    costs one count: each image lies inside tr(m), itself an image, so the
+    part is down-closed exactly when it has 2^|tr(m)| images, and then
+    every image but tr(m) is one state smaller than another.
+    ``FamilySet.union_of_parts`` unions the parts; when every part is
+    down-closed it reads the antichain off their closure data, without a
+    pass over the union's members.
 
     Explicit families, and down-sets whose antichain spans more subsets
     than the expansion cap, go member by member, so ``QueryBlowup`` is

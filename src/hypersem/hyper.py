@@ -20,9 +20,10 @@ and conditionals answer down-set queries from it and explicit ones
 structurally; atoms map elementwise.  Each node is compiled once per
 evaluator into one entry, keyed by node identity: the node itself (so no
 AST node is hashed, and its id is not reused while the entry lives), its
-rule with the rule's arguments (an atom's transformer and PSC flag, a
-join's (branch, mask) pairs, a loop's guard mask, complement and body)
-and its memo.  Rules are module functions, called with the evaluator, so an
+rule with the rule's arguments (an atom's relation, the one object its
+space keeps, imaged through ``apply``, and its PSC flag; a join's
+(branch, mask) pairs; a loop's guard mask, complement and body) and its
+memo.  Rules are module functions, called with the evaluator, so an
 evaluator is freed when its caller drops it.  Evaluation looks the entry
 up and calls its rule, with no dispatch on the node's type.  A down-set
 query whose antichain is one mask m, the usual query, reads or fills the
@@ -66,7 +67,7 @@ from .family import (DOWNSET, FamilySet, family_product, family_union,
 from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
                    eval_bool, join_branches)
 from .reference import LoopVariant
-from .transformer import Transformer, psc_check
+from .transformer import psc_check
 
 _BOTTOM = powerset_family(0)
 
@@ -135,8 +136,8 @@ class HEval:
         skip map a whole query and keep no memo; a loop has no rule, and its
         args are the guard's mask, its complement and the body."""
         if isinstance(node, Atom):
-            tr = Transformer.image(elaborate_atom(node.atom, self.space))
-            entry = (node, _map_family, (tr, psc_check(tr).ok), None)
+            rel = elaborate_atom(node.atom, self.space)
+            entry = (node, _map_family, (rel, psc_check(rel).ok), None)
         elif isinstance(node, Skip):
             entry = (node, _seq, ((),), None)  # the empty sequence
         elif isinstance(node, Seq):

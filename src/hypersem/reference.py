@@ -33,7 +33,6 @@ from .errors import IterationBudgetExceeded, QueryBlowup
 from .family import DEFAULT_EXPANSION_CAP, bounded_product, subsets_of
 from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
                    eval_bool, join_branches)
-from .transformer import Transformer
 
 
 class LoopVariant(enum.Enum):
@@ -69,8 +68,8 @@ def ref_eval(node, family, space, variant=LoopVariant.PAPER):
     if isinstance(node, Skip):
         return frozenset(family)
     if isinstance(node, Atom):
-        tr = Transformer.image(elaborate_atom(node.atom, space))
-        return frozenset(tr.apply(p) for p in family)
+        rel = elaborate_atom(node.atom, space)
+        return frozenset(rel.apply(p) for p in family)
     if isinstance(node, Seq):
         for part in node.parts:
             family = ref_eval(part, family, space, variant)

@@ -6,9 +6,10 @@ two share the per-space atom and guard elaborations (one relation per
 atom and one mask per guard, kept by the space; see ``lang``) and the
 join masks of ``lang.join_branches``, and nothing else.  Atoms are
 direct images and every rule keeps a map universally disjunctive, so
-each value is fixed by its images of singletons and is stored as the
-image of the relation they form.  ``;`` threads those rows through each
-part's ``apply`` in turn.
+each value is fixed by its images of singletons: ``sem_tr`` returns the
+``Rel`` they form, whose direct image it is, and an atom's value is its
+elaborated relation itself.  ``;`` threads those rows through each part's
+``apply`` in turn.
 
 ``[]`` and ``if`` share one join arm, over the (branch, mask) pairs of
 ``lang.join_branches``: a ``[]`` branch has the full mask, and an ``if``
@@ -33,7 +34,6 @@ from .errors import IterationBudgetExceeded
 from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
                    eval_bool, join_branches)
 from .relation import Rel
-from .transformer import Transformer
 
 
 def _restrict(rel, mask):
@@ -70,31 +70,26 @@ def sem_rel(node, space):
     raise TypeError(f"not a statement: {node!r}")
 
 
-def _pointwise(space, rows):
-    """The universally disjunctive transformer that maps each singleton
-    {s} to rows[s]."""
-    return Transformer.image(Rel(space, rows))
-
-
 def sem_tr(node, space):
-    """Transformer denotation; extensionally the direct image of sem_rel."""
+    """Transformer denotation: the relation whose direct image it is,
+    extensionally sem_rel, built from its operands' images alone."""
     if isinstance(node, Skip):
-        return Transformer.identity(space)
+        return Rel.identity(space)
     if isinstance(node, Atom):
-        return Transformer.image(elaborate_atom(node.atom, space))
+        return elaborate_atom(node.atom, space)
     singletons = [1 << s for s in space.states()]
     if isinstance(node, Seq):
         rows = singletons
         for part in node.parts:
             tr = sem_tr(part, space)
             rows = [tr.apply(x) for x in rows]
-        return _pointwise(space, rows)
+        return Rel(space, rows)
     if isinstance(node, (Choice, If)):
         rows = [0] * space.size
         for part, mask in join_branches(node, space):
             tr = sem_tr(part, space)
             rows = [y | tr.apply(x & mask) for x, y in zip(singletons, rows)]
-        return _pointwise(space, rows)
+        return Rel(space, rows)
     if isinstance(node, While):
         g = eval_bool(node.cond, space)
         ng = space.full_mask & ~g
@@ -103,12 +98,11 @@ def sem_tr(node, space):
         # taken once; each iterate applies only the previous iterate
         stay = [x & ng for x in singletons]
         step = [body.apply(x & g) for x in singletons]
-        cur = Transformer.image(Rel.empty(space))
+        cur = Rel.empty(space)
         budget = space.size * space.size + 2
         for _ in range(budget):
-            nxt = _pointwise(space, [x | cur.apply(y)
-                                     for x, y in zip(stay, step)])
-            if nxt.rel == cur.rel:
+            nxt = Rel(space, [x | cur.apply(y) for x, y in zip(stay, step)])
+            if nxt == cur:
                 return cur
             cur = nxt
         # unreachable while the iterates grow: each strict step adds a pair

@@ -25,7 +25,7 @@ from hypersem.noninterference import LowView, ni_possibilistic, ni_relational
 from hypersem.relation import Rel
 from hypersem.semantics import sem_tr
 from hypersem.space import StateSpace
-from hypersem.transformer import Transformer, psc_check
+from hypersem.transformer import psc_check
 from support import (domain, is_disjunctive, is_monotone, mask_guard,
                      rel_to_atom, rnd_partial_fn, rnd_rel)
 
@@ -214,7 +214,7 @@ def test_criterion_7_lemma_suite():
         space = StateSpace((("s", 0, n - 1),))
         options = [0] + [1 << t for t in range(n)]
         for rows in product(options, repeat=n):
-            assert psc_check(Transformer.image(Rel(space, rows)))
+            assert psc_check(Rel(space, rows))
 
     # a PSC non-function exists at size 3: search monotone subset tables
     # for one that cannot be the image of any relation (non-disjunctive)
@@ -237,8 +237,7 @@ def test_criterion_7_lemma_suite():
 
     # the crossing relation fails PSC with a genuine witness
     s4 = StateSpace((("s", 0, 3),))
-    crossing = Transformer.image(
-        Rel.from_pairs(s4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
+    crossing = Rel.from_pairs(s4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     res = psc_check(crossing)
     assert not res
     fq = crossing.apply(res.q)
@@ -280,11 +279,11 @@ def test_criterion_7_lemma_suite():
             succ = 1 << rng.randrange(4) if rng.random() < 0.85 else 0
             (rows_a if split >> s & 1 else rows_b).append(succ)
             (rows_b if split >> s & 1 else rows_a).append(0)
-        phi = Transformer.image(Rel(s4b, rows_a))
-        psi = Transformer.image(Rel(s4b, rows_b))
+        phi = Rel(s4b, rows_a)
+        psi = Rel(s4b, rows_b)
         assert domain(phi) & domain(psi) == 0
         assert psc_check(phi) and psc_check(psi)
-        assert psc_check(Transformer.image(phi.rel.union(psi.rel)))
+        assert psc_check(phi.union(psi))
 
     # lift containment with a stored strict witness
     x8 = parse("var x: 0..7; x := x + 1 [] x := x + 2")

@@ -14,7 +14,6 @@ from hypersem.lang import ProgramFile, parse, pp_program
 from hypersem.noninterference import LowView
 from hypersem.notation import format_family, format_state, format_state_set
 from hypersem.relation import Rel
-from hypersem.transformer import Transformer
 from support import mutate, statements
 
 LOOP = "var x: 0..7;\nwhile x < 4 { x := x + 1 }\n"
@@ -61,21 +60,27 @@ def test_eval_tr_level_worked_value(capsys, loop_file):
 
 def test_eval_tr_reports_a_loop_whose_iterates_never_settle(
         capsys, loop_file, monkeypatch):
-    # a program's iterates grow, so the budget is reached only through an
-    # iterate that oscillates between the identity and the empty map
+    # a program's iterates grow, so the budget is reached only through
+    # iterates that oscillate between the empty map and the identity: the
+    # relations sem_tr builds, from the bottom on, alternate between them
     built = []
 
-    def oscillating(space, rows):
-        built.append(rows)
-        return Transformer.image(Rel.identity(space) if len(built) % 2
-                                 else Rel.empty(space))
+    class Oscillating(Rel):
+        __slots__ = ()
 
-    monkeypatch.setattr(semantics, "_pointwise", oscillating)
+        def __init__(self, space, rows):
+            built.append(tuple(rows))
+            super().__init__(space, [0] * space.size if len(built) % 2
+                             else [1 << s for s in space.states()])
+
+    monkeypatch.setattr(semantics, "Rel", Oscillating)
     code, out, err = run(capsys, "eval", loop_file, "--level", "tr",
                          "--input", "[{x=2}]")
     assert (code, out) == (2, "")
     assert err == "error: transformer loop fixpoint\n"
-    assert len(built) == 8 * 8 + 2
+    # the bottom, then the budget's 8*8+2 iterates
+    assert built[0] == (0,) * 8
+    assert len(built) == 1 + 8 * 8 + 2
 
 
 HYPER_LOOP = ["eval", str(PROGRAMS / "loop.imp"), "--level", "hyper",
@@ -260,6 +265,22 @@ def test_anomalous_variants_refuse_large_products(capsys, tmp_path, variant):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "pair bound" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", ["naive", "otimes"])
+def test_anomalous_variants_refuse_a_join_past_the_member_cap(
+        capsys, tmp_path, variant):
+    # the branches' values at the 9-state member are disjoint families of
+    # 2^9 images each, within the pair bound; their 2^18 unions pass the
+    # member cap, and the join refuses them
+    p = tmp_path / "choice.imp"
+    p.write_text("var x: 0..17;\nx := x [] x := x + 9\n")
+    wide = "[[" + ",".join(f"{{x={i}}}" for i in range(9)) + "]]"
+    code, out, err = run(capsys, "eval", str(p), "--level", "hyper",
+                         "--variant", variant, "--input", wide)
+    assert (code, out) == (2, "")
+    assert err == ("error: family of 262144 members exceeds the member cap "
+                   "65536\n")
 
 
 @pytest.mark.parametrize("n, refused", [(12, False), (13, True)])

@@ -18,7 +18,6 @@ from hypersem.notation import parse_family
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
-from hypersem.transformer import Transformer
 from support import atoms_deterministic, is_choice_free, statements
 
 PROGRAMS = pathlib.Path(__file__).parent.parent / "programs"
@@ -310,7 +309,7 @@ def test_check_prop1_reports_the_first_failing_subset(monkeypatch):
     # first at p={x=0}, whose image is {x=1,x=2}
     pf = parse("var x: 0..3; x := x + 1 [] x := x + 2")
     monkeypatch.setattr(harness, "sem_tr", lambda body, space:
-                        Transformer.image(Rel(space, [0] * space.size)))
+                        Rel(space, [0] * space.size))
     report = check_prop1(pf)
     assert (report.trials, report.failures) == (1, 1)
     program, _, rest = report.first_witness.partition("\n\np=")
@@ -361,7 +360,7 @@ def test_lift_family_matches_member_wise_lift():
     for n in range(1, 9):
         space = StateSpace((("s", 0, n - 1),))
         for functional in (True, False):
-            tr = Transformer.image(_rnd_rel(rng, space, functional))
+            tr = _rnd_rel(rng, space, functional)
             for _ in range(8):
                 members = [rng.randrange(1 << n)
                            for _ in range(rng.randint(0, 4))]
@@ -375,19 +374,18 @@ def test_lift_family_matches_member_wise_lift():
 
 
 def test_lift_family_memo_answers_every_downset_in_any_order():
-    # one transformer answers all 167 down-sets at 4 states, ascending
-    # and then in reverse, so every answer after the first pass comes
-    # from its memo; a fresh transformer answers them in reverse from an
-    # empty memo
+    # one relation answers all 167 down-sets at 4 states, ascending and
+    # then in reverse, so every answer after the first pass comes from
+    # its memo; a fresh relation with the same rows answers them in
+    # reverse from an empty memo
     downsets = list(enumerate_downsets(4))
     assert len(downsets) == 167
     space = StateSpace((("s", 0, 3),))
     rng = random.Random(29)
     for functional in (True, False):
         rel = _rnd_rel(rng, space, functional)
-        tr = Transformer.image(rel)
-        for order, lifted in ((downsets, tr), (downsets[::-1], tr),
-                              (downsets[::-1], Transformer.image(rel))):
+        for order, lifted in ((downsets, rel), (downsets[::-1], rel),
+                              (downsets[::-1], Rel(space, rel.rows))):
             for q in order:
                 got = lift_family(lifted, q)
                 want = _member_wise_lift(lifted, q)
@@ -400,7 +398,7 @@ def test_lift_family_unions_parts_that_are_not_downsets():
     # is {{}, {t0, t1}}, which is not subset closed; with the parts of
     # {s1} and {s2} the union is every subset of {t0, t1}
     space = StateSpace((("s", 0, 2),))
-    tr = Transformer.image(Rel(space, [0b011, 0b001, 0b010]))
+    tr = Rel(space, [0b011, 0b001, 0b010])
     part = lift_family(tr, FamilySet.downset([0b001]))
     assert (part.kind, part.sets) == (EXPLICIT, frozenset({0, 0b011}))
     q = FamilySet.downset([0b001, 0b010, 0b100])
@@ -415,14 +413,14 @@ def test_lift_family_unions_parts_that_are_not_downsets():
     assert got == _member_wise_lift(tr, q)
 
 
-def test_lift_family_memo_belongs_to_its_transformer():
+def test_lift_family_memo_belongs_to_its_relation():
     # two relations over one space lift the same query differently; a
     # memo shared by mask alone would answer the second from the first
     space = StateSpace((("s", 0, 2),))
     q = FamilySet.downset([0b111])
     lifts = []
     for rows in ([0b001, 0b010, 0b100], [0b001, 0b001, 0b001]):
-        tr = Transformer.image(Rel(space, rows))
+        tr = Rel(space, rows)
         got = lift_family(tr, q)
         assert got == _member_wise_lift(tr, q)
         assert lift_family(tr, q) == got
@@ -435,14 +433,14 @@ def test_lift_family_guard_bound_past_cap_exact_span_within(monkeypatch):
     # past the cap, but spans 2 + 256 subsets: the recurrence answers,
     # without a call to apply
     space = StateSpace((("s", 0, 16),))
-    tr = Transformer.image(_rnd_rel(random.Random(7), space, False))
+    tr = _rnd_rel(random.Random(7), space, False)
     q = FamilySet.downset([1 << 16, (1 << 8) - 1])
     want = _member_wise_lift(tr, q)
 
     def refuse(self, p):
         raise AssertionError("the member path imaged a member")
 
-    monkeypatch.setattr(Transformer, "apply", refuse)
+    monkeypatch.setattr(Rel, "apply", refuse)
     got = lift_family(tr, q)
     assert got.kind == want.kind
     assert got.sets == want.sets
@@ -450,14 +448,14 @@ def test_lift_family_guard_bound_past_cap_exact_span_within(monkeypatch):
 
 def test_lift_family_expansion_cap():
     space = StateSpace((("s", 0, 15),))
-    tr = Transformer.image(_rnd_rel(random.Random(5), space, False))
+    tr = _rnd_rel(random.Random(5), space, False)
     # three 15-state sets span more subsets than the cap, but their
     # union of subsets stays inside it: the member path answers
     full = (1 << 16) - 1
     within = FamilySet.downset(full & ~(1 << b) for b in (0, 5, 9))
     assert lift_family(tr, within).sets == _member_wise_lift(tr, within).sets
     space17 = StateSpace((("s", 0, 16),))
-    tr17 = Transformer.identity(space17)
+    tr17 = Rel.identity(space17)
     past = FamilySet.downset(((1 << 17) - 1,))
     with pytest.raises(QueryBlowup):
         lift_family(tr17, past)

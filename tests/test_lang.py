@@ -11,7 +11,7 @@ from hypersem import lang
 from hypersem.errors import MissingVariable, ParseError, UndeclaredVariable
 from hypersem.family import FamilySet, mask_of, powerset_family
 from hypersem.harness import GenConfig, _Gen, gen_program
-from hypersem.hyper import happly
+from hypersem.hyper import HEval, happly
 from hypersem.lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice,
                            Cmp, Havoc, If, IntBin, IntConst, IntNeg, IntVar,
                            NondetAssign, Not, RelAtom, Seq, Skip, While,
@@ -449,6 +449,14 @@ def test_elaborations_are_kept_per_space_and_node():
     atom, guard = body.parts[1].then.atom, body.parts[1].cond
     rel, mask = elaborate_atom(atom, one), eval_bool(guard, one)
     assert elaborate_atom(atom, one) is rel
+    # the transformer level and the hyper engine hold that one relation,
+    # so its image tables and lift memo are built once per space
+    node = body.parts[1].then
+    assert sem_tr(node, one) is rel
+    ev = HEval(one)
+    ev.eval(node, powerset_family(one.full_mask))
+    _, _, (held, _), _ = ev._entries[id(node)]
+    assert held is rel
     assert kept(one, guard) == mask
     for node, space in ((atom, two), (twin.parts[1].then.atom, one),
                         (twin.parts[1].then.atom, two)):
@@ -460,7 +468,7 @@ def test_elaborations_are_kept_per_space_and_node():
     for node in (body, twin):
         for space in (one, two):
             assert sem_rel(node, space) == want
-            assert sem_tr(node, space).rel == want
+            assert sem_tr(node, space) == want
 
 
 def test_an_atom_that_fails_to_elaborate_fails_again(bits):

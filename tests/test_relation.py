@@ -10,7 +10,6 @@ from hypersem.lang import While, parse, pp_stmt
 from hypersem.relation import IMAGE_TABLE_MAX_STATES, Rel
 from hypersem.semantics import sem_rel
 from hypersem.space import StateSpace
-from hypersem.transformer import Transformer
 from support import (is_partial_function, rnd_rel, sem_rel_loop_by_kleene,
                      statements)
 
@@ -112,9 +111,9 @@ def test_dirimg_strict_and_pointwise(x8):
 
 def test_dirimg_tables_match_row_kernel(monkeypatch):
     # spaces on both sides of the 16-state limit of the subset-image
-    # tables: Rel.dirimg and Transformer.apply both read a relation's two
-    # tables, built once by the first image of either one, and above the
-    # limit both walk the rows
+    # tables: Rel.dirimg and its transformer-level name Rel.apply read a
+    # relation's two tables, built once by the first image of either one,
+    # and above the limit both walk the rows
     built = []
     subset_images = relation._subset_images
     monkeypatch.setattr(relation, "_subset_images",
@@ -130,16 +129,14 @@ def test_dirimg_tables_match_row_kernel(monkeypatch):
             want = [_kernels.dirimg_rows(rows, p) for p in masks]
             # before the tables exist: each mask is a new Rel's first image
             for p, image in zip(masks, want):
-                for first in (Rel.dirimg,
-                              lambda rel, p: Transformer.image(rel).apply(p)):
+                for first in (Rel.dirimg, Rel.apply):
                     del built[:]
                     assert first(Rel(space, rows), p) == image
                     assert len(built) == tables
-            # after: two transformers of one relation share its tables
+            # after: every image of one relation reads its tables
             del built[:]
             rel = Rel(space, rows)
-            one, two = Transformer.image(rel), Transformer.image(rel)
-            for image_of in (one.apply, two.apply, rel.dirimg):
+            for image_of in (rel.apply, rel.dirimg):
                 assert [image_of(p) for p in masks] == want
             assert len(built) == tables
 
@@ -157,7 +154,7 @@ def rel_recover(tr):
 
 def test_rel_recover_identity(x8):
     ident = Rel.identity(x8)
-    assert rel_recover(Transformer.image(ident)) == ident
+    assert rel_recover(ident) == ident
 
 
 def test_rel_recover_roundtrip_random():
@@ -166,11 +163,11 @@ def test_rel_recover_roundtrip_random():
         space = StateSpace((("s", 0, size - 1),))
         for _ in range(500 // size):
             r = rnd_rel(rng, space, density=rng.random())
-            assert rel_recover(Transformer.image(r)) == r
+            assert rel_recover(r) == r
 
 
 def test_rel_recover_bottom(x8):
-    assert rel_recover(Transformer.image(Rel.empty(x8))) == Rel.empty(x8)
+    assert rel_recover(Rel.empty(x8)) == Rel.empty(x8)
 
 
 def test_is_partial_function(x8):

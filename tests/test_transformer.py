@@ -11,7 +11,7 @@ from hypersem.lang import elaborate_atom, parse
 from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
-from hypersem.transformer import Transformer, psc_check
+from hypersem.transformer import psc_check
 from support import (domain, is_disjunctive, is_monotone, is_partial_function,
                      rnd_rel, table_of)
 
@@ -27,7 +27,7 @@ COUPLED = [0b100 if p & 0b011 == 0b011 else 0 for p in range(8)]
 
 
 def test_bottom_is_constant_empty(x8):
-    bot = Transformer.image(Rel.empty(x8))
+    bot = Rel.empty(x8)
     for p in range(0, 256, 17):
         assert bot.apply(p) == 0
 
@@ -44,7 +44,7 @@ def test_assign_apply(x8):
 
 def test_sem_tr_skip_identity(x8):
     tr, space = tr_of("var x: 0..7; skip")
-    assert tr.rel == Rel.identity(space)
+    assert tr == Rel.identity(space)
 
 
 def test_sem_tr_loop_worked_value():
@@ -88,15 +88,15 @@ def test_sem_tr_monotone():
 
 
 def count_applies(monkeypatch):
-    """Transformer.apply calls, counted by the id of the relation read."""
+    """Rel.apply calls, counted by the id of the relation read."""
     calls = Counter()
-    apply = Transformer.apply
+    apply = Rel.apply
 
-    def counted(tr, p):
-        calls[id(tr.rel)] += 1
-        return apply(tr, p)
+    def counted(rel, p):
+        calls[id(rel)] += 1
+        return apply(rel, p)
 
-    monkeypatch.setattr(Transformer, "apply", counted)
+    monkeypatch.setattr(Rel, "apply", counted)
     return calls
 
 
@@ -130,7 +130,7 @@ def test_psc_partial_functions_exhaustive(s3):
     options = [0] + [1 << t for t in range(3)]
     for rows in product(options, repeat=3):
         rel = Rel(s3, rows)
-        assert psc_check(Transformer.image(rel))
+        assert psc_check(rel)
 
 
 def test_psc_image_iff_partial_function_exhaustive(s3):
@@ -147,15 +147,13 @@ def test_psc_image_iff_partial_function_exhaustive(s3):
         cases.append(Rel(space, [rng.choice([0, 1 << rng.randrange(n)])
                                  for _ in range(n)]))
     for rel in cases:
-        tr = Transformer.image(rel)
-        res = psc_check(tr)
+        res = psc_check(rel)
         assert bool(res) == is_partial_function(rel)
-        assert tuple(res) == psc_scan_table(table_of(tr), rel.space.size)
+        assert tuple(res) == psc_scan_table(table_of(rel), rel.space.size)
 
 
 def test_psc_crossing_relation_fails_with_witness(s4):
-    crossing = Rel.from_pairs(s4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    tr = Transformer.image(crossing)
+    tr = Rel.from_pairs(s4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     res = psc_check(tr)
     assert not res
     # the witness is a genuine failure: r below the image of q, no exact
@@ -174,9 +172,9 @@ def test_psc_nonfunction_exists_among_monotone_tables():
 def test_psc_size_cap():
     # images are answered from their rows at any size
     space = StateSpace((("a", 0, 3), ("b", 0, 3), ("c", 0, 3)))
-    assert psc_check(Transformer.image(Rel.identity(space)))
+    assert psc_check(Rel.identity(space))
     crossing = Rel.from_pairs(space, [(63, 5), (63, 9)])
-    assert tuple(psc_check(Transformer.image(crossing))) == (
+    assert tuple(psc_check(crossing)) == (
         False, 1 << 63, 1 << 9)
 
 
@@ -196,14 +194,13 @@ def test_subset_images_count_matches_the_below_set_walk():
             rels.append(Rel(space, [rng.choice([0, rng.randrange(1 << n)])
                                     for _ in range(n)]))
         for rel in rels:
-            tr = Transformer.image(rel)
             for m in range(1 << n):
-                images = frozenset(map(tr.apply, subsets_of(m)))
+                images = frozenset(map(rel.apply, subsets_of(m)))
                 below = below_set(images)
-                part = tr.subset_images(m)
+                part = rel.subset_images(m)
                 assert part == (images, below), (rel.rows, m)
                 assert part[1] is None or type(part[1]) is frozenset
-                assert tr.subset_images(m) is part
+                assert rel.subset_images(m) is part
                 closed += below is not None
                 open_ += below is None
     assert closed and open_
@@ -213,7 +210,7 @@ def test_disjunctive_restricts_to_domain():
     space = StateSpace((("s", 0, 5),))
     rng = random.Random(4)
     for _ in range(25):
-        phi = Transformer.image(rnd_rel(rng, space))
+        phi = rnd_rel(rng, space)
         d = domain(phi)
         for r in range(1 << space.size):
             assert phi.apply(r) == phi.apply(r & d)
@@ -223,7 +220,7 @@ def test_is_univ_disjunctive(s3):
     rng = random.Random(5)
     for _ in range(20):
         assert is_disjunctive(
-            table_of(Transformer.image(rnd_rel(rng, s3))), 3)
+            table_of(rnd_rel(rng, s3)), 3)
     assert not is_disjunctive(COUPLED, 3)
 
 
@@ -243,11 +240,11 @@ def test_psc_join_disjoint_domains(s4):
             else:
                 rows_a.append(0)
                 rows_b.append(succ)
-        phi = Transformer.image(Rel(s4, rows_a))
-        psi = Transformer.image(Rel(s4, rows_b))
+        phi = Rel(s4, rows_a)
+        psi = Rel(s4, rows_b)
         assert domain(phi) & domain(psi) == 0
         assert psc_check(phi) and psc_check(psi)
-        assert psc_check(Transformer.image(phi.rel.union(psi.rel)))
+        assert psc_check(phi.union(psi))
 
 
 def test_psc_join_of_partial_functions_exhaustive(s3):
@@ -258,7 +255,7 @@ def test_psc_join_of_partial_functions_exhaustive(s3):
              for rows in product([0] + [1 << t for t in range(3)], repeat=3)]
     kept = 0
     for a, b in product(funcs, repeat=2):
-        joined = Transformer.image(a.union(b))
+        joined = a.union(b)
         res = psc_check(joined)
         assert tuple(res) == psc_scan_table(table_of(joined), 3)
         agree = all(x == y or not (x and y) for x, y in zip(a.rows, b.rows))
@@ -268,7 +265,7 @@ def test_psc_join_of_partial_functions_exhaustive(s3):
 
 
 def test_psc_join_overlapping_domains_can_fail(s4):
-    phi = Transformer.image(Rel.from_pairs(s4, [(0, 0)]))
-    psi = Transformer.image(Rel.from_pairs(s4, [(0, 1)]))
+    phi = Rel.from_pairs(s4, [(0, 0)])
+    psi = Rel.from_pairs(s4, [(0, 1)])
     assert psc_check(phi) and psc_check(psi)
-    assert not psc_check(Transformer.image(phi.rel.union(psi.rel)))
+    assert not psc_check(phi.union(psi))
