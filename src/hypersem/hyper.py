@@ -54,6 +54,13 @@ relation is not a partial function lacks PSC and breaks closure;
 evaluation then falls back to explicit members, within the family
 module's cap and pair bound (``QueryBlowup`` past them).
 
+Between calls to ``eval`` a principal value ↓{t} travels as its top mask
+t: a join takes the `|` of principal branch values and their union with
+one ``FamilySet.downset``, and a loop equation's value is u | (m & ~guard)
+from the bottom 0, u the mask of its one dependency.  A principal value
+is never a one-mask ``FamilySet``, so `==` and `!=` on carried values are
+exact.  ``eval`` takes and returns only ``FamilySet``s, as do memos.
+
 ``happly`` and ``loop_iterates`` hand the anomalous ``naive`` and
 ``otimes`` variants to the definitional evaluator in ``reference``.
 """
@@ -68,8 +75,6 @@ from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
                    eval_bool, join_branches)
 from .reference import LoopVariant
 from .transformer import psc_check
-
-_BOTTOM = powerset_family(0)
 
 
 def _map_family(ev, tr, preserves_closure, fam):
@@ -88,6 +93,34 @@ def _seq(ev, parts, fam):
     return fam
 
 
+def _top(fam):
+    """A value as the engine carries it between ``eval`` calls: the top
+    mask t of a principal down-set ↓{t}, else the family itself."""
+    if fam.kind == DOWNSET and len(fam.sets) == 1:
+        (t,) = fam.sets
+        return t
+    return fam
+
+
+def _family(v):
+    """The family a carried value stands for."""
+    return powerset_family(v) if type(v) is int else v
+
+
+def _union(vals):
+    """The family of the union of a nonempty list of carried values: one
+    ``downset`` over top masks when every value is principal."""
+    if len(vals) == 1:
+        return _family(vals[0])
+    if all(type(v) is int for v in vals):
+        return FamilySet.downset(vals)
+    return family_union(*map(_family, vals))
+
+
+def _families(vals):
+    return {u: powerset_family(t) for u, t in vals.items()}
+
+
 def _join(ev, branches, fam):
     """Inner join over (branch, mask) pairs: at each maximal member p of
     the query, the product of every branch's value at ↓(p & its mask),
@@ -97,10 +130,15 @@ def _join(ev, branches, fam):
     for p in fam.antichain():
         val = None
         for branch, mask in branches:
-            v = ev.eval(branch, powerset_family(p & mask))
-            val = v if val is None else family_product(val, v)
+            v = _top(ev.eval(branch, powerset_family(p & mask)))
+            if val is None:
+                val = v
+            elif type(val) is int and type(v) is int:
+                val |= v
+            else:
+                val = _top(family_product(_family(val), _family(v)))
         parts.append(val)
-    return family_union(*parts)
+    return _union(parts)
 
 
 class HyperStats:
@@ -200,8 +238,8 @@ class HEval:
         entering known; loop is the args of a loop's entry.
 
         Each equation is (deps, wrap): the antichain of the body's value
-        at the subsets of m & guard, and the subsets of m & ~guard.  Roots
-        are always included.
+        at the subsets of m & guard, one mask, and the mask m & ~guard.
+        Roots are always included.
         """
         bmask, nbmask, body = loop
         system = {}
@@ -211,21 +249,23 @@ class HEval:
             if m in system:
                 continue
             deps = self.eval(body, powerset_family(m & bmask)).antichain()
-            system[m] = (deps, powerset_family(m & nbmask))
+            system[m] = (deps, m & nbmask)
             pending.extend(d for d in deps if d not in known)
         return system
 
     def _rhs(self, equation, vals, memo):
-        """The equation's value, reading its unknowns from vals and every
-        other atomic query from memo."""
-        deps, wrap = equation
-        return family_product(
-            family_union(*[vals[d] if d in vals else memo[d] for d in deps]),
-            wrap)
+        """The equation's value as a mask, reading its unknown from vals or
+        the atomic query's family from memo.  Every construct maps a family
+        with a greatest member to one, so the body's value at ↓{m & guard}
+        has one maximal member, the equation one dependency, and every
+        loop value, from the bottom 0 up, a top mask."""
+        (d,), wrap = equation
+        return (vals[d] if d in vals else _top(memo[d])) | wrap
 
     def _kleene(self, system, memo):
-        """Synchronized iterates of system from bottom; other atoms read memo."""
-        cur = dict.fromkeys(system, _BOTTOM)
+        """Synchronized iterates of system from bottom, as masks; other
+        atoms read memo."""
+        cur = dict.fromkeys(system, 0)
         while True:
             yield cur
             cur = {u: self._rhs(eq, cur, memo) for u, eq in system.items()}
@@ -234,7 +274,7 @@ class HEval:
         budget = reference.loop_budget(self.space.size, len(system))
         prev = None
         for i, cur in enumerate(self._kleene(system, memo)):
-            if prev is not None and all(v == prev[u] for u, v in cur.items()):
+            if cur == prev:
                 return cur
             if i == budget:
                 # unreachable unless monotonicity breaks: values only grow
@@ -245,8 +285,9 @@ class HEval:
             prev = cur
 
     def _solve_demand(self, node, system, memo):
-        """Worklist iteration to the least solution; memoizes every atom."""
-        vals = dict.fromkeys(system, _BOTTOM)
+        """Worklist iteration to the least solution, over masks from the
+        bottom 0; memoizes every atom as a family."""
+        vals = dict.fromkeys(system, 0)
         rdeps = {u: set() for u in system}
         for u, (deps, _) in system.items():
             for d in deps:
@@ -281,9 +322,10 @@ class HEval:
         if self.cross_check:
             self.stats.cross_checks += 1
             limit = self._kleene_limit(system, memo)
-            if not all(v == limit[u] for u, v in vals.items()):
-                self.stats.cross_mismatches.append((node, system, vals, limit))
-        memo.update(vals)
+            if vals != limit:
+                self.stats.cross_mismatches.append(
+                    (node, system, _families(vals), _families(limit)))
+        memo.update(_families(vals))
 
 
 # ---------------------------------------------------------------- entry points
@@ -324,5 +366,5 @@ def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
     basis = fam.antichain()
     _, _, loop, _ = ev._compile(While(cond, body))
     system = ev._discover(loop, basis, {})
-    return [family_union(*(cur[m] for m in basis))
+    return [_union([cur[m] for m in basis])
             for _, cur in zip(range(steps + 1), ev._kleene(system, {}))]

@@ -226,6 +226,16 @@ def test_iterates_gates_paper_queries_like_eval(capsys, loop_file, query,
         assert err == f"error: {msg}\n"
 
 
+@pytest.mark.parametrize("variant,want", [
+    ("naive", (0, "[]\n", "")), ("otimes", (0, "[]\n", "")),
+    ("paper", (2, "", "error: query is empty\n"))])
+def test_eval_at_the_empty_family(capsys, loop_file, variant, want):
+    # the definitional evaluator maps the empty family to itself; the
+    # paper variant refuses it
+    assert run(capsys, "eval", loop_file, "--level", "hyper", "--variant",
+               variant, "--input", "[]") == want
+
+
 def test_iterates_needs_loop(capsys, tmp_path):
     p = tmp_path / "straight.imp"
     p.write_text("var x: 0..3;\nx := 1\n")

@@ -80,6 +80,14 @@ def test_family_eq_across_representations():
     assert hash(down) == hash(expl)
 
 
+def test_a_family_never_equals_a_mask():
+    # the hyper engine carries ↓{m} as the int m beside families, so a
+    # family must never compare equal to a mask
+    assert powerset_family(3) != 3
+    assert 3 != powerset_family(3)
+    assert powerset_family(3).__eq__(3) is NotImplemented
+
+
 def test_family_le_iterate_chain():
     # the naive-iterate chain Q1 <= Q3 from the worked loop example
     q1 = FamilySet.explicit([0, 1 << 5])

@@ -5,6 +5,7 @@ import random
 import re
 import types
 import weakref
+from functools import reduce
 
 import pytest
 
@@ -20,7 +21,8 @@ from hypersem.harness import (GenConfig, check_thm1, enumerate_downsets,
 from hypersem.hyper import HEval, happly, loop_iterates, strict_gate
 from hypersem.lang import (Assign, Assume, Atom, BoolConst, Choice, Cmp, If,
                            IntBin, IntConst, IntVar, Not, ProgramFile, Seq,
-                           Skip, While, elaborate_atom, parse)
+                           Skip, While, elaborate_atom, join_branches, parse,
+                           pp_stmt)
 from hypersem.reference import (LoopVariant, ref_eval, ref_iterates,
                                 ref_loop_system)
 from hypersem.notation import format_family, parse_family
@@ -49,6 +51,18 @@ def test_engine_computes_the_paper_variant_only(x8):
     for variant in (LoopVariant.NAIVE, LoopVariant.OTIMES):
         with pytest.raises(ValueError):
             HEval(x8, variant)
+
+
+@pytest.mark.parametrize("denote", [
+    lambda node, space: HEval(space).eval(node, powerset_family(1)),
+    sem_rel, sem_tr,
+    lambda node, space: ref_eval(node, {1}, space),
+    lambda node, space: pp_stmt(node),
+    elaborate_atom], ids=["hyper", "sem_rel", "sem_tr", "ref_eval",
+                          "pp_stmt", "elaborate_atom"])
+def test_an_expression_is_not_a_statement(x8, denote):
+    with pytest.raises(TypeError, match="IntConst"):
+        denote(IntConst(1), x8)
 
 
 def test_cross_check_reports_an_exceeded_kleene_budget(monkeypatch):
@@ -791,6 +805,14 @@ def test_principal_shortcuts_equal_the_general_path():
                 [tr.apply(p) for p in (x, x & y, 0)]))
             _same(rule(ev, tr, psc, powerset_family(small)),
                   FamilySet.explicit(map(tr.apply, subsets_of(small))))
+            # a loop equation's value as a mask, its one dependency read
+            # as a mask from the unknowns or as a family from the memo
+            w = rng.randrange(1 << n)
+            for vals, memo, dep in (({1: x}, {}, a), ({}, {1: b}, b)):
+                got = ev._rhs((frozenset((1,)), w), vals, memo)
+                assert type(got) is int
+                _same(powerset_family(got),
+                      family_product(dep, powerset_family(w)))
         # eval at a one-mask query: kept in the memo, canonical, and the
         # answer at the explicit query of the same members, which takes
         # the structural path
@@ -811,13 +833,43 @@ def test_principal_shortcuts_equal_the_general_path():
                 _same(got, HEval(pf.space()).eval(
                     stmt, FamilySet.explicit(subsets_of(m))))
                 seen.add(type(stmt).__name__)
+                if isinstance(stmt, (Choice, If)):
+                    # a join's `|` of principal branch values and its one
+                    # downset over their masks, against the general path
+                    q2 = FamilySet.downset((m, rng.randrange(1 << n)))
+                    branches = join_branches(stmt, pf.space())
+                    _same(hyper._join(ev, branches, q2), family_union(*[
+                        reduce(family_product, [
+                            ev.eval(b, powerset_family(p & mask))
+                            for b, mask in branches])
+                        for p in q2.antichain()]))
     assert seen == {"Atom", "Seq", "Choice", "If", "While", "Skip"}
 
 
-def test_loop_work_counters_on_a_nondeterministic_battery():
+def test_loop_work_counters_on_a_nondeterministic_battery(monkeypatch):
     # a lost memo entry or a changed batching of loop discovery moves
     # these totals: 30 programs at 6 and 8 states, 10 random down-sets
     # each, every loop solve cross-checked by Kleene iteration
+    solve = HEval._solve_demand
+
+    def canonical_solve(ev, node, system, memo):
+        # every equation has one dependency, and every value the worklist
+        # and the cross-check compare is a mask, so `!=` and `==` on them
+        # are exact
+        assert all(len(deps) == 1 for deps, _ in system.values())
+
+        def rhs(equation, vals, memo):
+            out = HEval._rhs(ev, equation, vals, memo)
+            assert all(type(v) is int for v in (out, *vals.values()))
+            return out
+
+        ev._rhs = rhs
+        try:
+            return solve(ev, node, system, memo)
+        finally:
+            del ev._rhs
+
+    monkeypatch.setattr(HEval, "_solve_demand", canonical_solve)
     totals = [0] * 5
     for size in (6, 8):
         for j in range(15):
