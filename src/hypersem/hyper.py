@@ -54,12 +54,19 @@ relation is not a partial function lacks PSC and breaks closure;
 evaluation then falls back to explicit members, within the family
 module's cap and pair bound (``QueryBlowup`` past them).
 
-Between calls to ``eval`` a principal value ↓{t} travels as its top mask
-t: a join takes the `|` of principal branch values and their union with
-one ``FamilySet.downset``, and a loop equation's value is u | (m & ~guard)
-from the bottom 0, u the mask of its one dependency.  A principal value
-is never a one-mask ``FamilySet``, so `==` and `!=` on carried values are
-exact.  ``eval`` takes and returns only ``FamilySet``s, as do memos.
+Memos hold a value as the engine carries it: a principal down-set ↓{t}
+as its top mask t, any other value as its ``FamilySet``; rules return
+carried values.  A join takes the `|` of principal branch values and
+their union with one ``FamilySet.downset``, and a loop equation's value
+is u | (m & ~guard) from the bottom 0, u the mask of its one dependency.
+A principal value is never a one-mask ``FamilySet``, so `==` and `!=` on
+carried values are exact.  A rule reads a child's value at ↓{m} with
+``HEval._hit`` first, which answers from the child's memo, a PSC atom's
+image of m, or m itself for `skip`; only a rule run enters ``eval``.
+``eval`` converts at its boundary: it takes and returns only
+``FamilySet``s, and each evaluator interns one ``FamilySet`` per mask,
+which serves every principal query it passes and every principal value
+``eval`` returns.
 
 ``happly`` and ``loop_iterates`` hand the anomalous ``naive`` and
 ``otimes`` variants to the definitional evaluator in ``reference``.
@@ -78,24 +85,32 @@ from .transformer import psc_check
 
 
 def _map_family(ev, tr, preserves_closure, fam):
-    """Elementwise image { tr(p) | p in fam } of a nonempty family."""
+    """Elementwise image { tr(p) | p in fam } of a nonempty family,
+    carried."""
     if fam.kind == DOWNSET and preserves_closure:
         if len(fam.sets) == 1:
             (m,) = fam.sets
-            return powerset_family(tr.apply(m))
-        return FamilySet.downset(map(tr.apply, fam.sets))
-    return FamilySet.explicit(map(tr.apply, fam.members()))
+            return tr.apply(m)
+        return _top(FamilySet.downset(map(tr.apply, fam.sets)))
+    return _top(FamilySet.explicit(map(tr.apply, fam.members())))
 
 
 def _seq(ev, parts, fam):
+    """The parts in order, each principal value read with ``_hit`` first."""
+    val = _top(fam)
     for part in parts:
-        fam = ev.eval(part, fam)
-    return fam
+        if type(val) is int:
+            v = ev._hit(part, val)
+            val = (_top(ev.eval(part, ev._principal[val])) if v is None
+                   else v)
+        else:
+            val = _top(ev.eval(part, val))
+    return val
 
 
 def _top(fam):
-    """A value as the engine carries it between ``eval`` calls: the top
-    mask t of a principal down-set ↓{t}, else the family itself."""
+    """A value as the engine carries it: the top mask t of a principal
+    down-set ↓{t}, else the family itself."""
     if fam.kind == DOWNSET and len(fam.sets) == 1:
         (t,) = fam.sets
         return t
@@ -108,13 +123,13 @@ def _family(v):
 
 
 def _union(vals):
-    """The family of the union of a nonempty list of carried values: one
+    """The union of a nonempty list of carried values, carried: one
     ``downset`` over top masks when every value is principal."""
     if len(vals) == 1:
-        return _family(vals[0])
+        return vals[0]
     if all(type(v) is int for v in vals):
-        return FamilySet.downset(vals)
-    return family_union(*map(_family, vals))
+        return _top(FamilySet.downset(vals))
+    return _top(family_union(*map(_family, vals)))
 
 
 def _families(vals):
@@ -130,7 +145,10 @@ def _join(ev, branches, fam):
     for p in fam.antichain():
         val = None
         for branch, mask in branches:
-            v = _top(ev.eval(branch, powerset_family(p & mask)))
+            q = p & mask
+            v = ev._hit(branch, q)
+            if v is None:
+                v = _top(ev.eval(branch, ev._principal[q]))
             if val is None:
                 val = v
             elif type(val) is int and type(v) is int:
@@ -139,6 +157,16 @@ def _join(ev, branches, fam):
                 val = _top(family_product(_family(val), _family(v)))
         parts.append(val)
     return _union(parts)
+
+
+class _Interned(dict):
+    """One principal family ↓{m} per mask m, built at its first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, m):
+        fam = self[m] = powerset_family(m)
+        return fam
 
 
 class HyperStats:
@@ -154,8 +182,9 @@ class HyperStats:
 
 
 class HEval:
-    """One paper-variant evaluation context: the space, and one compiled
-    entry per statement node with the node's rule and memo."""
+    """One paper-variant evaluation context: the space, one compiled
+    entry per statement node with the node's rule and memo, and one
+    interned principal family per mask used."""
 
     def __init__(self, space, variant=LoopVariant.PAPER, *,
                  cross_check=False):
@@ -166,6 +195,7 @@ class HEval:
         self.cross_check = cross_check
         self.stats = HyperStats()
         self._entries = {}
+        self._principal = _Interned()
 
     def _compile(self, node):
         """The node's entry (node, rule, args, memo), built once and keyed
@@ -204,32 +234,49 @@ class HEval:
         # structurally.  Calling the rule, or discovering a loop's
         # equations, from here keeps two stack frames per nesting level.
         if memo is None or (rule is not None and fam.kind != DOWNSET):
-            return rule(self, *args, fam)
-        if len(fam.sets) == 1:  # ↓{m}, or {m} at a loop: one memo entry
+            val = rule(self, *args, fam)
+        elif len(fam.sets) == 1:  # ↓{m}, or {m} at a loop: one memo entry
             (m,) = fam.sets
             val = memo.get(m)
             if val is None:
                 if rule is None:
                     self._solve_demand(node, self._discover(args, (m,), memo),
                                        memo)
-                    return memo[m]
-                val = memo[m] = rule(self, *args, fam)
-            return val
-        basis = fam.antichain()
-        vals = []
-        missing = []
-        for m in basis:
-            val = memo.get(m)
-            if val is None:
-                if rule is None:
-                    missing.append(m)
-                    continue
-                val = memo[m] = rule(self, *args, powerset_family(m))
-            vals.append(val)
-        if missing:
-            self._solve_demand(node, self._discover(args, missing, memo), memo)
-            vals = [memo[m] for m in basis]
-        return vals[0] if len(vals) == 1 else family_union(*vals)
+                    val = memo[m]
+                else:
+                    val = memo[m] = rule(self, *args, fam)
+        else:
+            basis = fam.antichain()
+            vals = []
+            missing = []
+            for m in basis:
+                val = memo.get(m)
+                if val is None:
+                    if rule is None:
+                        missing.append(m)
+                        continue
+                    val = memo[m] = rule(self, *args, self._principal[m])
+                vals.append(val)
+            if missing:
+                self._solve_demand(node, self._discover(args, missing, memo),
+                                   memo)
+                vals = [memo[m] for m in basis]
+            val = _union(vals)
+        return self._principal[val] if type(val) is int else val
+
+    def _hit(self, node, m):
+        """The node's carried value at ↓{m} when it needs no rule run: its
+        memo entry, a PSC atom's image of m, or m for skip; else None.
+        It returns before its caller enters ``eval``, so a nesting level
+        keeps two stack frames."""
+        _, rule, args, memo = (self._entries.get(id(node))
+                               or self._compile(node))
+        if memo is not None:
+            return memo.get(m)
+        if rule is _map_family:
+            tr, psc = args
+            return tr.apply(m) if psc else None
+        return m  # skip
 
     # ---- loop machinery: one unknown per atomic query
 
@@ -248,19 +295,23 @@ class HEval:
             m = pending.pop()
             if m in system:
                 continue
-            deps = self.eval(body, powerset_family(m & bmask)).antichain()
+            q = m & bmask
+            v = self._hit(body, q)
+            if v is None:
+                v = _top(self.eval(body, self._principal[q]))
+            deps = (v,) if type(v) is int else v.antichain()
             system[m] = (deps, m & nbmask)
             pending.extend(d for d in deps if d not in known)
         return system
 
     def _rhs(self, equation, vals, memo):
         """The equation's value as a mask, reading its unknown from vals or
-        the atomic query's family from memo.  Every construct maps a family
+        the atomic query's mask from memo.  Every construct maps a family
         with a greatest member to one, so the body's value at ↓{m & guard}
         has one maximal member, the equation one dependency, and every
         loop value, from the bottom 0 up, a top mask."""
         (d,), wrap = equation
-        return (vals[d] if d in vals else _top(memo[d])) | wrap
+        return (vals[d] if d in vals else memo[d]) | wrap
 
     def _kleene(self, system, memo):
         """Synchronized iterates of system from bottom, as masks; other
@@ -286,7 +337,7 @@ class HEval:
 
     def _solve_demand(self, node, system, memo):
         """Worklist iteration to the least solution, over masks from the
-        bottom 0; memoizes every atom as a family."""
+        bottom 0; memoizes every atomic query's mask."""
         vals = dict.fromkeys(system, 0)
         rdeps = {u: set() for u in system}
         for u, (deps, _) in system.items():
@@ -325,7 +376,7 @@ class HEval:
             if vals != limit:
                 self.stats.cross_mismatches.append(
                     (node, system, _families(vals), _families(limit)))
-        memo.update(_families(vals))
+        memo.update(vals)
 
 
 # ---------------------------------------------------------------- entry points
@@ -366,5 +417,5 @@ def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
     basis = fam.antichain()
     _, _, loop, _ = ev._compile(While(cond, body))
     system = ev._discover(loop, basis, {})
-    return [_union([cur[m] for m in basis])
+    return [_family(_union([cur[m] for m in basis]))
             for _, cur in zip(range(steps + 1), ev._kleene(system, {}))]

@@ -801,14 +801,18 @@ def test_principal_shortcuts_equal_the_general_path():
             atom = rel_to_atom(rnd_partial_fn(rng, space), space)
             _, rule, (tr, psc), _ = ev._compile(atom)
             assert psc
-            _same(rule(ev, tr, psc, a), FamilySet.downset(
+            # a rule returns its value as carried: a principal one as
+            # its top mask
+            got = rule(ev, tr, psc, a)
+            assert type(got) is int
+            _same(hyper._family(got), FamilySet.downset(
                 [tr.apply(p) for p in (x, x & y, 0)]))
-            _same(rule(ev, tr, psc, powerset_family(small)),
+            _same(hyper._family(rule(ev, tr, psc, powerset_family(small))),
                   FamilySet.explicit(map(tr.apply, subsets_of(small))))
             # a loop equation's value as a mask, its one dependency read
-            # as a mask from the unknowns or as a family from the memo
+            # as a mask from the unknowns or from the memo
             w = rng.randrange(1 << n)
-            for vals, memo, dep in (({1: x}, {}, a), ({}, {1: b}, b)):
+            for vals, memo, dep in (({1: x}, {}, a), ({}, {1: y}, b)):
                 got = ev._rhs((frozenset((1,)), w), vals, memo)
                 assert type(got) is int
                 _same(powerset_family(got),
@@ -838,12 +842,53 @@ def test_principal_shortcuts_equal_the_general_path():
                     # downset over their masks, against the general path
                     q2 = FamilySet.downset((m, rng.randrange(1 << n)))
                     branches = join_branches(stmt, pf.space())
-                    _same(hyper._join(ev, branches, q2), family_union(*[
-                        reduce(family_product, [
-                            ev.eval(b, powerset_family(p & mask))
-                            for b, mask in branches])
-                        for p in q2.antichain()]))
+                    _same(hyper._family(hyper._join(ev, branches, q2)),
+                          family_union(*[
+                              reduce(family_product, [
+                                  ev.eval(b, powerset_family(p & mask))
+                                  for b, mask in branches])
+                              for p in q2.antichain()]))
     assert seen == {"Atom", "Seq", "Choice", "If", "While", "Skip"}
+
+
+def test_principal_families_are_interned_per_evaluator():
+    # one FamilySet per mask within an evaluator: it is every principal
+    # query the evaluator passes and every principal value eval returns
+    pf = parse("var x: 0..3; var y: 0..1;\n"
+               "x := 1 ; ( y := 1 [] skip ) ; "
+               "if x < 2 { while y < 1 { y := y + 1 } } else { x := 0 } ; "
+               "( skip [] havoc x )")
+    space = pf.space()
+    ev, other = HEval(space), HEval(space)
+    for m in range(1 << space.size):
+        fam = ev._principal[m]
+        _same(fam, powerset_family(m))
+        assert ev._principal[m] is fam
+        assert other._principal[m] is not fam
+    queries = [powerset_family(m) for m in (0, 0b101, space.full_mask)]
+    kinds = set()
+    for stmt in statements(pf.body):
+        for q in queries:
+            got = ev.eval(stmt, q)
+            again = ev.eval(stmt, q)
+            _same(again, got)
+            if got.kind == "downset" and len(got.sets) == 1:
+                (t,) = got.sets
+                assert got is ev._principal[t]
+                assert got is not other.eval(stmt, q)
+            # every construct but an atom answers again with the object
+            # it memoized
+            assert isinstance(stmt, Atom) or again is got, stmt
+            kinds.add((type(stmt).__name__, got.kind))
+    # values of both kinds were returned; memos hold the principal ones
+    # as masks and the others as families
+    assert {("Seq", "explicit"), ("Choice", "explicit"), ("While", "downset"),
+            ("Skip", "downset")} <= kinds
+    for _, _, _, memo in ev._entries.values():
+        for v in (memo or {}).values():
+            assert type(v) is int or hyper._top(v) is v
+    assert not ({id(f) for f in ev._principal.values()}
+                & {id(f) for f in other._principal.values()})
 
 
 def test_loop_work_counters_on_a_nondeterministic_battery(monkeypatch):
@@ -869,7 +914,18 @@ def test_loop_work_counters_on_a_nondeterministic_battery(monkeypatch):
         finally:
             del ev._rhs
 
+    # a rule reads its children's memo hits, PSC atoms' images and skip
+    # without entering eval, so eval is entered once per rule run
+    entries = {}
+    evaluate = HEval.eval
+
+    def counting_eval(ev, node, fam):
+        name = type(node).__name__
+        entries[name] = entries.get(name, 0) + 1
+        return evaluate(ev, node, fam)
+
     monkeypatch.setattr(HEval, "_solve_demand", canonical_solve)
+    monkeypatch.setattr(HEval, "eval", counting_eval)
     totals = [0] * 5
     for size in (6, 8):
         for j in range(15):
@@ -886,3 +942,5 @@ def test_loop_work_counters_on_a_nondeterministic_battery(monkeypatch):
                                    len(s.cross_mismatches))):
                 totals[i] += v
     assert totals == [162, 253, 206, 162, 0]
+    assert entries == {"Atom": 238, "Choice": 137, "If": 140, "Seq": 317,
+                       "While": 164}
