@@ -17,12 +17,15 @@ closed under removing one state is a down-set, and its antichain is the
 members less those one state smaller than another member; any other set
 is kept as it is.  ``union_of_parts`` builds the union of member sets
 that come with their closure data (the lift oracle's principal parts)
-without that pass.  ``downset`` is the one place that reduces masks to
-their antichain, with ``_kernels.maximal_sets``; one mask is its own
-antichain.  A family's sets are frozensets of masks, and the kernels take
-and return them as they are.  Since each family has one stored form,
-``==`` and ``hash`` compare that form (kind and stored sets), and
-``key()`` is the same pair as a sorted tuple.
+without that pass.  ``maximal_masks`` reduces masks to their antichain
+with ``_kernels.maximal_sets``; one mask is its own antichain.
+``downset`` normalizes through it, and so does the hyper engine's union
+of top masks, which builds a down-set with ``of_antichain`` only when
+two masks or more survive; ``antichain()`` of an explicit family hands
+its members to the kernel.  A family's sets are frozensets of masks, and
+the kernels take and return them as they are.  Since each family has one
+stored form, ``==`` and ``hash`` compare that form (kind and stored
+sets), and ``key()`` is the same pair as a sorted tuple.
 
 The hyper semantics is built from two operations on families, and both
 live here: ``family_union`` and ``family_product`` (the inner-join
@@ -36,7 +39,7 @@ Most families the hyper engine builds are principal down-sets ↓{m}
 normalization pass: the product of ↓{x} and ↓{y} is ↓{x | y}.  One mask
 is its own antichain, so the stored form is the canonical one and ``==``,
 ``hash`` and ``key()`` agree with the normalized family.  A union of
-several down-sets hands its masks to ``downset``.
+several down-sets hands its masks to ``maximal_masks``.
 """
 
 from . import _kernels
@@ -68,6 +71,15 @@ def bounded_product(a, b):
         raise QueryBlowup(f"a product of {len(a)} by {len(b)} members "
                           f"exceeds the pair bound {PAIR_BOUND}")
     return (r | s for r in a for s in b)
+
+
+def maximal_masks(sets):
+    """The subset-maximal masks of a frozenset of masks, by
+    ``_kernels.maximal_sets`` when there are two masks or more; fewer are
+    their own antichain."""
+    if len(sets) < 2:
+        return sets
+    return _kernels.maximal_sets(sets)
 
 
 def mask_of(states):
@@ -108,9 +120,13 @@ class FamilySet:
         sets = frozenset(sets)
         if not sets:
             return cls.empty()
-        if len(sets) == 1:
-            return cls(DOWNSET, sets)
-        return cls(DOWNSET, _kernels.maximal_sets(sets))
+        return cls(DOWNSET, maximal_masks(sets))
+
+    @classmethod
+    def of_antichain(cls, antichain):
+        """The down-set of a nonempty frozenset of masks that is already
+        its own antichain, as ``maximal_masks`` returns it."""
+        return cls(DOWNSET, antichain)
 
     @classmethod
     def union_of_parts(cls, parts):

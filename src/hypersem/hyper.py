@@ -41,7 +41,7 @@ costs two stack frames per nesting level, as in the parser.  The optional
 cross-check and ``loop_iterates`` use synchronized (Kleene) iteration of
 the same equations.
 
-Unions and products of values are ``family.family_union`` and
+Unions and products of other values are ``family.family_union`` and
 ``family.family_product``.  Down-sets are their fast path: when every
 value in sight is subset closed, they work on antichains.  A principal
 value ↓{m} is built as it is (``family.powerset_family``), with no
@@ -56,9 +56,13 @@ module's cap and pair bound (``QueryBlowup`` past them).
 
 Memos hold a value as the engine carries it: a principal down-set ↓{t}
 as its top mask t, any other value as its ``FamilySet``; rules return
-carried values.  A join takes the `|` of principal branch values and
-their union with one ``FamilySet.downset``, and a loop equation's value
-is u | (m & ~guard) from the bottom 0, u the mask of its one dependency.
+carried values.  A join takes the `|` of principal branch values, and a
+loop equation's value is u | (m & ~guard) from the bottom 0, u the mask
+of its one dependency.  A union of top masks (a join's over its query's
+antichain, ``eval``'s over a multi-mask query's, a PSC atom's images of
+a multi-mask down-set) is reduced by ``family.maximal_masks`` and stays
+a mask when one survives; only a non-principal union builds a
+``FamilySet``, from the reduced antichain.
 A principal value is never a one-mask ``FamilySet``, so `==` and `!=` on
 carried values are exact.  A rule reads a child's value at ↓{m} with
 ``HEval._hit`` first, which answers from the child's memo, a PSC atom's
@@ -77,7 +81,7 @@ from collections import deque
 from . import reference
 from .errors import IterationBudgetExceeded, NonSubsetClosedQuery
 from .family import (DOWNSET, FamilySet, family_product, family_union,
-                     powerset_family)
+                     maximal_masks, powerset_family)
 from .lang import (Atom, Choice, If, Seq, Skip, While, elaborate_atom,
                    eval_bool, join_branches)
 from .reference import LoopVariant
@@ -91,7 +95,7 @@ def _map_family(ev, tr, preserves_closure, fam):
         if len(fam.sets) == 1:
             (m,) = fam.sets
             return tr.apply(m)
-        return _top(FamilySet.downset(map(tr.apply, fam.sets)))
+        return _union_of_tops(frozenset(map(tr.apply, fam.sets)))
     return _top(FamilySet.explicit(map(tr.apply, fam.members())))
 
 
@@ -122,14 +126,25 @@ def _family(v):
     return powerset_family(v) if type(v) is int else v
 
 
+def _union_of_tops(masks):
+    """The union of ↓{t} over a nonempty frozenset of masks t, carried:
+    the one maximal mask, else the down-set of the antichain."""
+    top = maximal_masks(masks)
+    if len(top) == 1:
+        (t,) = top
+        return t
+    return FamilySet.of_antichain(top)
+
+
 def _union(vals):
-    """The union of a nonempty list of carried values, carried: one
-    ``downset`` over top masks when every value is principal."""
+    """The union of a nonempty list of carried values, carried: over top
+    masks when every value is principal."""
     if len(vals) == 1:
         return vals[0]
-    if all(type(v) is int for v in vals):
-        return _top(FamilySet.downset(vals))
-    return _top(family_union(*map(_family, vals)))
+    for v in vals:
+        if type(v) is not int:
+            return _top(family_union(*map(_family, vals)))
+    return _union_of_tops(frozenset(vals))
 
 
 def _families(vals):

@@ -50,13 +50,19 @@ def sem_rel(node, space):
         return Rel.identity(space)
     if isinstance(node, Atom):
         return elaborate_atom(node.atom, space)
+    # plain loops: a comprehension is a frame of its own on Python 3.11,
+    # and would double each nesting level's share of the stack
     if isinstance(node, Seq):
-        rels = [sem_rel(part, space) for part in node.parts]
+        rels = []
+        for part in node.parts:
+            rels.append(sem_rel(part, space))
         return reduce(lambda out, rel: rel.compose(out), reversed(rels))
     if isinstance(node, (Choice, If)):
-        return reduce(Rel.union, [
-            _restrict(sem_rel(part, space), mask)
-            for part, mask in join_branches(node, space)])
+        out = None
+        for part, mask in join_branches(node, space):
+            rel = _restrict(sem_rel(part, space), mask)
+            out = rel if out is None else out.union(rel)
+        return out
     if isinstance(node, While):
         b = eval_bool(node.cond, space)
         step = _restrict(sem_rel(node.body, space), b).rows

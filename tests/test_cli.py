@@ -695,6 +695,29 @@ def test_nested_program_answers(capsys, tmp_path):
             0, "[[],[{x=0}]]\n", ""), variant
 
 
+def test_nested_program_with_a_sequence_at_every_level(capsys, tmp_path):
+    # a `;` inside each `if` costs the relation and transformer levels no
+    # more frames than the `if` alone, so 350 levels answer; the hyper
+    # engine spends four frames a level here (`eval`, the join, `eval`,
+    # the sequence), which the recursion limit refuses
+    p = tmp_path / "seq.imp"
+    p.write_text("var x: 0..1;\nlow x;\n" + "if x = 0 { skip ; " * 350
+                 + "x := 1 - x" + " } else { skip }" * 350 + "\n")
+    code, out, _ = run(capsys, "parse", str(p))
+    assert code == 0
+    assert (out.count("if x = 0"), out.count("  seq\n")) == (350, 350)
+    for level, literal, want in (("rel", "{x=0}", "[{x=1}]\n"),
+                                 ("tr", "[{x=0},{x=1}]", "[{x=1}]\n")):
+        assert run(capsys, "eval", str(p), "--level", level, "--input",
+                   literal) == (0, want, ""), level
+    assert run(capsys, "check-ni", str(p), "--form", "all") == (
+        0, "rel: secure\nposs: secure\nhyper: secure\n", "")
+    assert run(capsys, "psc", str(p)) == (0, "psc: holds\n", "")
+    assert run(capsys, "eval", str(p), "--level", "hyper", "--input",
+               "[[],[{x=0}]]") == (
+        2, "", "error: program nested too deeply (recursion limit reached)\n")
+
+
 def test_long_seq_chain_answers(capsys, tmp_path):
     # a `;` chain costs no recursion depth in any command
     p = tmp_path / "chain.imp"

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from hypersem import _kernels, harness
+from hypersem import _kernels, harness, hyper
 from hypersem.errors import QueryBlowup, SpaceTooLarge
 from hypersem.family import DOWNSET, EXPLICIT, FamilySet, powerset_family
 from hypersem.harness import (DiffReport, GenConfig, check_prop1, check_thm1,
@@ -251,6 +251,45 @@ def test_maximal_sets_gets_a_sized_collection(monkeypatch):
             report = check_thm1(pf, queries, cross_check=True)
             assert report.failures == 0, report.first_witness
     assert max(sizes) > 1
+
+
+def test_engine_unions_call_maximal_sets_as_downset_would(monkeypatch):
+    # the engine unites principal values as top masks without building a
+    # FamilySet through downset, yet calls the kernel exactly when downset
+    # would, on sets of the same sizes: the traced kernel counts of a
+    # battery read the same as through downset
+    real_kernel = _kernels.maximal_sets
+    real_downset = FamilySet.downset.__func__
+
+    def battery():
+        sizes, downsets = [], [0]
+
+        def kernel(sets):
+            sizes.append(len(sets))
+            return real_kernel(sets)
+
+        def downset(cls, sets):
+            downsets[0] += 1
+            return real_downset(cls, sets)
+
+        monkeypatch.setattr(_kernels, "maximal_sets", kernel)
+        monkeypatch.setattr(FamilySet, "downset", classmethod(downset))
+        for deterministic in (True, False):
+            cfg = GenConfig(seed=13, space_size=4, max_range=3,
+                            allow_choice=not deterministic,
+                            allow_nondet_atoms=not deterministic)
+            for pf, queries in _sampled_programs(cfg, 8, 20):
+                report = check_thm1(pf, queries, cross_check=True)
+                assert report.failures == 0, report.first_witness
+        return sizes, downsets[0]
+
+    sizes, downsets = battery()
+    monkeypatch.setattr(hyper, "_union_of_tops",
+                        lambda masks: hyper._top(FamilySet.downset(masks)))
+    through_downset, more_downsets = battery()
+    assert sizes == through_downset
+    assert (len(sizes), sum(sizes)) == (277, 639)
+    assert (downsets, more_downsets) == (320, 426)
 
 
 def test_search_ssc_necessity_counts_check_thm1_mismatches():

@@ -8,6 +8,7 @@ import weakref
 from functools import reduce
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hypersem import hyper
 from hypersem._kernels import psc_scan_table
@@ -26,6 +27,7 @@ from hypersem.lang import (Assign, Assume, Atom, BoolConst, Choice, Cmp, If,
 from hypersem.reference import (LoopVariant, ref_eval, ref_iterates,
                                 ref_loop_system)
 from hypersem.notation import format_family, parse_family
+from hypersem.relation import Rel
 from hypersem.semantics import sem_rel, sem_tr
 from hypersem.space import StateSpace
 from support import (binary_chains, is_monotone, is_partial_function,
@@ -838,8 +840,8 @@ def test_principal_shortcuts_equal_the_general_path():
                     stmt, FamilySet.explicit(subsets_of(m))))
                 seen.add(type(stmt).__name__)
                 if isinstance(stmt, (Choice, If)):
-                    # a join's `|` of principal branch values and its one
-                    # downset over their masks, against the general path
+                    # a join's `|` of principal branch values and the
+                    # union of their masks, against the general path
                     q2 = FamilySet.downset((m, rng.randrange(1 << n)))
                     branches = join_branches(stmt, pf.space())
                     _same(hyper._family(hyper._join(ev, branches, q2)),
@@ -849,6 +851,56 @@ def test_principal_shortcuts_equal_the_general_path():
                                   for b, mask in branches])
                               for p in q2.antichain()]))
     assert seen == {"Atom", "Seq", "Choice", "If", "While", "Skip"}
+
+
+def _with_nested(masks):
+    """masks, then some of them again, each with some states taken out."""
+    return st.lists(st.tuples(st.sampled_from(masks), st.integers(0, 63)),
+                    max_size=6).map(
+        lambda extra: masks + [m & keep for m, keep in extra])
+
+
+_TOP_MASKS = st.lists(st.integers(0, 63), min_size=1,
+                      max_size=6).flatmap(_with_nested)
+_CARRIED = st.one_of(
+    st.integers(0, 63),
+    st.sets(st.integers(0, 63), min_size=1, max_size=4).map(
+        lambda masks: hyper._top(FamilySet.downset(masks))),
+    st.sets(st.integers(0, 63), min_size=1, max_size=6).map(
+        lambda members: hyper._top(FamilySet.explicit(members))))
+
+
+def _carried(v):
+    """v is a value as the engine carries it: a principal down-set is
+    always its top mask, never a one-mask FamilySet."""
+    return type(v) is int or not (v.kind == "downset" and len(v.sets) == 1)
+
+
+_PARTIAL_FUNCTION_ROWS = st.lists(
+    st.sampled_from([0] + [1 << s for s in range(6)]), min_size=6,
+    max_size=6)
+
+
+@given(_TOP_MASKS, _PARTIAL_FUNCTION_ROWS)
+def test_union_of_top_masks_is_their_downset(masks, rows):
+    # duplicate, nested and equal masks: the union is the down-set of the
+    # masks, carried, and a PSC atom's image of a multi-mask down-set is
+    # the union of its images of the antichain
+    got = hyper._union(masks)
+    assert _carried(got)
+    assert got == hyper._top(FamilySet.downset(masks))
+    tr = Rel(StateSpace((("x", 0, 5),)), rows)
+    query = FamilySet.downset(masks)
+    image = hyper._map_family(None, tr, True, query)
+    assert _carried(image)
+    assert image == hyper._top(FamilySet.downset(map(tr.apply, query.sets)))
+
+
+@given(st.lists(_CARRIED, min_size=1, max_size=5))
+def test_union_of_carried_values_is_their_family_union(vals):
+    got = hyper._union(vals)
+    assert _carried(got)
+    assert got == hyper._top(family_union(*map(hyper._family, vals)))
 
 
 def test_principal_families_are_interned_per_evaluator():

@@ -85,6 +85,13 @@ def test_equal_relations_hash_equal(x8):
     assert len({inc, same, Rel.identity(x8)}) == 2
 
 
+def test_repr_names_the_space_and_the_pairs(bits):
+    assert repr(Rel(bits, [2, 0, 0, 1])) == (
+        "Rel(StateSpace(hi:0..1, lo:0..1), pairs=[(0, 1), (3, 0)])")
+    assert repr(Rel.empty(bits)) == (
+        "Rel(StateSpace(hi:0..1, lo:0..1), pairs=[])")
+
+
 def test_union_reconstructs_refinement_example(bits):
     full = Rel.from_pairs(bits, EIGHT_PAIRS)
     kept = Rel.from_pairs(bits, [p for p in EIGHT_PAIRS if p not in UNDERLINED])

@@ -21,6 +21,12 @@ def test_mixed_radix_declaration_order(bits):
     assert bits.encode({"hi": 0, "lo": 1}) == 1
 
 
+def test_repr_lists_the_declarations(x8, bits):
+    assert repr(x8) == "StateSpace(x:0..7)"
+    assert repr(bits) == "StateSpace(hi:0..1, lo:0..1)"
+    assert repr(StateSpace((("p", -2, 1),))) == "StateSpace(p:-2..1)"
+
+
 def test_encode_out_of_range(x8):
     with pytest.raises(ValueOutOfRange):
         x8.encode({"x": 9})
