@@ -33,13 +33,28 @@ queries look up each antichain mask and batch a loop's missing ones into
 one discovery.
 
 Loops are least fixpoints of the guarded-join functional.  The equation
-of atomic query m depends on the antichain of the body's value at
-↓{m & guard}; its value is their union times ↓{m & ~guard}.  ``eval``
-discovers a loop's missing equations, and a demand-driven worklist that
-evaluates no statement solves them from the bottom {{}}, so a construct
-costs two stack frames per nesting level, as in the parser.  The optional
-cross-check and ``loop_iterates`` use synchronized (Kleene) iteration of
-the same equations.
+of atomic query m reads the body's value at ↓{m & guard}.  Every
+construct maps a family with a greatest member to one, so that value
+has one maximal member d(m), and the equation is val(m) = val(d(m)) |
+w(m) over top masks from the bottom 0, with the wrap w(m) = m & ~guard;
+a d(m) outside the system reads its memo value.  ``eval`` discovers a
+loop's missing equations and solves them in closed form, evaluating no
+statement, so a construct costs two stack frames per nesting level, as
+in the parser.
+
+The closed form.  Follow m's path m, d(m), d(d(m)), ... .  By induction
+on k, the k-th Kleene iterate at m is the OR of the wraps of the first k
+unknowns on the path, and of the memo value at which the path leaves the
+system if it does so within k steps.  The iterates grow with k, so their
+limit is the OR of the wraps of every unknown the path visits, and of
+that memo value.  Each unknown has one dependency, so a path either
+leaves the system or ends in one cycle, round which it goes for ever:
+every unknown of a cycle takes the OR of the cycle's wraps, and any other
+unknown its wrap | its dependency's value.  The solve walks from each
+unknown until it meets a memo value, a solved unknown or its own path,
+gives a cycle closed on its path the OR of the cycle's wraps, and walks
+back along the path ORing in each wrap.  The optional cross-check and
+``loop_iterates`` iterate the same equations synchronously (Kleene).
 
 Unions and products of other values are ``family.family_union`` and
 ``family.family_product``.  Down-sets are their fast path: when every
@@ -75,8 +90,6 @@ which serves every principal query it passes and every principal value
 ``happly`` and ``loop_iterates`` hand the anomalous ``naive`` and
 ``otimes`` variants to the definitional evaluator in ``reference``.
 """
-
-from collections import deque
 
 from . import reference
 from .errors import IterationBudgetExceeded, NonSubsetClosedQuery
@@ -186,7 +199,9 @@ class _Interned(dict):
 
 class HyperStats:
     """Counters of one evaluator's loop solves, and the cross-check's
-    mismatches as (node, system, values, limit)."""
+    mismatches as (node, system, values, limit).  The closed-form solve
+    updates no value, so ``value_updates`` reads 0; it is kept only for
+    the benchmark's ``hyper.loop.updates`` total."""
 
     def __init__(self):
         self.demand_loops_solved = 0
@@ -299,8 +314,8 @@ class HEval:
         """Equations of the atomic queries reachable from roots, not
         entering known; loop is the args of a loop's entry.
 
-        Each equation is (deps, wrap): the antichain of the body's value
-        at the subsets of m & guard, one mask, and the mask m & ~guard.
+        Each equation is (dep, wrap), two masks: the one maximal member
+        of the body's value at the subsets of m & guard, and m & ~guard.
         Roots are always included.
         """
         bmask, nbmask, body = loop
@@ -314,27 +329,20 @@ class HEval:
             v = self._hit(body, q)
             if v is None:
                 v = _top(self.eval(body, self._principal[q]))
-            deps = (v,) if type(v) is int else v.antichain()
-            system[m] = (deps, m & nbmask)
-            pending.extend(d for d in deps if d not in known)
+            (dep,) = (v,) if type(v) is int else v.antichain()
+            system[m] = (dep, m & nbmask)
+            if dep not in known:
+                pending.append(dep)
         return system
 
-    def _rhs(self, equation, vals, memo):
-        """The equation's value as a mask, reading its unknown from vals or
-        the atomic query's mask from memo.  Every construct maps a family
-        with a greatest member to one, so the body's value at ↓{m & guard}
-        has one maximal member, the equation one dependency, and every
-        loop value, from the bottom 0 up, a top mask."""
-        (d,), wrap = equation
-        return (vals[d] if d in vals else memo[d]) | wrap
-
     def _kleene(self, system, memo):
-        """Synchronized iterates of system from bottom, as masks; other
-        atoms read memo."""
+        """Synchronized iterates of system from bottom, as masks; a
+        dependency outside system reads memo."""
         cur = dict.fromkeys(system, 0)
         while True:
             yield cur
-            cur = {u: self._rhs(eq, cur, memo) for u, eq in system.items()}
+            cur = {u: (cur[d] if d in cur else memo[d]) | wrap
+                   for u, (d, wrap) in system.items()}
 
     def _kleene_limit(self, system, memo):
         budget = reference.loop_budget(self.space.size, len(system))
@@ -351,40 +359,29 @@ class HEval:
             prev = cur
 
     def _solve_demand(self, node, system, memo):
-        """Worklist iteration to the least solution, over masks from the
-        bottom 0; memoizes every atomic query's mask."""
-        vals = dict.fromkeys(system, 0)
-        rdeps = {u: set() for u in system}
-        for u, (deps, _) in system.items():
-            for d in deps:
-                if d in rdeps:
-                    rdeps[d].add(u)
-
-        budget = reference.loop_budget(self.space.size, len(system))
-        updates = 0
-        work = deque(system)
-        queued = set(system)
-        while work:
-            u = work.popleft()
-            queued.discard(u)
-            new = self._rhs(system[u], vals, memo)
-            if new != vals[u]:
-                vals[u] = new
-                updates += 1
-                if updates > budget:
-                    # unreachable unless monotonicity breaks: values only
-                    # grow from bottom, at most 2^n times per unknown,
-                    # which stays within loop_budget up to 20 states
-                    raise IterationBudgetExceeded(
-                        f"loop solve exceeded {budget} updates")
-                for d in rdeps[u]:
-                    if d not in queued:
-                        queued.add(d)
-                        work.append(d)
+        """The least solution in closed form (see the module docstring):
+        one walk per unknown, in system order; memoizes every atomic
+        query's mask."""
+        vals = dict.fromkeys(system)
+        for u in system:
+            path = {}  # the unknowns walked, each to its index
+            while u in system and vals[u] is None and u not in path:
+                path[u] = len(path)
+                u = system[u][0]
+            # a cycle on the path: the OR of its wraps, which the walk back
+            # gives each of its unknowns
+            if u in path:
+                val = 0
+                for c in list(path)[path[u]:]:
+                    val |= system[c][1]
+            else:
+                val = vals[u] if u in vals else memo[u]
+            for c in reversed(path):
+                val |= system[c][1]
+                vals[c] = val
 
         self.stats.demand_loops_solved += 1
         self.stats.queries_solved += len(system)
-        self.stats.value_updates += updates
         if self.cross_check:
             self.stats.cross_checks += 1
             limit = self._kleene_limit(system, memo)

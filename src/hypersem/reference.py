@@ -57,7 +57,7 @@ def _down(mask):
 
 
 def loop_budget(size, nqueries):
-    """Steps or updates a loop solve over nqueries unknowns may take."""
+    """Steps a loop solve over nqueries unknowns may take."""
     return (1 << min(size, 20)) * nqueries + 8
 
 

@@ -68,10 +68,10 @@ def test_an_expression_is_not_a_statement(x8, denote):
 
 
 def test_cross_check_reports_an_exceeded_kleene_budget(monkeypatch):
-    # `while true { skip }` leaves the demand solve at bottom with no
-    # update, so a zero budget is first exceeded in the cross-check's
-    # Kleene iteration; the CLI reaches it through `diff --thm1
-    # --cross-check` (test_cli)
+    # the closed-form solve of `while true { skip }` takes no budget, so
+    # a zero budget is first exceeded in the cross-check's Kleene
+    # iteration; the CLI reaches it through `diff --thm1 --cross-check`
+    # (test_cli)
     monkeypatch.setattr(hyper.reference, "loop_budget",
                         lambda size, nqueries: 0)
     pf = parse("var x: 0..1; while true { skip }")
@@ -308,7 +308,7 @@ def test_cross_check_flag_agrees():
 
 def test_loop_with_a_cyclic_system_reaches_its_least_fixpoint():
     # a counter that wraps: the unknowns of the loop's equation system
-    # form a cycle, on which the demand solver must re-queue dependents
+    # form a cycle, whose unknowns the solve must give one value
     pf = parse((PROGRAMS / "cycle.imp").read_text(encoding="utf-8"))
     space = pf.space()
     q = parse_family(space, "[[],[{x=0,y=0}]]")
@@ -330,15 +330,54 @@ def test_loop_with_a_cyclic_system_reaches_its_least_fixpoint():
     def reach(u):
         seen, stack = {u}, [u]
         while stack:
-            for d in system[stack.pop()][0]:
-                if d in system and d not in seen:
-                    seen.add(d)
-                    stack.append(d)
+            d = system[stack.pop()][0]
+            if d in system and d not in seen:
+                seen.add(d)
+                stack.append(d)
         return seen
 
     component = {u: {v for v in reach(u) if u in reach(v)} for u in system}
     assert len(system) == 5
-    assert max(len(c) for c in component.values()) == 4
+    cycle = max(component.values(), key=len)
+    assert len(cycle) == 4
+    # every unknown of the cycle holds the OR of the cycle's wraps
+    memo = ev._entries[id(pf.body)][3]
+    assert {memo[u] for u in cycle} == {
+        reduce(lambda a, b: a | b, (system[u][1] for u in cycle))}
+
+
+def test_one_literal_loops_solve_to_their_kleene_limits(monkeypatch):
+    # every loop `while g { rel {...} }` over three states, at every
+    # principal down-set, cross-checked by Kleene iteration: 148 of the
+    # solves have a cycle of two unknowns or more
+    solve = HEval._solve_demand
+    cyclic = 0
+
+    def counting_solve(ev, node, system, memo):
+        nonlocal cyclic
+        for u in system:
+            path = []
+            while u in system and u not in path:
+                path.append(u)
+                u = system[u][0]
+            if u in path and len(path) - path.index(u) >= 2:
+                cyclic += 1
+                break
+        solve(ev, node, system, memo)
+
+    monkeypatch.setattr(HEval, "_solve_demand", counting_solve)
+    solves = mismatches = 0
+    for guard in ("x = 0", "x != 2", "x < 2", "true", "x > 0"):
+        for bits in range(1 << 9):
+            pairs = ", ".join(f"{{x={i // 3}}} -> {{x={i % 3}}}"
+                              for i in range(9) if bits >> i & 1)
+            pf = parse(f"var x: 0..2; while {guard} {{ rel {{ {pairs} }} }}")
+            ev = HEval(pf.space(), cross_check=True)
+            for m in range(8):
+                ev.eval(pf.body, powerset_family(m))
+            solves += ev.stats.demand_loops_solved
+            mismatches += len(ev.stats.cross_mismatches)
+    assert (solves, mismatches, cyclic) == (16830, 0, 148)
 
 
 def test_an_evaluator_is_freed_when_its_caller_drops_it():
@@ -812,10 +851,13 @@ def test_principal_shortcuts_equal_the_general_path():
             _same(hyper._family(rule(ev, tr, psc, powerset_family(small))),
                   FamilySet.explicit(map(tr.apply, subsets_of(small))))
             # a loop equation's value as a mask, its one dependency read
-            # as a mask from the unknowns or from the memo
+            # as a mask from the unknowns (1, a cycle of one with wrap x)
+            # or from the memo
             w = rng.randrange(1 << n)
-            for vals, memo, dep in (({1: x}, {}, a), ({}, {1: y}, b)):
-                got = ev._rhs((frozenset((1,)), w), vals, memo)
+            for system, memo, dep in (({2: (1, w), 1: (1, x)}, {}, a),
+                                      ({2: (1, w)}, {1: y}, b)):
+                ev._solve_demand(None, system, memo)
+                got = memo[2]
                 assert type(got) is int
                 _same(powerset_family(got),
                       family_product(dep, powerset_family(w)))
@@ -950,21 +992,14 @@ def test_loop_work_counters_on_a_nondeterministic_battery(monkeypatch):
     solve = HEval._solve_demand
 
     def canonical_solve(ev, node, system, memo):
-        # every equation has one dependency, and every value the worklist
+        # every equation has one dependency, and every value the solve
         # and the cross-check compare is a mask, so `!=` and `==` on them
         # are exact
-        assert all(len(deps) == 1 for deps, _ in system.values())
-
-        def rhs(equation, vals, memo):
-            out = HEval._rhs(ev, equation, vals, memo)
-            assert all(type(v) is int for v in (out, *vals.values()))
-            return out
-
-        ev._rhs = rhs
-        try:
-            return solve(ev, node, system, memo)
-        finally:
-            del ev._rhs
+        assert all(type(d) is int and type(w) is int
+                   for d, w in system.values())
+        solve(ev, node, system, memo)
+        assert all(type(memo[u]) is int and type(memo[d]) is int
+                   for u, (d, _) in system.items())
 
     # a rule reads its children's memo hits, PSC atoms' images and skip
     # without entering eval, so eval is entered once per rule run
@@ -993,6 +1028,6 @@ def test_loop_work_counters_on_a_nondeterministic_battery(monkeypatch):
                                    s.value_updates, s.cross_checks,
                                    len(s.cross_mismatches))):
                 totals[i] += v
-    assert totals == [162, 253, 206, 162, 0]
+    assert totals == [162, 253, 0, 162, 0]
     assert entries == {"Atom": 238, "Choice": 137, "If": 140, "Seq": 317,
                        "While": 164}
