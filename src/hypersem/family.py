@@ -36,7 +36,8 @@ bound it raises ``QueryBlowup`` before the result is formed.
 
 Most families the hyper engine builds are principal down-sets ↓{m}
 (``powerset_family``), and those are built without ``downset``'s
-normalization pass: the product of ↓{x} and ↓{y} is ↓{x | y}.  One mask
+normalization pass: the product of ↓{x} and ↓{y} is ↓{x | y}, which the
+engine takes as the OR of the two top masks it carries.  One mask
 is its own antichain, so the stored form is the canonical one and ``==``,
 ``hash`` and ``key()`` agree with the normalized family.  A union of
 several down-sets hands its masks to ``maximal_masks``.
@@ -243,9 +244,6 @@ def family_product(a, b):
     if not a.sets or not b.sets:
         return FamilySet.empty()
     if a.kind == DOWNSET and b.kind == DOWNSET:
-        if len(a.sets) == 1 and len(b.sets) == 1:
-            (x,), (y,) = a.sets, b.sets
-            return powerset_family(x | y)
         return FamilySet.downset(x | y for x in a.sets for y in b.sets)
     return FamilySet.explicit(bounded_product(a.members(), b.members()))
 

@@ -26,7 +26,8 @@ from itertools import product
 
 from . import _kernels
 from .errors import SpaceTooLarge
-from .family import DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet, ssc
+from .family import (DEFAULT_EXPANSION_CAP, DOWNSET, FamilySet,
+                     powerset_family, ssc)
 from .hyper import HEval
 from .lang import (Assign, Assume, Atom, BoolBin, BoolConst, Choice, Cmp,
                    Havoc, If, IntBin, IntConst, IntVar, NondetAssign,
@@ -396,11 +397,12 @@ def check_thm1(pf, queries, *, cross_check=False):
         report.cross_checks = ev.stats.cross_checks
         if mismatches:
             node, _, vals, limit = mismatches[0]
-            m = next(u for u, v in vals.items() if v != limit[u])
+            m = next(u for u, v in limit.items() if v != vals[u])
             report.record_failure(
                 f"program:\n{pp_program(pf)}\nloop={pp_stmt(node)}\n"
-                f"query={FamilySet.downset((m,))!r}\ndemand={vals[m]!r}\n"
-                f"kleene={limit[m]!r}")
+                f"query={FamilySet.downset((m,))!r}\n"
+                f"demand={powerset_family(vals[m])!r}\n"
+                f"kleene={powerset_family(limit[m])!r}")
             report.failures += len(mismatches) - 1
     return report
 

@@ -28,19 +28,20 @@ evaluator is freed when its caller drops it.  Evaluation looks the entry
 up and calls its rule, with no dispatch on the node's type.  A down-set
 query whose antichain is one mask m, the usual query, reads or fills the
 one memo entry of m and is itself the rule's argument; a loop's memo miss
-there discovers and solves the equations reachable from m.  Larger
-queries look up each antichain mask and batch a loop's missing ones into
-one discovery.
+there walks from m and finds the equations it reaches as it goes.  Larger
+queries look up each antichain mask; a loop batches its roots into one
+walk, which passes over those already in the memo.
 
 Loops are least fixpoints of the guarded-join functional.  The equation
 of atomic query m reads the body's value at ↓{m & guard}.  Every
 construct maps a family with a greatest member to one, so that value
 has one maximal member d(m), and the equation is val(m) = val(d(m)) |
 w(m) over top masks from the bottom 0, with the wrap w(m) = m & ~guard;
-a d(m) outside the system reads its memo value.  ``eval`` discovers a
-loop's missing equations and solves them in closed form, evaluating no
-statement, so a construct costs two stack frames per nesting level, as
-in the parser.
+a d(m) outside the system reads its memo value.  ``eval`` hands a loop's
+roots to ``HEval._solve``, which reads each equation's body value when
+its walk first reaches the unknown (a top-down solve) and solves the
+system in closed form, so a loop, like every construct, costs two stack
+frames per nesting level (``eval``, ``_solve``), as in the parser.
 
 The closed form.  Follow m's path m, d(m), d(d(m)), ... .  By induction
 on k, the k-th Kleene iterate at m is the OR of the wraps of the first k
@@ -51,10 +52,14 @@ that memo value.  Each unknown has one dependency, so a path either
 leaves the system or ends in one cycle, round which it goes for ever:
 every unknown of a cycle takes the OR of the cycle's wraps, and any other
 unknown its wrap | its dependency's value.  The solve walks from each
-unknown until it meets a memo value, a solved unknown or its own path,
-gives a cycle closed on its path the OR of the cycle's wraps, and walks
-back along the path ORing in each wrap.  The optional cross-check and
-``loop_iterates`` iterate the same equations synchronously (Kleene).
+root, the last first, and reads each unknown's equation as it reaches
+it, until it meets a memo value, an unknown an earlier walk solved, or
+its own path; it gives a cycle closed on its path the OR of the cycle's
+wraps, and walks back along the path ORing in each wrap.  Every unknown
+lies on the walk that found it, so one pass both finds and solves the
+system: Tarjan's SCC fold on a graph where each node has one successor.
+The optional cross-check and ``loop_iterates`` iterate the same
+equations synchronously (Kleene).
 
 Unions and products of other values are ``family.family_union`` and
 ``family.family_product``.  Down-sets are their fast path: when every
@@ -160,10 +165,6 @@ def _union(vals):
     return _union_of_tops(frozenset(vals))
 
 
-def _families(vals):
-    return {u: powerset_family(t) for u, t in vals.items()}
-
-
 def _join(ev, branches, fam):
     """Inner join over (branch, mask) pairs: at each maximal member p of
     the query, the product of every branch's value at ↓(p & its mask),
@@ -199,7 +200,8 @@ class _Interned(dict):
 
 class HyperStats:
     """Counters of one evaluator's loop solves, and the cross-check's
-    mismatches as (node, system, values, limit).  The closed-form solve
+    mismatches as (node, system, values, limit), where values and limit
+    map each unknown to a top mask.  The closed-form solve
     updates no value, so ``value_updates`` reads 0; it is kept only for
     the benchmark's ``hyper.loop.updates`` total."""
 
@@ -261,8 +263,8 @@ class HEval:
         # atoms and skip map the whole query; loops answer every query from
         # the memo; the other constructs answer down-set queries from it,
         # being additive over maximal members, and explicit ones
-        # structurally.  Calling the rule, or discovering a loop's
-        # equations, from here keeps two stack frames per nesting level.
+        # structurally.  Calling the rule, or solving a loop, from here
+        # keeps two stack frames per nesting level.
         if memo is None or (rule is not None and fam.kind != DOWNSET):
             val = rule(self, *args, fam)
         elif len(fam.sets) == 1:  # ↓{m}, or {m} at a loop: one memo entry
@@ -270,27 +272,20 @@ class HEval:
             val = memo.get(m)
             if val is None:
                 if rule is None:
-                    self._solve_demand(node, self._discover(args, (m,), memo),
-                                       memo)
+                    self._solve(node, args, (m,), memo)
                     val = memo[m]
                 else:
                     val = memo[m] = rule(self, *args, fam)
         else:
             basis = fam.antichain()
+            if rule is None and not memo.keys() >= basis:  # a loop's miss
+                self._solve(node, args, basis, memo)
             vals = []
-            missing = []
             for m in basis:
                 val = memo.get(m)
                 if val is None:
-                    if rule is None:
-                        missing.append(m)
-                        continue
                     val = memo[m] = rule(self, *args, self._principal[m])
                 vals.append(val)
-            if missing:
-                self._solve_demand(node, self._discover(args, missing, memo),
-                                   memo)
-                vals = [memo[m] for m in basis]
             val = _union(vals)
         return self._principal[val] if type(val) is int else val
 
@@ -309,31 +304,6 @@ class HEval:
         return m  # skip
 
     # ---- loop machinery: one unknown per atomic query
-
-    def _discover(self, loop, roots, known):
-        """Equations of the atomic queries reachable from roots, not
-        entering known; loop is the args of a loop's entry.
-
-        Each equation is (dep, wrap), two masks: the one maximal member
-        of the body's value at the subsets of m & guard, and m & ~guard.
-        Roots are always included.
-        """
-        bmask, nbmask, body = loop
-        system = {}
-        pending = list(roots)
-        while pending:
-            m = pending.pop()
-            if m in system:
-                continue
-            q = m & bmask
-            v = self._hit(body, q)
-            if v is None:
-                v = _top(self.eval(body, self._principal[q]))
-            (dep,) = (v,) if type(v) is int else v.antichain()
-            system[m] = (dep, m & nbmask)
-            if dep not in known:
-                pending.append(dep)
-        return system
 
     def _kleene(self, system, memo):
         """Synchronized iterates of system from bottom, as masks; a
@@ -358,28 +328,42 @@ class HEval:
                     f"loop iteration did not stabilize within {budget} steps")
             prev = cur
 
-    def _solve_demand(self, node, system, memo):
-        """The least solution in closed form (see the module docstring):
-        one walk per unknown, in system order; memoizes every atomic
-        query's mask."""
-        vals = dict.fromkeys(system)
-        for u in system:
-            path = {}  # the unknowns walked, each to its index
-            while u in system and vals[u] is None and u not in path:
-                path[u] = len(path)
-                u = system[u][0]
-            # a cycle on the path: the OR of its wraps, which the walk back
-            # gives each of its unknowns
-            if u in path:
-                val = 0
-                for c in list(path)[path[u]:]:
-                    val |= system[c][1]
+    def _solve(self, node, loop, roots, memo):
+        """Solve the loop's equations reachable from the roots, in closed
+        form (see the module docstring), reading each when the walk first
+        reaches its unknown; loop is the args of the node's entry.  Roots
+        in the memo are passed over, the others walked from the last.
+        Memoizes every unknown's mask and returns the system, unknown m to
+        (dep, wrap): the one maximal member of the body's value at the
+        subsets of m & guard, and m & ~guard, in the order the walks met
+        them."""
+        bmask, nbmask, body = loop
+        system = {}
+        vals = {}
+        for u in reversed(list(roots)):
+            path = []  # the unknowns this walk met, in order
+            while u not in memo and u not in system:
+                q = u & bmask
+                v = self._hit(body, q)
+                if v is None:
+                    v = _top(self.eval(body, self._principal[q]))
+                (dep,) = (v,) if type(v) is int else v.antichain()
+                system[u] = (dep, u & nbmask)
+                path.append(u)
+                u = dep
+            if u in vals:
+                val = vals[u]
+            elif u in memo:
+                val = memo[u]
             else:
-                val = vals[u] if u in vals else memo[u]
+                # a cycle closed on the path: the OR of its wraps, which
+                # the walk back gives each of its unknowns
+                val = 0
+                for c in path[path.index(u):]:
+                    val |= system[c][1]
             for c in reversed(path):
                 val |= system[c][1]
                 vals[c] = val
-
         self.stats.demand_loops_solved += 1
         self.stats.queries_solved += len(system)
         if self.cross_check:
@@ -387,8 +371,9 @@ class HEval:
             limit = self._kleene_limit(system, memo)
             if vals != limit:
                 self.stats.cross_mismatches.append(
-                    (node, system, _families(vals), _families(limit)))
+                    (node, system, vals, limit))
         memo.update(vals)
+        return system
 
 
 # ---------------------------------------------------------------- entry points
@@ -427,7 +412,8 @@ def loop_iterates(cond, body, fam, steps, space, variant=LoopVariant.PAPER):
                 for _, vals in zip(range(steps + 1), iters)]
     ev = HEval(space)
     basis = fam.antichain()
-    _, _, loop, _ = ev._compile(While(cond, body))
-    system = ev._discover(loop, basis, {})
+    node = While(cond, body)
+    _, _, loop, _ = ev._compile(node)
+    system = ev._solve(node, loop, basis, {})
     return [_family(_union([cur[m] for m in basis]))
             for _, cur in zip(range(steps + 1), ev._kleene(system, {}))]

@@ -325,7 +325,7 @@ def test_loop_with_a_cyclic_system_reaches_its_least_fixpoint():
     # the system still has a cycle: 4 of its 5 unknowns in one component
     fresh = HEval(space)
     _, _, loop, _ = fresh._compile(pf.body)
-    system = fresh._discover(loop, q.antichain(), {})
+    system = fresh._solve(pf.body, loop, q.antichain(), {})
 
     def reach(u):
         seen, stack = {u}, [u]
@@ -350,11 +350,12 @@ def test_one_literal_loops_solve_to_their_kleene_limits(monkeypatch):
     # every loop `while g { rel {...} }` over three states, at every
     # principal down-set, cross-checked by Kleene iteration: 148 of the
     # solves have a cycle of two unknowns or more
-    solve = HEval._solve_demand
+    solve = HEval._solve
     cyclic = 0
 
-    def counting_solve(ev, node, system, memo):
+    def counting_solve(ev, node, loop, roots, memo):
         nonlocal cyclic
+        system = solve(ev, node, loop, roots, memo)
         for u in system:
             path = []
             while u in system and u not in path:
@@ -363,9 +364,9 @@ def test_one_literal_loops_solve_to_their_kleene_limits(monkeypatch):
             if u in path and len(path) - path.index(u) >= 2:
                 cyclic += 1
                 break
-        solve(ev, node, system, memo)
+        return system
 
-    monkeypatch.setattr(HEval, "_solve_demand", counting_solve)
+    monkeypatch.setattr(HEval, "_solve", counting_solve)
     solves = mismatches = 0
     for guard in ("x = 0", "x != 2", "x < 2", "true", "x > 0"):
         for bits in range(1 << 9):
@@ -850,17 +851,6 @@ def test_principal_shortcuts_equal_the_general_path():
                 [tr.apply(p) for p in (x, x & y, 0)]))
             _same(hyper._family(rule(ev, tr, psc, powerset_family(small))),
                   FamilySet.explicit(map(tr.apply, subsets_of(small))))
-            # a loop equation's value as a mask, its one dependency read
-            # as a mask from the unknowns (1, a cycle of one with wrap x)
-            # or from the memo
-            w = rng.randrange(1 << n)
-            for system, memo, dep in (({2: (1, w), 1: (1, x)}, {}, a),
-                                      ({2: (1, w)}, {1: y}, b)):
-                ev._solve_demand(None, system, memo)
-                got = memo[2]
-                assert type(got) is int
-                _same(powerset_family(got),
-                      family_product(dep, powerset_family(w)))
         # eval at a one-mask query: kept in the memo, canonical, and the
         # answer at the explicit query of the same members, which takes
         # the structural path
@@ -986,20 +976,21 @@ def test_principal_families_are_interned_per_evaluator():
 
 
 def test_loop_work_counters_on_a_nondeterministic_battery(monkeypatch):
-    # a lost memo entry or a changed batching of loop discovery moves
+    # a lost memo entry or a changed batching of loop solves moves
     # these totals: 30 programs at 6 and 8 states, 10 random down-sets
     # each, every loop solve cross-checked by Kleene iteration
-    solve = HEval._solve_demand
+    solve = HEval._solve
 
-    def canonical_solve(ev, node, system, memo):
+    def canonical_solve(ev, node, loop, roots, memo):
         # every equation has one dependency, and every value the solve
         # and the cross-check compare is a mask, so `!=` and `==` on them
         # are exact
+        system = solve(ev, node, loop, roots, memo)
         assert all(type(d) is int and type(w) is int
                    for d, w in system.values())
-        solve(ev, node, system, memo)
         assert all(type(memo[u]) is int and type(memo[d]) is int
                    for u, (d, _) in system.items())
+        return system
 
     # a rule reads its children's memo hits, PSC atoms' images and skip
     # without entering eval, so eval is entered once per rule run
@@ -1011,7 +1002,7 @@ def test_loop_work_counters_on_a_nondeterministic_battery(monkeypatch):
         entries[name] = entries.get(name, 0) + 1
         return evaluate(ev, node, fam)
 
-    monkeypatch.setattr(HEval, "_solve_demand", canonical_solve)
+    monkeypatch.setattr(HEval, "_solve", canonical_solve)
     monkeypatch.setattr(HEval, "eval", counting_eval)
     totals = [0] * 5
     for size in (6, 8):
